@@ -88,37 +88,34 @@ class SparseAffinityRows:
         return Z
 
 
-def pairwise_sq_dists(X, C):
+def pairwise_sq_dists(X, C, x_sq=None):
     """Squared Euclidean distances between rows of X and rows of C.
 
     One GEMM plus the norm expansion; clipped at zero to kill the tiny
-    negatives the expansion produces.
+    negatives the expansion produces. Callers that reuse X pass its row norms x_sq.
     """
     X = np.asarray(X, dtype=np.float64)
     C = np.asarray(C, dtype=np.float64)
-    d2 = (
-        (X * X).sum(axis=1)[:, None]
-        - 2.0 * (X @ C.T)
-        + (C * C).sum(axis=1)[None, :]
-    )
+    if x_sq is None:
+        x_sq = (X * X).sum(axis=1)
+    d2 = x_sq[:, None] - 2.0 * (X @ C.T) + (C * C).sum(axis=1)[None, :]
     return np.maximum(d2, 0.0)
 
 
-def _kmeans_pp_init(X, m, rng):
+def _kmeans_pp_init(X, m, rng, x_sq):
     # classic D^2 seeding
     n = X.shape[0]
     centers = np.empty((m, X.shape[1]))
     centers[0] = X[rng.integers(n)]
-    d2 = pairwise_sq_dists(X, centers[:1]).ravel()
+    d2 = pairwise_sq_dists(X, centers[:1], x_sq=x_sq).ravel()
     for j in range(1, m):
         total = d2.sum()
         if total <= 0:
             # everything already coincides with a chosen center; any point works
             centers[j] = X[rng.integers(n)]
         else:
-            probs = d2 / total
-            centers[j] = X[rng.choice(n, p=probs)]
-        d2 = np.minimum(d2, pairwise_sq_dists(X, centers[j : j + 1]).ravel())
+            centers[j] = X[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, pairwise_sq_dists(X, centers[j : j + 1], x_sq=x_sq).ravel())
     return centers
 
 
@@ -137,13 +134,14 @@ def fit_anchors(X, m, iters=10, seed=0, s=3, sigma2=None):
     if iters < 1:
         raise ValueError("iters must be >= 1")
     rng = np.random.default_rng(seed)
-    centers = _kmeans_pp_init(X, m, rng)
+    x_sq = (X * X).sum(axis=1)
+    centers = _kmeans_pp_init(X, m, rng, x_sq)
     for _ in range(iters):
-        d2 = pairwise_sq_dists(X, centers)
+        d2 = pairwise_sq_dists(X, centers, x_sq=x_sq)
         assign = d2.argmin(axis=1)
         counts = np.bincount(assign, minlength=m)
-        sums = np.zeros_like(centers)
-        np.add.at(sums, assign, X)
+        # one-hot (m, n) CSR, columns ascending: sums rows in the order add.at would
+        sums = sp.csr_matrix((np.ones(n), (assign, np.arange(n))), shape=(m, n)) @ X
         nonempty = counts > 0
         centers[nonempty] = sums[nonempty] / counts[nonempty, None]
         if not nonempty.all():
@@ -153,7 +151,7 @@ def fit_anchors(X, m, iters=10, seed=0, s=3, sigma2=None):
                 centers[j] = X[far]
                 nearest[far] = 0.0  # don't pick the same point twice
     if sigma2 is None:
-        d2 = pairwise_sq_dists(X, centers)
+        d2 = pairwise_sq_dists(X, centers, x_sq=x_sq)
         kth = np.sort(d2, axis=1)[:, min(s, m) - 1]
         sigma2 = float(kth.mean())
     sigma2 = max(float(sigma2), SIGMA_FLOOR)

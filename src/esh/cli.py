@@ -243,6 +243,8 @@ def cmd_encode(args):
 
 def cmd_query(args):
     cfg = _resolve(args, QUERY_DEFAULTS, required=("model", "features", "db_codes"))
+    if int(cfg["top"]) < 1:
+        raise ValueError(f"--top must be >= 1, got {cfg['top']}")
     _require_files(model=cfg["model"], features=cfg["features"], db_codes=cfg["db_codes"])
     out = _out_dir(args)
     model = load_model(cfg["model"])

@@ -107,17 +107,17 @@ def tangent_gradient(W, G):
 
 
 def cayley_step(W, G, tau):
-    """One Cayley move: Y = (I + tau/2 F)^{-1} (I - tau/2 F) W.
+    """One Cayley move: Y = (I + tau/2 F)^{-1} (I - tau/2 F) W, F = G W^T - W G^T.
 
-    F = G W^T - W G^T is skew, so I + tau/2 F is always invertible and Y
-    keeps orthonormal columns exactly (up to the linear solve's rounding).
-    Solved as a d x d system; nothing n-sized is built.
+    With F = U V^T, U = [G, W], V = [W, -G] (Wen & Yin 2013), Woodbury gives
+    Y = W - tau U (I + tau/2 V^T U)^{-1} V^T W: a 2k x 2k solve, O(d k^2 + k^3).
+    F is skew, so I + tau/2 F and (determinant lemma) the 2k x 2k system are
+    always invertible; Y keeps orthonormal columns up to the solve's rounding.
     """
-    d = W.shape[0]
-    F = G @ W.T - W @ G.T
-    half = 0.5 * tau
-    I = np.eye(d)
-    return np.linalg.solve(I + half * F, (I - half * F) @ W)
+    k = W.shape[1]
+    U = np.hstack([G, W])
+    VtU = np.hstack([W, -G]).T @ U  # its last k columns are V^T W
+    return W - tau * (U @ np.linalg.solve(np.eye(2 * k) + 0.5 * tau * VtU, VtU[:, k:]))
 
 
 def bb_step(step_diff, grad_diff, fallback=None, tau_min=TAU_MIN, tau_max=TAU_MAX):

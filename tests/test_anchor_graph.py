@@ -23,6 +23,55 @@ def brute_sq_dists(X, C):
     return out
 
 
+def kmeans_oracle(X, m, iters, seed, s=3):
+    """fit_anchors with per-call norms and np.add.at sums; also counts reseeds."""
+
+    def dists(C):
+        d2 = (X * X).sum(axis=1)[:, None] - 2.0 * (X @ C.T) + (C * C).sum(axis=1)[None, :]
+        return np.maximum(d2, 0.0)
+
+    n = X.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = np.empty((m, X.shape[1]))
+    centers[0] = X[rng.integers(n)]
+    d2 = dists(centers[:1]).ravel()
+    for j in range(1, m):
+        total = d2.sum()
+        centers[j] = X[rng.integers(n) if total <= 0 else rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, dists(centers[j : j + 1]).ravel())
+    reseeds = 0
+    for _ in range(iters):
+        d2 = dists(centers)
+        assign = d2.argmin(axis=1)
+        counts = np.bincount(assign, minlength=m)
+        sums = np.zeros_like(centers)
+        np.add.at(sums, assign, X)
+        nonempty = counts > 0
+        centers[nonempty] = sums[nonempty] / counts[nonempty, None]
+        nearest = d2.min(axis=1)
+        for j in np.flatnonzero(~nonempty):
+            far = int(nearest.argmax())
+            centers[j] = X[far]
+            nearest[far] = 0.0
+            reseeds += 1
+    sigma2 = max(float(np.sort(dists(centers), axis=1)[:, min(s, m) - 1].mean()), 1e-12)
+    return centers, sigma2, reseeds
+
+
+def test_kmeans_bit_identical_to_add_at_oracle():
+    rng = np.random.default_rng(15)
+    blobs, _ = generate_synthetic(6, 150, 64, 1.5, seed=16)
+    # 12 distinct points, 4 copies each: seeding runs out of distinct points
+    # at m=16, so duplicate centers leave clusters empty and get reseeded
+    dup = np.repeat(rng.standard_normal((12, 5)), 4, axis=0)
+    for X, m, want_reseed in ((blobs, 40, False), (dup, 16, True)):
+        anchors = fit_anchors(X, m=m, iters=10, seed=17, s=3)
+        centers, sigma2, reseeds = kmeans_oracle(X, m, iters=10, seed=17)
+        assert (reseeds > 0) == want_reseed
+        assert np.array_equal(anchors.centers, centers)
+        assert anchors.sigma2 == sigma2
+
+
 def test_pairwise_sq_dists_matches_loops():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((17, 4))

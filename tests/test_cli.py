@@ -135,6 +135,27 @@ def test_query_results_match_ranking_oracle(tmp_path):
         assert [int(g[3]) for g in got] == list(ranking.distances[:5])
 
 
+def test_query_rejects_top_below_one(tmp_path, capsys):
+    data = synth_small(tmp_path)
+    run_dir = tmp_path / "run"
+    assert run("train", "--features", data / "features.csv", "--bits", 4,
+               "--iters", 2, "--anchors", 10, "--seed", 1, "--out", run_dir) == 0
+    enc = tmp_path / "enc"
+    assert run("encode", "--model", run_dir / "model.eshm",
+               "--features", data / "features.csv", "--out", enc) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"top": 0}))
+    common = ("query", "--model", run_dir / "model.eshm", "--features", data / "features.csv",
+              "--db-codes", enc / "codes.eshb")
+    for i, extra in enumerate((("--top", -1), ("--top", 0), ("--config", cfg))):
+        out = tmp_path / f"q{i}"
+        assert run(*common, *extra, "--out", out) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "--top" in err["message"]
+        assert not (out / "results.csv").exists()
+
+
 def write_codes(tmp_path, name, bits_matrix):
     from esh.encoder import pack_codes, save_codes
 

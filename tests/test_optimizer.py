@@ -245,6 +245,25 @@ def test_cayley_preserves_orthonormality():
             assert orth_residual(Y) < 1e-10
 
 
+def dense_cayley(W, G, tau):
+    # the d x d form: Y = (I + tau/2 F)^{-1} (I - tau/2 F) W, F = G W^T - W G^T
+    I = np.eye(W.shape[0])
+    F = G @ W.T - W @ G.T
+    return np.linalg.solve(I + 0.5 * tau * F, (I - 0.5 * tau * F) @ W)
+
+
+def test_cayley_matches_dense_oracle():
+    rng = np.random.default_rng(39)
+    # (12, 8) has 2k > d, so the low-rank system is larger than the dense one
+    for d, k in ((12, 8), (40, 3), (128, 16), (300, 32)):
+        W = init_projection(d, k, seed=int(rng.integers(1 << 30)))
+        G = rng.standard_normal((d, k))
+        for tau in (1e-3, 0.1, 10.0):
+            Y = cayley_step(W, G, tau)
+            assert np.abs(Y - dense_cayley(W, G, tau)).max() <= 1e-12
+            assert orth_residual(Y) < 1e-12
+
+
 def test_bb_step_formula_cases():
     M = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert np.isclose(bb_step(M, M), 1.0)

@@ -74,6 +74,11 @@ QUERY_DEFAULTS = {
     "query_mode": None,  # None = whatever the model says
 }
 
+# results.csv rows formatted per write: one %-format per block of queries is
+# far cheaper than a write per row, and the cap bounds memory when --top
+# approaches the database size
+_ROWS_PER_WRITE = 1 << 16
+
 EVAL_DEFAULTS = {
     "query_codes": None,
     "db_codes": None,
@@ -87,6 +92,35 @@ EVAL_DEFAULTS = {
 }
 
 
+# JSON types a config-file value may take where its default does not say:
+# numeric options that default to None and options with more than one form.
+# Any other option that defaults to None takes a string (a path or a mode).
+_CONFIG_TYPES = {
+    "alpha": (str, int, float),  # "auto" or a number
+    "sigma2": (int, float),
+    "cutoff": (int,),
+    "precision_at": (list, str),  # [100, 300] or "100,300"
+}
+
+
+def _check_config_type(key, value, default):
+    """Config-file values skip argparse, so check them against the defaults."""
+    if value is None and default is None:
+        return
+    if key in _CONFIG_TYPES:
+        allowed = _CONFIG_TYPES[key]
+    elif default is None:
+        allowed = (str,)
+    elif isinstance(default, float):
+        allowed = (int, float)
+    else:
+        allowed = (type(default),)
+    # bool is a subclass of int, yet true/false is only a value for a switch
+    if isinstance(value, bool) != (bool in allowed) or not isinstance(value, allowed):
+        names = " or ".join(t.__name__ for t in allowed)
+        raise TypeError(f"config key {key!r} must be {names}, got {json.dumps(value)}")
+
+
 def _resolve(args, defaults, required=()):
     """Merge flag values over config-file values over built-in defaults."""
     file_cfg = {}
@@ -96,6 +130,8 @@ def _resolve(args, defaults, required=()):
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in file_cfg.items():
+            _check_config_type(key, value, defaults[key])
     out = {}
     for key, builtin in defaults.items():
         flag = getattr(args, key, None)
@@ -255,13 +291,21 @@ def cmd_query(args):
     mode = cfg["query_mode"] if cfg["query_mode"] is not None else model.query_mode
     codes = model.encode(X, mode=mode)
     top = min(int(cfg["top"]), db.n)
+    per_block = max(1, _ROWS_PER_WRITE // max(top, 1))
     results_path = out / "results.csv"
     with open(results_path, "w") as f:
         f.write("query_id,rank,db_id,distance\n")
-        for qi in range(codes.n):
-            ranking = rank_database(codes.words[qi], db, query_id=qi)
-            for r in range(top):
-                f.write(f"{qi},{r + 1},{ranking.ids[r]},{ranking.distances[r]}\n")
+        for lo in range(0, codes.n, per_block):
+            qids = np.arange(lo, min(lo + per_block, codes.n))
+            # columns: query_id, rank, db_id, distance
+            rows = np.empty((qids.size, top, 4), dtype=np.int64)
+            rows[:, :, 0] = qids[:, None]
+            rows[:, :, 1] = np.arange(1, top + 1)
+            for j, qi in enumerate(qids.tolist()):
+                ranking = rank_database(codes.words[qi], db, query_id=qi)
+                rows[j, :, 2] = ranking.ids[:top]
+                rows[j, :, 3] = ranking.distances[:top]
+            f.write(("%d,%d,%d,%d\n" * (qids.size * top)) % tuple(rows.ravel().tolist()))
     _write_manifest(results_path, "query", cfg)
     print(f"wrote {results_path} ({codes.n} queries, top {top}, {mode} mode)")
     return 0

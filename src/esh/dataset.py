@@ -68,10 +68,10 @@ class LabelSet:
 
 
 def _check_finite(X):
-    bad = np.argwhere(~np.isfinite(X))
-    if bad.size:
-        r, c = bad[0]
-        raise FormatError(f"non-finite value at row {r}, column {c}")
+    if np.isfinite(X).all():  # one pass; only a bad matrix pays for argwhere
+        return
+    r, c = np.argwhere(~np.isfinite(X))[0]
+    raise FormatError(f"non-finite value at row {r}, column {c}")
 
 
 def _validate_matrix(X):
@@ -183,7 +183,9 @@ def apply_standardization(x, stats):
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != stats.mean.shape[0]:
         raise ValueError(f"dimension mismatch: got {x.shape[-1]}, stats have {stats.mean.shape[0]}")
-    return (x - stats.mean) / stats.std
+    out = x - stats.mean
+    out /= stats.std  # in place: one n x d temporary instead of two
+    return out
 
 
 def generate_synthetic(clusters, per_cluster, dims, spread, seed, center_scale=10.0):

@@ -155,9 +155,16 @@ class HashModel:
             centers=self.centers.astype(np.float64), sigma2=self.sigma2, s=self.s
         )
 
+    def _standardized(self, X_raw):
+        """Standardized rows; both encoders reject what is not finite."""
+        Xs = apply_standardization(np.atleast_2d(X_raw), self._stats())
+        if not np.all(np.isfinite(Xs)):
+            raise ValueError("query contains non-finite values after standardization")
+        return Xs
+
     def encode_linear(self, X_raw):
         """sgn of the standardized projection; ties at zero become +1."""
-        Xs = apply_standardization(np.atleast_2d(X_raw), self._stats())
+        Xs = self._standardized(X_raw)
         bits = sgn(Xs @ self.W.astype(np.float64), zero_rule="one")
         return pack_codes(bits)
 
@@ -167,9 +174,7 @@ class HashModel:
         z is the same kernel row Z would hold for this point, so a training
         sample gets (numerically) the code its neighbors voted for.
         """
-        Xs = apply_standardization(np.atleast_2d(X_raw), self._stats())
-        if not np.all(np.isfinite(Xs)):
-            raise ValueError("query contains non-finite values after standardization")
+        Xs = self._standardized(X_raw)
         idx, w = anchor_weights(Xs, self._anchors())
         V = self.vote_matrix.astype(np.float64)
         scores = np.einsum("kqs,qs->qk", V[:, idx], w)

@@ -1,12 +1,14 @@
 """Retrieval metrics over packed Hamming codes.
 
 Everything rests on one ranking primitive: XOR + popcount distances, then
-a stable sort so equal distances break toward the lower database id. On
-top of that sit average precision, precision at a depth, precision within
-a Hamming ball, and per-query precision/recall curves, aggregated into a
-report. Query fan-out can use a thread pool (ESH_THREADS caps workers);
-results are reduced in query order, so the thread count never changes a
-number.
+a stable sort so equal distances break toward the lower database id. The
+distances are sorted as uint8 (one code word) or uint16 (up to 65535 bits),
+for which numpy's stable sort is a radix sort, linear in the database size;
+wider codes fall back to int64. On top of that sit average precision,
+precision at a depth, precision within a Hamming ball, and per-query
+precision/recall curves, aggregated into a report. Query fan-out can use
+a thread pool (ESH_THREADS caps workers); results are reduced in query
+order, so the thread count never changes a number.
 """
 
 import json
@@ -44,13 +46,24 @@ def hamming_distance(a_words, b_words):
     return int(np.bitwise_count(np.bitwise_xor(a, b)).sum())
 
 
-def hamming_distances(query_words, db: PackedCodes):
-    """Distances from one packed code (1-D word array) to every db code."""
+def _narrow_distances(query_words, db: PackedCodes):
+    """Distances to every db code in the narrowest unsigned type that holds k.
+
+    One word: the uint8 popcount itself. Up to 65535 bits: a uint16 sum.
+    Wider: int64, since a uint16 sum would wrap.
+    """
     query_words = np.asarray(query_words, dtype=np.uint64)
     if query_words.shape != (db.n_words,):
         raise ValueError("query word count does not match database")
-    x = np.bitwise_xor(query_words[None, :], db.words)
-    return np.bitwise_count(x).sum(axis=1).astype(np.int64)
+    if db.n_words == 1:
+        return np.bitwise_count(np.bitwise_xor(db.words[:, 0], query_words[0]))
+    x = np.bitwise_count(np.bitwise_xor(query_words[None, :], db.words))
+    return x.sum(axis=1, dtype=np.uint16 if db.k <= 0xFFFF else np.int64)
+
+
+def hamming_distances(query_words, db: PackedCodes):
+    """Distances from one packed code (1-D word array) to every db code."""
+    return _narrow_distances(query_words, db).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -63,11 +76,12 @@ class Ranking:
 
 
 def rank_database(query_words, db: PackedCodes, exclude_id=None, query_id=None):
-    dist = hamming_distances(query_words, db)
+    dist = _narrow_distances(query_words, db)
+    # stable on uint8/uint16 is numpy's radix sort; equal distances keep id order
     order = np.argsort(dist, kind="stable")
     if exclude_id is not None:
         order = order[order != exclude_id]
-    return Ranking(ids=order, distances=dist[order], query_id=query_id)
+    return Ranking(ids=order, distances=dist[order].astype(np.int64), query_id=query_id)
 
 
 class GroundTruth:
@@ -116,6 +130,33 @@ class GroundTruth:
         return len(self.query_labels)
 
 
+def _hit_precision(hits):
+    """Precision at the rank of each relevant item, from their 0-based ranks."""
+    return np.arange(1, hits.size + 1) / (hits + 1.0)
+
+
+def _ap(hit_precision, n_pos):
+    if n_pos == 0 or hit_precision.size == 0:
+        return 0.0
+    # add.accumulate sums strictly left to right, so AP equals a naive
+    # per-rank loop term for term; np.sum adds pairwise and does not
+    return float(np.add.accumulate(hit_precision)[-1]) / n_pos
+
+
+def _precision_at(rel, depth):
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    depth = min(depth, rel.size)
+    return float(rel[:depth].sum() / depth)
+
+
+def _precision_within(rel, sorted_distances, radius):
+    within = int(np.searchsorted(sorted_distances, radius, side="right"))
+    if within == 0:
+        return 0.0
+    return float(rel[:within].sum() / within)
+
+
 def average_precision(ranking: Ranking, positives_mask, cutoff=None):
     """Mean of precision-at-hit over all relevant items.
 
@@ -123,40 +164,19 @@ def average_precision(ranking: Ranking, positives_mask, cutoff=None):
     truncated list is penalized for what it failed to retrieve. No
     relevant items at all gives 0.
     """
-    rel = np.asarray(positives_mask)[ranking.ids]
-    n_pos = int(np.asarray(positives_mask).sum())
-    if n_pos == 0:
-        return 0.0
-    if cutoff is not None:
-        rel = rel[:cutoff]
-    hits = np.flatnonzero(rel)
-    if hits.size == 0:
-        return 0.0
-    prec = np.arange(1, hits.size + 1) / (hits + 1.0)
-    # plain left-to-right accumulation so results are reproducible against
-    # a naive per-rank loop, term for term
-    total = 0.0
-    for v in prec.tolist():
-        total += v
-    return total / n_pos
+    mask = np.asarray(positives_mask)
+    hits = np.flatnonzero(mask[ranking.ids[:cutoff]])
+    return _ap(_hit_precision(hits), int(mask.sum()))
 
 
 def precision_at(ranking: Ranking, positives_mask, depth):
     """Fraction of the top `depth` that is relevant; depth caps at db size."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    depth = min(depth, ranking.ids.size)
-    rel = np.asarray(positives_mask)[ranking.ids[:depth]]
-    return float(rel.sum() / depth)
+    return _precision_at(np.asarray(positives_mask)[ranking.ids[:depth]], depth)
 
 
 def precision_within_radius(ranking: Ranking, positives_mask, radius=2):
     """Precision over codes within Hamming distance `radius`; 0 if none."""
-    within = int(np.searchsorted(ranking.distances, radius, side="right"))
-    if within == 0:
-        return 0.0
-    rel = np.asarray(positives_mask)[ranking.ids[:within]]
-    return float(rel.sum() / within)
+    return _precision_within(np.asarray(positives_mask)[ranking.ids], ranking.distances, radius)
 
 
 def pr_curve(ranking: Ranking, positives_mask):
@@ -164,13 +184,12 @@ def pr_curve(ranking: Ranking, positives_mask):
 
     Returns (recall, precision) arrays of length |positives retrieved|.
     """
-    rel = np.asarray(positives_mask)[ranking.ids]
-    n_pos = int(np.asarray(positives_mask).sum())
+    mask = np.asarray(positives_mask)
+    n_pos = int(mask.sum())
     if n_pos == 0:
         return np.empty(0), np.empty(0)
-    hits = np.flatnonzero(rel)
-    j = np.arange(1, hits.size + 1)
-    return j / n_pos, j / (hits + 1.0)
+    hits = np.flatnonzero(mask[ranking.ids])
+    return np.arange(1, hits.size + 1) / n_pos, _hit_precision(hits)
 
 
 def _grid_precision(precision, n_pos):
@@ -229,15 +248,15 @@ def _eval_one(args):
         mask = mask.copy()
         mask[qi] = False
     ranking = rank_database(q_words, db, exclude_id=qi if exclude else None, query_id=qi)
+    # one gather per query; every metric below reads this relevance vector
+    rel = mask[ranking.ids]
     n_pos = int(mask.sum())
-    ap = average_precision(ranking, mask, cutoff=cutoff)
-    pn = [precision_at(ranking, mask, n) for n in depths]
-    pr = precision_within_radius(ranking, mask, radius)
-    if n_pos:
-        _, prec = pr_curve(ranking, mask)
-        grid_prec = _grid_precision(prec, n_pos)
-    else:
-        grid_prec = None
+    prec = _hit_precision(np.flatnonzero(rel))
+    ap_prec = prec if cutoff is None else _hit_precision(np.flatnonzero(rel[:cutoff]))
+    ap = _ap(ap_prec, n_pos)
+    pn = [_precision_at(rel, n) for n in depths]
+    pr = _precision_within(rel, ranking.distances, radius)
+    grid_prec = _grid_precision(prec, n_pos) if n_pos else None
     return ap, pn, pr, grid_prec, n_pos
 
 

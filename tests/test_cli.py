@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+import esh.cli
 from esh.cli import main
-from esh.dataset import load_features, load_labels
+from esh.dataset import load_features, load_labels, save_features
 from esh.encoder import load_codes, load_model, unpack_codes
 from esh.evaluation import GroundTruth, evaluate, rank_database
 from esh.optimizer import init_projection, stiefel_project
@@ -135,6 +136,40 @@ def test_query_results_match_ranking_oracle(tmp_path):
         assert [int(g[3]) for g in got] == list(ranking.distances[:5])
 
 
+def per_row_results_csv(q_codes, db, top):
+    """results.csv as the per-row loop of earlier releases wrote it."""
+    top = min(top, db.n)
+    lines = ["query_id,rank,db_id,distance\n"]
+    for qi in range(q_codes.n):
+        ranking = rank_database(q_codes.words[qi], db, query_id=qi)
+        for r in range(top):
+            lines.append(f"{qi},{r + 1},{ranking.ids[r]},{ranking.distances[r]}\n")
+    return "".join(lines).encode()
+
+
+def test_query_results_bytes_equal_per_row_loop(tmp_path, monkeypatch):
+    data = synth_small(tmp_path)
+    run_dir = tmp_path / "run"
+    assert run("train", "--features", data / "features.csv", "--bits", 6,
+               "--iters", 10, "--anchors", 20, "--seed", 3, "--out", run_dir) == 0
+    small_db = tmp_path / "db.csv"
+    save_features(load_features(data / "features.csv")[:30], small_db)
+    enc = tmp_path / "enc"
+    assert run("encode", "--model", run_dir / "model.eshm",
+               "--features", small_db, "--out", enc) == 0
+    model = load_model(run_dir / "model.eshm")
+    db = load_codes(enc / "codes.eshb")
+    q_codes = model.encode(load_features(data / "features.csv"), mode="graph")
+    # small write blocks: several queries per block, and a last partial block
+    for top, rows_per_write in ((1, 1 << 16), (7, 1 << 16), (7, 20), (30, 100), (50, 20)):
+        monkeypatch.setattr(esh.cli, "_ROWS_PER_WRITE", rows_per_write)
+        qdir = tmp_path / f"q{top}_{rows_per_write}"  # top 50 > the 30 database codes
+        assert run("query", "--model", run_dir / "model.eshm",
+                   "--features", data / "features.csv",
+                   "--db-codes", enc / "codes.eshb", "--top", top, "--out", qdir) == 0
+        assert (qdir / "results.csv").read_bytes() == per_row_results_csv(q_codes, db, top)
+
+
 def test_query_rejects_top_below_one(tmp_path, capsys):
     data = synth_small(tmp_path)
     run_dir = tmp_path / "run"
@@ -226,6 +261,68 @@ def test_config_file_with_flag_override(tmp_path):
     assert len(manifest["config_sha256"]) == 64
 
 
+def test_config_values_of_the_wrong_type_rejected(tmp_path, capsys):
+    data = synth_small(tmp_path)
+    cp = write_codes(tmp_path, "codes.eshb", np.eye(4) * 2 - 1)
+    labels = tmp_path / "labels.csv"
+    labels.write_text("0\n1\n0\n1\n")
+    train = ("train", "--features", data / "features.csv", "--iters", 2, "--anchors", 10)
+    evals = ("eval", "--query-codes", cp, "--db-codes", cp,
+             "--query-labels", labels, "--labels", labels)
+    cases = (
+        (train, {"retain_train": "false"}),  # bool("false") is True
+        (train, {"retain_train": 0}),
+        (train, {"bits": "8"}),
+        (train, {"bits": 8.0}),
+        (train, {"bits": True}),
+        (train, {"eta": "0.1"}),
+        (train, {"features": 3}),
+        (evals, {"exclude_self": "false"}),
+        (evals, {"skip_empty": "false"}),
+        (evals, {"radius": None}),
+        (evals, {"precision_at": 300}),
+        (("synth",), {"format": ["csv"]}),
+    )
+    for i, (argv, doc) in enumerate(cases):
+        cfg = tmp_path / f"cfg{i}.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / f"o{i}"
+        assert run(*argv, "--config", cfg, "--out", out) == 1, doc
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "TypeError"
+        assert repr(next(iter(doc))) in err["message"]
+        assert not out.exists() or not any(out.iterdir())
+
+
+def test_config_values_of_the_right_type_accepted(tmp_path):
+    data = synth_small(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "features": str(data / "features.csv"), "bits": 4, "iters": 2, "anchors": 10,
+        "eta": 1, "alpha": 0.5, "sigma2": None, "retain_train": True,
+    }))
+    assert run("train", "--config", cfg, "--algo", "esh1", "--out", tmp_path / "t") == 0
+    assert load_model(tmp_path / "t" / "model.eshm").B is not None
+    cfg.write_text(json.dumps({"retain_train": False, "alpha": "auto"}))
+    assert run("train", "--config", cfg, "--features", data / "features.csv", "--bits", 4,
+               "--iters", 2, "--anchors", 10, "--out", tmp_path / "f") == 0
+    assert load_model(tmp_path / "f" / "model.eshm").B is None
+
+    cp = write_codes(tmp_path, "codes.eshb", np.eye(4) * 2 - 1)
+    labels = tmp_path / "labels.csv"
+    labels.write_text("0\n1\n0\n1\n")
+    reports = []
+    for i, doc in enumerate(({"precision_at": [1, 2], "exclude_self": True, "skip_empty": False},
+                             {"precision_at": "1,2", "exclude_self": True, "cutoff": None})):
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / f"e{i}"
+        assert run("eval", "--config", cfg, "--query-codes", cp, "--db-codes", cp,
+                   "--query-labels", labels, "--labels", labels, "--out", out) == 0
+        reports.append(json.loads((out / "report.json").read_text()))
+    assert reports[0] == reports[1]
+    assert reports[0]["precision_at"] == {"1": 0.25, "2": 0.375}  # own row excluded
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"itres": 5}))
@@ -285,3 +382,32 @@ def test_eval_respects_thread_env(tmp_path, monkeypatch):
                    "--precision-at", "5", "--out", out) == 0
         reports.append((out / "report.json").read_bytes())
     assert reports[0] == reports[1]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_encode_and_query_reject_non_finite_after_standardization(tmp_path, capsys):
+    # a finite 1e308 over a column of std 0.01 standardizes to inf, in both modes
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((80, 4)) * [1.0, 1.0, 1.0, 0.01]
+    train_csv, bad_csv = tmp_path / "train.csv", tmp_path / "bad.csv"
+    save_features(X, train_csv)
+    bad = X[:3].copy()
+    bad[1, 3] = 1e308
+    save_features(bad, bad_csv)
+    run_dir = tmp_path / "run"
+    assert run("train", "--features", train_csv, "--bits", 4, "--iters", 3,
+               "--anchors", 10, "--seed", 1, "--out", run_dir) == 0
+    enc = tmp_path / "enc"
+    assert run("encode", "--model", run_dir / "model.eshm",
+               "--features", train_csv, "--out", enc) == 0
+    model = run_dir / "model.eshm"
+    for mode in ("linear", "graph"):
+        for argv in (("encode", "--model", model, "--features", bad_csv),
+                     ("query", "--model", model, "--features", bad_csv,
+                      "--db-codes", enc / "codes.eshb")):
+            out = tmp_path / f"{argv[0]}_{mode}"
+            assert run(*argv, "--query-mode", mode, "--out", out) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "ValueError"
+            assert "non-finite" in err["message"]
+            assert not any(out.iterdir())

@@ -121,6 +121,16 @@ def test_model_linear_zero_query_all_plus_one():
     assert np.all(B == 1)
 
 
+@pytest.mark.parametrize("mode", ["linear", "graph"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_encode_rejects_non_finite_rows_in_both_modes(mode, bad):
+    model, _, X_raw, _ = small_model(seed=10)
+    X = X_raw[:5].copy()
+    X[3, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        model.encode(X, mode=mode)
+
+
 def test_stored_codes_equal_models_own_encoding():
     model, codes, X_raw, _ = small_model(seed=9)
     again = model.encode_linear(X_raw)

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esh.dataset import LabelSet
 from esh.encoder import pack_codes, unpack_codes
@@ -90,6 +92,53 @@ def test_rank_matches_sort_oracle():
     assert np.all(np.diff(r.distances) >= 0)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(1, 200),
+    n=st.integers(1, 60),
+    distinct=st.integers(1, 4),
+    exclude=st.one_of(st.none(), st.integers(0, 59)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rank_equals_lexsort_oracle_under_heavy_ties(k, n, distinct, exclude, seed):
+    # db rows come from a pool of a few codes, so most distances tie
+    rng = np.random.default_rng(seed)
+    pool = random_bits(rng, distinct, k)
+    B = pool[rng.integers(0, distinct, n)]
+    q = pool[:1] if rng.random() < 0.5 else random_bits(rng, 1, k)
+    exclude = None if exclude is None or exclude >= n else exclude
+    codes = pack_codes(B)
+    r = rank_database(pack_codes(q).words[0], codes, exclude_id=exclude)
+    dist = np.array([bit_loop_distance(q[0], B[i]) for i in range(n)], dtype=np.int64)
+    ids = np.arange(n)
+    want = np.lexsort((ids, dist))
+    if exclude is not None:
+        want = want[want != exclude]
+    assert np.array_equal(r.ids, want)
+    assert np.array_equal(r.distances, dist[want])
+    assert r.distances.dtype == np.int64
+    got = hamming_distances(pack_codes(q).words[0], codes)
+    assert got.dtype == np.int64 and np.array_equal(got, dist)
+
+
+def test_rank_distances_above_uint16_do_not_wrap():
+    # k = 70000: distances up to 70000 do not fit the uint16 used below 65536 bits
+    k = 70000
+    q = np.ones((1, k), dtype=np.int8)
+    B = np.ones((5, k), dtype=np.int8)
+    B[0] = -1  # distance 70000, would wrap to 4464 in uint16
+    B[1, :65536] = -1  # 65536, would wrap to 0
+    B[2, :100] = -1  # 100
+    B[4, :65535] = -1  # 65535, the largest uint16
+    codes = pack_codes(B)
+    qw = pack_codes(q).words[0]
+    dist = np.array([70000, 65536, 100, 0, 65535])
+    assert np.array_equal(hamming_distances(qw, codes), dist)
+    r = rank_database(qw, codes)
+    assert np.array_equal(r.ids, [3, 2, 4, 1, 0])
+    assert np.array_equal(r.distances, [0, 100, 65535, 65536, 70000])
+
+
 def test_rank_exclude_id():
     codes = pack_codes(np.ones((5, 3)))
     r = rank_database(codes.words[0], codes, exclude_id=2, query_id=0)
@@ -104,6 +153,26 @@ def test_ap_perfect_and_simple_cases():
     # single positive at rank 2 of 4
     mask = np.array([False, True, False, False])
     assert average_precision(make_ranking([0, 1, 2, 3]), mask) == 0.5
+
+
+def test_ap_sums_left_to_right_like_a_rank_loop():
+    # thousands of hits: a pairwise sum would differ from the loop in the last bits
+    rng = np.random.default_rng(12)
+    for n, p in ((6000, 0.8), (3000, 0.3)):
+        mask = rng.random(n) < p
+        r = make_ranking(rng.integers(0, 40, size=n))
+        hits, total = 0, 0.0
+        for rank, db_id in enumerate(r.ids, start=1):
+            if mask[db_id]:
+                hits += 1
+                total += hits / rank
+        assert average_precision(r, mask) == total / mask.sum()
+        cut, hits, total = n // 3, 0, 0.0
+        for rank, db_id in enumerate(r.ids[:cut], start=1):
+            if mask[db_id]:
+                hits += 1
+                total += hits / rank
+        assert average_precision(r, mask, cutoff=cut) == total / mask.sum()
 
 
 def test_ap_cutoff_zero_when_nothing_retrieved():

@@ -74,11 +74,6 @@ QUERY_DEFAULTS = {
     "query_mode": None,  # None = whatever the model says
 }
 
-# results.csv rows formatted per write: one %-format per block of queries is
-# far cheaper than a write per row, and the cap bounds memory when --top
-# approaches the database size
-_ROWS_PER_WRITE = 1 << 16
-
 EVAL_DEFAULTS = {
     "query_codes": None,
     "db_codes": None,
@@ -291,21 +286,14 @@ def cmd_query(args):
     mode = cfg["query_mode"] if cfg["query_mode"] is not None else model.query_mode
     codes = model.encode(X, mode=mode)
     top = min(int(cfg["top"]), db.n)
-    per_block = max(1, _ROWS_PER_WRITE // max(top, 1))
     results_path = out / "results.csv"
+    row = "%d,%d,%d,%d\n" * top  # query_id, rank, db_id, distance
     with open(results_path, "w") as f:
         f.write("query_id,rank,db_id,distance\n")
-        for lo in range(0, codes.n, per_block):
-            qids = np.arange(lo, min(lo + per_block, codes.n))
-            # columns: query_id, rank, db_id, distance
-            rows = np.empty((qids.size, top, 4), dtype=np.int64)
-            rows[:, :, 0] = qids[:, None]
-            rows[:, :, 1] = np.arange(1, top + 1)
-            for j, qi in enumerate(qids.tolist()):
-                ranking = rank_database(codes.words[qi], db, query_id=qi)
-                rows[j, :, 2] = ranking.ids[:top]
-                rows[j, :, 3] = ranking.distances[:top]
-            f.write(("%d,%d,%d,%d\n" * (qids.size * top)) % tuple(rows.ravel().tolist()))
+        for qi in range(codes.n):
+            ranking = rank_database(codes.words[qi], db, query_id=qi)
+            cols = (np.full(top, qi), np.arange(1, top + 1), ranking.ids[:top], ranking.distances[:top])
+            f.write(row % tuple(np.column_stack(cols).ravel().tolist()))
     _write_manifest(results_path, "query", cfg)
     print(f"wrote {results_path} ({codes.n} queries, top {top}, {mode} mode)")
     return 0

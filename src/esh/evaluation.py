@@ -46,24 +46,22 @@ def hamming_distance(a_words, b_words):
     return int(np.bitwise_count(np.bitwise_xor(a, b)).sum())
 
 
-def _narrow_distances(query_words, db: PackedCodes):
-    """Distances to every db code in the narrowest unsigned type that holds k.
+def hamming_distances(query_words, db: PackedCodes, narrow=False):
+    """Distances from one packed code (1-D word array) to every db code.
 
-    One word: the uint8 popcount itself. Up to 65535 bits: a uint16 sum.
-    Wider: int64, since a uint16 sum would wrap.
+    int64 by default. narrow=True gives the narrowest unsigned type that
+    holds k, for sorting: the uint8 popcount itself for one word, a uint16
+    sum up to 65535 bits; wider codes stay int64, since uint16 would wrap.
     """
     query_words = np.asarray(query_words, dtype=np.uint64)
     if query_words.shape != (db.n_words,):
         raise ValueError("query word count does not match database")
     if db.n_words == 1:
-        return np.bitwise_count(np.bitwise_xor(db.words[:, 0], query_words[0]))
-    x = np.bitwise_count(np.bitwise_xor(query_words[None, :], db.words))
-    return x.sum(axis=1, dtype=np.uint16 if db.k <= 0xFFFF else np.int64)
-
-
-def hamming_distances(query_words, db: PackedCodes):
-    """Distances from one packed code (1-D word array) to every db code."""
-    return _narrow_distances(query_words, db).astype(np.int64)
+        dist = np.bitwise_count(np.bitwise_xor(db.words[:, 0], query_words[0]))
+    else:
+        x = np.bitwise_count(np.bitwise_xor(query_words[None, :], db.words))
+        dist = x.sum(axis=1, dtype=np.uint16 if db.k <= 0xFFFF else np.int64)
+    return dist if narrow else dist.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -76,7 +74,7 @@ class Ranking:
 
 
 def rank_database(query_words, db: PackedCodes, exclude_id=None, query_id=None):
-    dist = _narrow_distances(query_words, db)
+    dist = hamming_distances(query_words, db, narrow=True)
     # stable on uint8/uint16 is numpy's radix sort; equal distances keep id order
     order = np.argsort(dist, kind="stable")
     if exclude_id is not None:
@@ -135,14 +133,6 @@ def _hit_precision(hits):
     return np.arange(1, hits.size + 1) / (hits + 1.0)
 
 
-def _ap(hit_precision, n_pos):
-    if n_pos == 0 or hit_precision.size == 0:
-        return 0.0
-    # add.accumulate sums strictly left to right, so AP equals a naive
-    # per-rank loop term for term; np.sum adds pairwise and does not
-    return float(np.add.accumulate(hit_precision)[-1]) / n_pos
-
-
 def _precision_at(rel, depth):
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -150,23 +140,30 @@ def _precision_at(rel, depth):
     return float(rel[:depth].sum() / depth)
 
 
-def _precision_within(rel, sorted_distances, radius):
-    within = int(np.searchsorted(sorted_distances, radius, side="right"))
-    if within == 0:
-        return 0.0
-    return float(rel[:within].sum() / within)
+def _within(ranking: Ranking, radius):
+    """How many ranked codes lie within Hamming distance `radius`."""
+    return int(np.searchsorted(ranking.distances, radius, side="right"))
 
 
-def average_precision(ranking: Ranking, positives_mask, cutoff=None):
+def average_precision(ranking: Ranking, positives_mask, cutoff=None, relevance=None):
     """Mean of precision-at-hit over all relevant items.
 
     The denominator is the total relevant count even under a cutoff, so a
     truncated list is penalized for what it failed to retrieve. No
-    relevant items at all gives 0.
+    relevant items at all gives 0. A caller that already holds
+    positives_mask[ranking.ids] passes it as `relevance`.
     """
     mask = np.asarray(positives_mask)
-    hits = np.flatnonzero(mask[ranking.ids[:cutoff]])
-    return _ap(_hit_precision(hits), int(mask.sum()))
+    n_pos = int(mask.sum())
+    if n_pos == 0:
+        return 0.0
+    rel = mask[ranking.ids[:cutoff]] if relevance is None else relevance[:cutoff]
+    hits = np.flatnonzero(rel)
+    if hits.size == 0:
+        return 0.0
+    # add.accumulate sums strictly left to right, so AP equals a naive
+    # per-rank loop term for term; np.sum adds pairwise and does not
+    return float(np.add.accumulate(_hit_precision(hits))[-1]) / n_pos
 
 
 def precision_at(ranking: Ranking, positives_mask, depth):
@@ -176,7 +173,10 @@ def precision_at(ranking: Ranking, positives_mask, depth):
 
 def precision_within_radius(ranking: Ranking, positives_mask, radius=2):
     """Precision over codes within Hamming distance `radius`; 0 if none."""
-    return _precision_within(np.asarray(positives_mask)[ranking.ids], ranking.distances, radius)
+    within = _within(ranking, radius)
+    if within == 0:
+        return 0.0
+    return _precision_at(np.asarray(positives_mask)[ranking.ids[:within]], within)
 
 
 def pr_curve(ranking: Ranking, positives_mask):
@@ -251,12 +251,11 @@ def _eval_one(args):
     # one gather per query; every metric below reads this relevance vector
     rel = mask[ranking.ids]
     n_pos = int(mask.sum())
-    prec = _hit_precision(np.flatnonzero(rel))
-    ap_prec = prec if cutoff is None else _hit_precision(np.flatnonzero(rel[:cutoff]))
-    ap = _ap(ap_prec, n_pos)
+    ap = average_precision(ranking, mask, cutoff, relevance=rel)
     pn = [_precision_at(rel, n) for n in depths]
-    pr = _precision_within(rel, ranking.distances, radius)
-    grid_prec = _grid_precision(prec, n_pos) if n_pos else None
+    within = _within(ranking, radius)
+    pr = _precision_at(rel, within) if within else 0.0
+    grid_prec = _grid_precision(_hit_precision(np.flatnonzero(rel)), n_pos) if n_pos else None
     return ap, pn, pr, grid_prec, n_pos
 
 

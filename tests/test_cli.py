@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-import esh.cli
 from esh.cli import main
 from esh.dataset import load_features, load_labels, save_features
 from esh.encoder import load_codes, load_model, unpack_codes
@@ -147,7 +146,7 @@ def per_row_results_csv(q_codes, db, top):
     return "".join(lines).encode()
 
 
-def test_query_results_bytes_equal_per_row_loop(tmp_path, monkeypatch):
+def test_query_results_bytes_equal_per_row_loop(tmp_path):
     data = synth_small(tmp_path)
     run_dir = tmp_path / "run"
     assert run("train", "--features", data / "features.csv", "--bits", 6,
@@ -160,10 +159,8 @@ def test_query_results_bytes_equal_per_row_loop(tmp_path, monkeypatch):
     model = load_model(run_dir / "model.eshm")
     db = load_codes(enc / "codes.eshb")
     q_codes = model.encode(load_features(data / "features.csv"), mode="graph")
-    # small write blocks: several queries per block, and a last partial block
-    for top, rows_per_write in ((1, 1 << 16), (7, 1 << 16), (7, 20), (30, 100), (50, 20)):
-        monkeypatch.setattr(esh.cli, "_ROWS_PER_WRITE", rows_per_write)
-        qdir = tmp_path / f"q{top}_{rows_per_write}"  # top 50 > the 30 database codes
+    for top in (1, 7, 50):
+        qdir = tmp_path / f"q{top}"  # top 50 > the 30 database codes
         assert run("query", "--model", run_dir / "model.eshm",
                    "--features", data / "features.csv",
                    "--db-codes", enc / "codes.eshb", "--top", top, "--out", qdir) == 0

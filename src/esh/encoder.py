@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .anchor_graph import AnchorSet, SparseAffinityRows, anchor_weights
-from .dataset import StandardizationStats, apply_standardization
+from .dataset import FormatError, StandardizationStats, apply_standardization
 from .optimizer import sgn
 
 CODE_MAGIC = b"ESHB"
@@ -27,10 +27,6 @@ MODEL_MAGIC = b"ESHM"
 MODEL_VERSION = 1
 
 _QUERY_MODES = ("graph", "linear")
-
-
-class FormatError(ValueError):
-    """A file does not conform to its declared format."""
 
 
 @dataclass(frozen=True)

@@ -6,15 +6,11 @@ distances are sorted as uint8 (one code word) or uint16 (up to 65535 bits),
 for which numpy's stable sort is a radix sort, linear in the database size;
 wider codes fall back to int64. On top of that sit average precision,
 precision at a depth, precision within a Hamming ball, and per-query
-precision/recall curves, aggregated into a report. Query fan-out can use
-a thread pool (ESH_THREADS caps workers); results are reduced in query
-order, so the thread count never changes a number.
+precision/recall curves, aggregated into a report.
 """
 
 import json
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,17 +20,6 @@ from .dataset import LabelSet
 from .encoder import PackedCodes
 
 PR_GRID_POINTS = 101
-
-
-def thread_count(requested=None):
-    """Worker count: explicit argument, else ESH_THREADS, else one."""
-    if requested is not None:
-        n = int(requested)
-    else:
-        n = int(os.environ.get("ESH_THREADS", "1"))
-    if n < 1:
-        raise ValueError("thread count must be >= 1")
-    return n
 
 
 def hamming_distance(a_words, b_words):
@@ -153,6 +138,8 @@ def average_precision(ranking: Ranking, positives_mask, cutoff=None, relevance=N
     relevant items at all gives 0. A caller that already holds
     positives_mask[ranking.ids] passes it as `relevance`.
     """
+    if cutoff is not None and cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
     mask = np.asarray(positives_mask)
     n_pos = int(mask.sum())
     if n_pos == 0:
@@ -240,8 +227,7 @@ class EvalReport:
                 f.write(f"{r:.2f},{float(p)!r}\n")
 
 
-def _eval_one(args):
-    qi, q_words, db, gt, depths, radius, exclude, cutoff = args
+def _eval_one(qi, q_words, db, gt, depths, radius, exclude, cutoff):
     mask = gt.positives_mask(qi)
     if exclude:
         # the query's own row leaves both the ranking and the positive set
@@ -261,7 +247,7 @@ def _eval_one(args):
 
 def evaluate(query_codes: PackedCodes, db_codes: PackedCodes, gt: GroundTruth,
              depths=(300,), radius=2, exclude_self=False, cutoff=None,
-             count_empty=True, threads=None):
+             count_empty=True):
     """Run the full metric suite for a query set against a database.
 
     exclude_self drops database item i from query i's ranking; only
@@ -281,14 +267,9 @@ def evaluate(query_codes: PackedCodes, db_codes: PackedCodes, gt: GroundTruth,
     if exclude_self and query_codes.n != db_codes.n:
         raise ValueError("exclude_self requires query set == database")
     depths = tuple(int(n) for n in depths)
-    jobs = [(qi, query_codes.words[qi], db_codes, gt, depths, radius, exclude_self, cutoff)
-            for qi in range(query_codes.n)]
-    workers = thread_count(threads)
-    if workers == 1:
-        results = [_eval_one(j) for j in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_eval_one, jobs))  # in query order
+    results = [_eval_one(qi, query_codes.words[qi], db_codes, gt, depths, radius,
+                         exclude_self, cutoff)
+               for qi in range(query_codes.n)]
 
     keep = [i for i, r in enumerate(results) if count_empty or r[4] > 0]
     if not keep:

@@ -5,10 +5,11 @@ error:
 
     L(W) = -(1/n) tr(W^T S W) + (alpha/2n) || |XW| - 1 ||_F^2
 
-subject to W^T W = I. Two optimizers are provided: projected gradient
-descent, which re-orthonormalizes after every Euclidean step via an SVD,
-and a Cayley-transform scheme that moves along a curve on the manifold
-with a Barzilai-Borwein step size, staying feasible by construction.
+subject to W^T W = I. One training loop takes either of two step rules:
+projected gradient descent (esh1), which re-orthonormalizes after every
+Euclidean step via an SVD, and a Cayley-transform move along a curve on
+the manifold with a Barzilai-Borwein step size (esh2), which stays
+feasible by construction.
 """
 
 import csv
@@ -155,7 +156,7 @@ class TrainConfig:
             raise ValueError("bits must be >= 1")
         if self.iters < 1:
             raise ValueError("iters must be >= 1")
-        if self.algorithm not in ("esh1", "esh2"):
+        if self.algorithm not in _STEP_RULES:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.eta < 0:
             raise ValueError("eta must be nonnegative")
@@ -231,12 +232,6 @@ class _TraceBuilder:
         )
 
 
-def _resolve_alpha(cfg, W0, X, S):
-    if cfg.alpha == "auto":
-        return auto_alpha(W0, X, S)
-    return float(cfg.alpha)
-
-
 def _prepare(X, S, cfg):
     X = np.asarray(X, dtype=np.float64)
     S = np.asarray(S, dtype=np.float64)
@@ -244,7 +239,7 @@ def _prepare(X, S, cfg):
     if S.shape != (d, d):
         raise ValueError(f"similarity matrix must be ({d}, {d}), got {S.shape}")
     W0 = init_projection(d, cfg.bits, cfg.seed)
-    alpha = _resolve_alpha(cfg, W0, X, S)
+    alpha = auto_alpha(W0, X, S) if cfg.alpha == "auto" else float(cfg.alpha)
     return X, S, W0, alpha
 
 
@@ -259,50 +254,51 @@ def _should_stop(losses, cfg):
     return True
 
 
-def esh1_train(X, S, cfg: TrainConfig):
-    """Projected gradient descent: Euclidean step, then SVD projection."""
-    X, S, W, alpha = _prepare(X, S, cfg)
-    loss, G = _eval(W, X, S, alpha)
-    tr = _TraceBuilder(alpha, loss)
-    losses = [loss]
-    for it in range(1, cfg.iters + 1):
-        W = stiefel_project(W - cfg.eta * G)
-        loss, G = _eval(W, X, S, alpha)
-        tr.add(it, loss, orth_residual(W), cfg.eta)
-        losses.append(loss)
-        if _should_stop(losses, cfg):
-            break
-    return W, tr.build()
+def _projected_gradient(cfg):
+    """esh1: a Euclidean step of size eta, then the SVD projection."""
+    def step(W, G):
+        return stiefel_project(W - cfg.eta * G), cfg.eta
+    return step
 
 
-def esh2_train(X, S, cfg: TrainConfig):
-    """Cayley curve search with Barzilai-Borwein steps.
+def _cayley_bb(cfg):
+    """esh2: a Cayley move with a Barzilai-Borwein step.
 
-    The first move uses tau0; afterwards tau comes from the previous
-    iterate/tangent-gradient differences. BB steps are not monotone, so
-    the loss column can wiggle on its way down.
+    The first move uses tau0; afterwards tau comes from the differences to
+    the previous move's iterate and tangent gradient, keeping the previous
+    tau when they degenerate. BB steps are not monotone, so the loss
+    column can wiggle on its way down.
     """
-    X, S, W, alpha = _prepare(X, S, cfg)
-    loss, G = _eval(W, X, S, alpha)
-    T = tangent_gradient(W, G)
-    tr = _TraceBuilder(alpha, loss)
-    losses = [loss]
-    tau = cfg.tau0
-    for it in range(1, cfg.iters + 1):
-        W_new = cayley_step(W, G, tau)
-        loss, G_new = _eval(W_new, X, S, alpha)
-        T_new = tangent_gradient(W_new, G_new)
-        tr.add(it, loss, orth_residual(W_new), tau)
-        losses.append(loss)
-        tau = bb_step(W_new - W, T_new - T, fallback=tau)
-        W, G, T = W_new, G_new, T_new
-        if _should_stop(losses, cfg):
-            break
-    return W, tr.build()
+    prev = None  # (W, tangent gradient, tau) of the previous move
+
+    def step(W, G):
+        nonlocal prev
+        T = tangent_gradient(W, G)
+        tau = cfg.tau0 if prev is None else bb_step(W - prev[0], T - prev[1], fallback=prev[2])
+        prev = (W, T, tau)
+        return cayley_step(W, G, tau), tau
+    return step
+
+
+_STEP_RULES = {"esh1": _projected_gradient, "esh2": _cayley_bb}
 
 
 def train(X, S, cfg: TrainConfig):
-    """Dispatch on cfg.algorithm."""
-    if cfg.algorithm == "esh1":
-        return esh1_train(X, S, cfg)
-    return esh2_train(X, S, cfg)
+    """Train W from the seeded start with cfg.algorithm's step rule.
+
+    Each iteration takes one step (W, G) -> (W_new, step size), then
+    records loss, orth residual and step size, and checks early stop.
+    """
+    X, S, W, alpha = _prepare(X, S, cfg)
+    step = _STEP_RULES[cfg.algorithm](cfg)
+    loss, G = _eval(W, X, S, alpha)
+    tr = _TraceBuilder(alpha, loss)
+    losses = [loss]
+    for it in range(1, cfg.iters + 1):
+        W, step_size = step(W, G)
+        loss, G = _eval(W, X, S, alpha)
+        tr.add(it, loss, orth_residual(W), step_size)
+        losses.append(loss)
+        if _should_stop(losses, cfg):
+            break
+    return W, tr.build()

@@ -360,25 +360,34 @@ def test_bits_mismatch_between_model_and_codes(tmp_path, capsys):
     assert "bits" in err["message"]
 
 
-def test_eval_respects_thread_env(tmp_path, monkeypatch):
-    rng = np.random.default_rng(7)
-    qb = np.where(rng.standard_normal((6, 8)) > 0, 1, -1)
-    dbb = np.where(rng.standard_normal((30, 8)) > 0, 1, -1)
-    qp = write_codes(tmp_path, "q.eshb", qb)
-    dbp = write_codes(tmp_path, "db.eshb", dbb)
-    qlab = tmp_path / "ql.csv"
-    qlab.write_text("".join(f"{int(v)}\n" for v in rng.integers(0, 2, 6)))
-    dlab = tmp_path / "dl.csv"
-    dlab.write_text("".join(f"{int(v)}\n" for v in rng.integers(0, 2, 30)))
-    reports = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("ESH_THREADS", threads)
-        out = tmp_path / f"ev{threads}"
-        assert run("eval", "--query-codes", qp, "--db-codes", dbp,
-                   "--query-labels", qlab, "--labels", dlab,
-                   "--precision-at", "5", "--out", out) == 0
-        reports.append((out / "report.json").read_bytes())
-    assert reports[0] == reports[1]
+def test_eval_rejects_cutoff_below_one(tmp_path, capsys):
+    cp = write_codes(tmp_path, "codes.eshb", np.eye(6) * 2 - 1)
+    labels = tmp_path / "labels.csv"
+    labels.write_text("".join(f"{i % 3}\n" for i in range(6)))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cutoff": 0}))
+    common = ("eval", "--query-codes", cp, "--db-codes", cp,
+              "--query-labels", labels, "--labels", labels)
+    for i, extra in enumerate((("--cutoff", -2), ("--cutoff", 0), ("--config", cfg))):
+        out = tmp_path / f"ev{i}"
+        assert run(*common, *extra, "--out", out) == 1, extra
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "cutoff" in err["message"]
+        assert not (out / "report.json").exists()
+
+
+def test_synth_rejects_unknown_format_from_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": "bogus", "clusters": 2, "per_cluster": 3, "dims": 4}))
+    out = tmp_path / "data"
+    assert run("synth", "--config", cfg, "--out", out) == 1
+    line = capsys.readouterr().err
+    assert line.count("\n") == 1
+    err = json.loads(line)
+    assert err["error"] == "ValueError"
+    assert "bogus" in err["message"]
+    assert not out.exists() or not any(out.glob("features.*"))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from esh import dataset
 from esh.anchor_graph import anchor_mass, build_affinity_rows, fit_anchors, similarity_matrix
 from esh.dataset import generate_synthetic, standardize
 from esh.encoder import (
@@ -304,6 +305,18 @@ def test_codes_file_truncation(tmp_path):
     p.write_bytes(p.read_bytes()[:-3])
     with pytest.raises(FormatError, match="payload"):
         load_codes(p)
+
+
+def test_truncated_files_raise_the_dataset_format_error(tmp_path):
+    # one FormatError for every file format, so one except clause covers them
+    assert FormatError is dataset.FormatError
+    codes_p, model_p = tmp_path / "c.eshb", tmp_path / "m.eshm"
+    save_codes(pack_codes(random_bits(np.random.default_rng(22), 10, 8)), codes_p)
+    save_model(small_model(seed=23)[0], model_p)
+    for path, load in ((codes_p, load_codes), (model_p, load_model)):
+        path.write_bytes(path.read_bytes()[:-5])
+        with pytest.raises(dataset.FormatError):
+            load(path)
 
 
 def test_codes_csv_export(tmp_path):

@@ -16,7 +16,6 @@ from esh.evaluation import (
     precision_at,
     precision_within_radius,
     rank_database,
-    thread_count,
 )
 
 
@@ -170,6 +169,18 @@ def test_ap_cutoff_zero_when_nothing_retrieved():
     r = make_ranking([0, 1, 2, 3])
     assert average_precision(r, mask, cutoff=2) == 0.0
     assert average_precision(r, mask) == 0.25
+
+
+def test_ap_rejects_cutoff_below_one():
+    r = make_ranking([0, 1, 2, 3])
+    for mask in (np.array([True, False, True, False]), np.zeros(4, dtype=bool)):
+        for cutoff in (0, -2):
+            with pytest.raises(ValueError, match="cutoff"):
+                average_precision(r, mask, cutoff=cutoff)
+    gt = GroundTruth(LabelSet.from_array([0, 1]), LabelSet.from_array([0, 1, 0, 1]))
+    q, db = pack_codes(np.eye(4)[:2] * 2 - 1), pack_codes(np.eye(4) * 2 - 1)
+    with pytest.raises(ValueError, match="cutoff"):
+        evaluate(q, db, gt, depths=(1,), cutoff=0)
 
 
 def test_ap_no_positives_is_zero():
@@ -361,32 +372,6 @@ def test_evaluate_query_order_invariance():
     rep2 = evaluate(pack_codes(q[perm]), pack_codes(B), gt2, depths=(5,))
     assert np.isclose(rep1.map, rep2.map, rtol=1e-15)
     assert np.isclose(rep1.macro_map, rep2.macro_map, rtol=1e-15)
-
-
-def test_evaluate_thread_count_does_not_change_numbers():
-    rng = np.random.default_rng(9)
-    B = random_bits(rng, 40, 12)
-    q = random_bits(rng, 10, 12)
-    q_ids = rng.integers(0, 4, size=10)
-    db_ids = rng.integers(0, 4, size=40)
-    gt = GroundTruth(LabelSet.from_array(q_ids), LabelSet.from_array(db_ids))
-    rep1 = evaluate(pack_codes(q), pack_codes(B), gt, depths=(7,), threads=1)
-    rep4 = evaluate(pack_codes(q), pack_codes(B), gt, depths=(7,), threads=4)
-    assert rep1.map == rep4.map
-    assert rep1.macro_map == rep4.macro_map
-    assert rep1.precision_at == rep4.precision_at
-    assert np.array_equal(rep1.pr_precision, rep4.pr_precision)
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("ESH_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("ESH_THREADS", "5")
-    assert thread_count() == 5
-    assert thread_count(2) == 2
-    monkeypatch.setenv("ESH_THREADS", "0")
-    with pytest.raises(ValueError):
-        thread_count()
 
 
 def test_metrics_stay_in_unit_interval():

@@ -10,8 +10,6 @@ from esh.optimizer import (
     auto_alpha,
     bb_step,
     cayley_step,
-    esh1_train,
-    esh2_train,
     euclidean_gradient,
     init_projection,
     loss_value,
@@ -21,6 +19,7 @@ from esh.optimizer import (
     tangent_gradient,
     train,
 )
+from esh.optimizer import _eval, _prepare, _should_stop, _TraceBuilder
 
 
 def naive_loss(W, X, S, alpha):
@@ -51,6 +50,45 @@ def blob_problem(n_per, clusters, d, seed):
     Z = build_affinity_rows(X, anchors)
     S = similarity_matrix(X, Z, anchor_mass(Z))
     return X, S
+
+
+# The two training loops that `train` replaced, kept verbatim as the
+# reference that its step rules must reproduce bit for bit.
+def esh1_train(X, S, cfg: TrainConfig):
+    """Projected gradient descent: Euclidean step, then SVD projection."""
+    X, S, W, alpha = _prepare(X, S, cfg)
+    loss, G = _eval(W, X, S, alpha)
+    tr = _TraceBuilder(alpha, loss)
+    losses = [loss]
+    for it in range(1, cfg.iters + 1):
+        W = stiefel_project(W - cfg.eta * G)
+        loss, G = _eval(W, X, S, alpha)
+        tr.add(it, loss, orth_residual(W), cfg.eta)
+        losses.append(loss)
+        if _should_stop(losses, cfg):
+            break
+    return W, tr.build()
+
+
+def esh2_train(X, S, cfg: TrainConfig):
+    """Cayley curve search with Barzilai-Borwein steps."""
+    X, S, W, alpha = _prepare(X, S, cfg)
+    loss, G = _eval(W, X, S, alpha)
+    T = tangent_gradient(W, G)
+    tr = _TraceBuilder(alpha, loss)
+    losses = [loss]
+    tau = cfg.tau0
+    for it in range(1, cfg.iters + 1):
+        W_new = cayley_step(W, G, tau)
+        loss, G_new = _eval(W_new, X, S, alpha)
+        T_new = tangent_gradient(W_new, G_new)
+        tr.add(it, loss, orth_residual(W_new), tau)
+        losses.append(loss)
+        tau = bb_step(W_new - W, T_new - T, fallback=tau)
+        W, G, T = W_new, G_new, T_new
+        if _should_stop(losses, cfg):
+            break
+    return W, tr.build()
 
 
 def test_sgn_zero_rules():
@@ -311,7 +349,7 @@ def test_train_config_validation():
 def test_esh1_zero_step_is_projection_of_start():
     X, S = blob_problem(40, 3, 6, seed=23)
     cfg = TrainConfig(bits=3, iters=1, algorithm="esh1", eta=0.0, seed=24)
-    W, trace = esh1_train(X, S, cfg)
+    W, trace = train(X, S, cfg)
     W0 = init_projection(X.shape[1], 3, seed=24)
     assert np.array_equal(W, stiefel_project(W0))
     assert np.abs(W - W0).max() < 1e-10
@@ -321,7 +359,7 @@ def test_esh1_zero_step_is_projection_of_start():
 def test_esh2_zero_tau_keeps_start():
     X, S = blob_problem(40, 3, 6, seed=25)
     cfg = TrainConfig(bits=3, iters=1, algorithm="esh2", tau0=0.0, seed=26)
-    W, trace = esh2_train(X, S, cfg)
+    W, trace = train(X, S, cfg)
     assert np.array_equal(W, init_projection(X.shape[1], 3, seed=26))
     assert len(trace.iteration) == 1
 
@@ -329,7 +367,7 @@ def test_esh2_zero_tau_keeps_start():
 def test_esh1_descends_on_blobs():
     X, S = blob_problem(250, 8, 16, seed=27)
     cfg = TrainConfig(bits=8, iters=200, algorithm="esh1", seed=28)
-    W, trace = esh1_train(X, S, cfg)
+    W, trace = train(X, S, cfg)
     assert trace.loss[-1] <= trace.initial_loss
     assert len(trace.iteration) == 200
     assert trace.orth_residual.max() < 1e-8
@@ -339,10 +377,35 @@ def test_esh1_descends_on_blobs():
 def test_esh2_descends_on_blobs():
     X, S = blob_problem(250, 8, 16, seed=29)
     cfg = TrainConfig(bits=8, iters=200, algorithm="esh2", seed=30)
-    W, trace = esh2_train(X, S, cfg)
+    W, trace = train(X, S, cfg)
     assert trace.loss[-1] <= trace.initial_loss
     assert trace.orth_residual.max() < 1e-6
     assert trace.step_size[0] == cfg.tau0
+
+
+def test_train_matches_the_two_reference_loops_bit_for_bit():
+    X, S = blob_problem(60, 4, 8, seed=39)
+    reference = {"esh1": esh1_train, "esh2": esh2_train}
+    stopped_early = set()
+    for over in (
+        {},
+        {"tau0": 0.0},
+        {"alpha": 0.0},
+        {"alpha": 2.5, "eta": 0.05, "tau0": 0.5},
+        {"eta": 0.1, "stop_tol": 1e-3, "stop_patience": 3},  # stops on a converging loss
+        {"eta": 0.0, "tau0": 0.0, "stop_tol": 1e-7, "stop_patience": 5},  # frozen loss
+    ):
+        for algo, ref_train in reference.items():
+            cfg = TrainConfig(bits=4, iters=40, algorithm=algo, seed=40, **over)
+            W_ref, ref = ref_train(X, S, cfg)
+            W, got = train(X, S, cfg)
+            assert np.array_equal(W, W_ref), (algo, over)
+            for col in ("iteration", "loss", "orth_residual", "step_size"):
+                assert np.array_equal(getattr(got, col), getattr(ref, col)), (algo, over, col)
+            assert got.alpha == ref.alpha and got.initial_loss == ref.initial_loss
+            if len(got.iteration) < cfg.iters:
+                stopped_early.add((algo, over.get("stop_patience")))
+    assert stopped_early == {(a, p) for a in reference for p in (3, 5)}
 
 
 def test_training_deterministic():
@@ -359,7 +422,7 @@ def test_early_stop_cuts_trace():
     X, S = blob_problem(40, 3, 6, seed=33)
     cfg = TrainConfig(bits=3, iters=50, algorithm="esh1", eta=0.0, seed=34,
                       stop_tol=1e-7, stop_patience=10)
-    _, trace = esh1_train(X, S, cfg)
+    _, trace = train(X, S, cfg)
     assert len(trace.iteration) == 10  # loss frozen, stops after patience window
 
 

@@ -17,8 +17,6 @@ import scipy.sparse as sp
 LAMBDA_FLOOR = 1e-12
 SIGMA_FLOOR = 1e-12
 
-DENSE_ORACLE_MAX_N = 1000
-
 
 @dataclass(frozen=True)
 class AnchorSet:
@@ -81,11 +79,6 @@ class SparseAffinityRows:
         return sp.csr_matrix(
             (self.weights.ravel(), self.indices.ravel(), indptr), shape=(n, self.m)
         )
-
-    def to_dense(self):
-        Z = np.zeros((self.n, self.m))
-        np.put_along_axis(Z, self.indices, self.weights, axis=1)
-        return Z
 
 
 def pairwise_sq_dists(X, C, x_sq=None):
@@ -227,10 +220,3 @@ def similarity_matrix(X, Z: SparseAffinityRows, lam):
     S = C.T @ (C / lam[:, None])
     return 0.5 * (S + S.T)
 
-
-def dense_affinity(Z: SparseAffinityRows, lam):
-    """Reference A = Z diag(lam)^{-1} Z^T as a dense matrix. Small n only."""
-    if Z.n > DENSE_ORACLE_MAX_N:
-        raise ValueError(f"dense affinity oracle capped at n={DENSE_ORACLE_MAX_N}")
-    Zd = Z.to_dense()
-    return Zd @ np.diag(1.0 / np.asarray(lam)) @ Zd.T

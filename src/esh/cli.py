@@ -28,7 +28,14 @@ from .dataset import (
     save_labels,
     standardize,
 )
-from .encoder import build_hash_model, load_codes, load_model, save_codes, save_model
+from .encoder import (
+    QUERY_MODES,
+    build_hash_model,
+    load_codes,
+    load_model,
+    save_codes,
+    save_model,
+)
 from .evaluation import GroundTruth, evaluate, rank_database
 from .optimizer import TrainConfig, train
 
@@ -211,12 +218,24 @@ def cmd_synth(args):
 def cmd_train(args):
     cfg = _resolve(args, TRAIN_DEFAULTS, required=("features",))
     cfg["alpha"] = _parse_alpha(cfg["alpha"])
+    kmeans_seed, w_seed = _sub_seeds(cfg["seed"], 2)
+    # check every option before the anchor graph and training spend time
+    tc = TrainConfig(
+        bits=int(cfg["bits"]),
+        iters=int(cfg["iters"]),
+        algorithm=cfg["algo"],
+        eta=float(cfg["eta"]),
+        alpha=cfg["alpha"],
+        tau0=float(cfg["tau0"]),
+        seed=w_seed,
+    )
+    if cfg["query_mode"] not in QUERY_MODES:
+        raise ValueError(f"unknown query mode {cfg['query_mode']!r}")
     _require_files(features=cfg["features"])
     out = _out_dir(args)
 
     X_raw = load_features(cfg["features"])
     Xs, stats = standardize(X_raw)
-    kmeans_seed, w_seed = _sub_seeds(cfg["seed"], 2)
     anchors = fit_anchors(
         Xs,
         int(cfg["anchors"]),
@@ -229,15 +248,6 @@ def cmd_train(args):
     anchors, Z, lam = prune_dead_anchors(Xs, anchors, Z)
     S = similarity_matrix(Xs, Z, lam)
 
-    tc = TrainConfig(
-        bits=int(cfg["bits"]),
-        iters=int(cfg["iters"]),
-        algorithm=cfg["algo"],
-        eta=float(cfg["eta"]),
-        alpha=cfg["alpha"],
-        tau0=float(cfg["tau0"]),
-        seed=w_seed,
-    )
     W, trace = train(Xs, S, tc)
     model, _codes = build_hash_model(
         stats, W, anchors, Z, lam, X_raw,
@@ -373,7 +383,7 @@ def build_parser():
     p.add_argument("--sigma2", type=float)
     p.add_argument("--tau0", type=float)
     p.add_argument("--kmeans-iters", dest="kmeans_iters", type=int)
-    p.add_argument("--query-mode", dest="query_mode", choices=("graph", "linear"))
+    p.add_argument("--query-mode", dest="query_mode", choices=QUERY_MODES)
     p.add_argument("--retain-train", dest="retain_train",
                    action="store_const", const=True,
                    help="keep training codes and affinity rows inside the model file")
@@ -383,7 +393,7 @@ def build_parser():
     _add_common(p)
     p.add_argument("--model")
     p.add_argument("--features")
-    p.add_argument("--query-mode", dest="query_mode", choices=("graph", "linear"))
+    p.add_argument("--query-mode", dest="query_mode", choices=QUERY_MODES)
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("query", help="rank database codes for query features")
@@ -392,7 +402,7 @@ def build_parser():
     p.add_argument("--features")
     p.add_argument("--db-codes", dest="db_codes")
     p.add_argument("--top", type=int)
-    p.add_argument("--query-mode", dest="query_mode", choices=("graph", "linear"))
+    p.add_argument("--query-mode", dest="query_mode", choices=QUERY_MODES)
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("eval", help="score query codes against a labeled database")

@@ -6,19 +6,16 @@ magic "ESHF". Labels are integer ids, one line per sample, semicolons
 separating multiple ids.
 """
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
+
+from .container import FormatError, Reader, Writer
 
 STD_FLOOR = 1e-12
 
 FEATURE_MAGIC = b"ESHF"
 FEATURE_VERSION = 1
-
-
-class FormatError(ValueError):
-    """A file does not conform to its declared format."""
 
 
 @dataclass(frozen=True)
@@ -67,17 +64,18 @@ class LabelSet:
         return np.fromiter((row[0] for row in self.labels), dtype=np.int64, count=len(self.labels))
 
 
-def _check_finite(X):
+def _check_finite(X, where):
     if np.isfinite(X).all():  # one pass; only a bad matrix pays for argwhere
         return
     r, c = np.argwhere(~np.isfinite(X))[0]
-    raise FormatError(f"non-finite value at row {r}, column {c}")
+    raise FormatError(f"{where}non-finite value at row {r}, column {c}")
 
 
-def _validate_matrix(X):
+def _validate_matrix(X, where=""):
+    """The matrix, if it is 2-D, non-empty and finite; `where` prefixes errors."""
     if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
-        raise FormatError(f"expected a non-empty 2-D feature matrix, got shape {X.shape}")
-    _check_finite(X)
+        raise FormatError(f"{where}expected a non-empty 2-D feature matrix, got shape {X.shape}")
+    _check_finite(X, where)
     return X
 
 
@@ -95,23 +93,11 @@ def load_features(path, fmt="infer"):
             X = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
         except ValueError as e:
             raise FormatError(f"CSV parse failure in {path}: {e}") from None
-        return _validate_matrix(X)
+        return _validate_matrix(X, f"{path}: ")
     if fmt == "binary":
-        with open(path, "rb") as f:
-            data = f.read()
-        if len(data) < 21 or data[:4] != FEATURE_MAGIC:
-            raise FormatError(f"{path}: not a feature file (bad magic or truncated header)")
-        version = data[4]
-        if version != FEATURE_VERSION:
-            raise FormatError(f"{path}: unsupported feature format version {version}")
-        n, d = struct.unpack_from("<QQ", data, 5)
-        payload = data[21:]
-        if n < 1 or d < 1:
-            raise FormatError(f"{path}: invalid shape ({n}, {d})")
-        if len(payload) != n * d * 4:
-            raise FormatError(f"{path}: payload holds {len(payload)} bytes, expected {n * d * 4}")
-        X = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(n, d)
-        return _validate_matrix(X)
+        with Reader(path, FEATURE_MAGIC, FEATURE_VERSION, "feature") as r:
+            X = r.array("<f4", r.shape(2)).astype(np.float64)
+        return _validate_matrix(X, f"{path}: ")
     raise ValueError(f"unknown feature format {fmt!r}")
 
 
@@ -125,11 +111,7 @@ def save_features(X, path, fmt="infer"):
     if fmt == "csv":
         np.savetxt(path, X, delimiter=",", fmt="%.17g")
     elif fmt == "binary":
-        n, d = X.shape
-        with open(path, "wb") as f:
-            f.write(FEATURE_MAGIC)
-            f.write(struct.pack("<BQQ", FEATURE_VERSION, n, d))
-            f.write(np.ascontiguousarray(X, dtype="<f4").tobytes())
+        Writer(FEATURE_MAGIC, FEATURE_VERSION).fields("QQ", *X.shape).array(X, "<f4").save(path)
     else:
         raise ValueError(f"unknown feature format {fmt!r}")
 

@@ -11,14 +11,13 @@ on-disk precision) so a save/load round trip is bit-exact; training math
 stays float64 up to the point the model is assembled.
 """
 
-import struct
-import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .anchor_graph import AnchorSet, SparseAffinityRows, anchor_weights
-from .dataset import FormatError, StandardizationStats, apply_standardization
+from .container import FormatError, Reader, Writer  # noqa: F401 - esh.encoder.FormatError
+from .dataset import StandardizationStats, apply_standardization
 from .optimizer import sgn
 
 CODE_MAGIC = b"ESHB"
@@ -26,7 +25,7 @@ CODE_VERSION = 1
 MODEL_MAGIC = b"ESHM"
 MODEL_VERSION = 1
 
-_QUERY_MODES = ("graph", "linear")
+QUERY_MODES = ("graph", "linear")
 
 
 @dataclass(frozen=True)
@@ -116,7 +115,7 @@ class HashModel:
             raise ValueError("anchor centers do not match W")
         if self.lam.shape != (m,) or self.vote_matrix.shape != (k, m):
             raise ValueError("anchor mass / vote matrix shapes inconsistent")
-        if self.query_mode not in _QUERY_MODES:
+        if self.query_mode not in QUERY_MODES:
             raise ValueError(f"unknown query mode {self.query_mode!r}")
         if not self.sigma2 > 0:
             raise ValueError("sigma2 must be positive")
@@ -219,157 +218,72 @@ def build_hash_model(stats, W, anchors: AnchorSet, Z: SparseAffinityRows, lam,
     return model, codes
 
 
-def _pack_matrix(M, dtype):
-    M = np.ascontiguousarray(M, dtype=dtype)
-    return struct.pack("<QQ", M.shape[0], M.shape[1] if M.ndim == 2 else 1) + M.tobytes()
+def _pack_matrix(w, M, dtype):
+    return w.fields("QQ", *M.shape).array(M, dtype)
 
 
-def _unpack_matrix(buf, off, dtype, itemsize):
-    if off + 16 > len(buf):
-        raise FormatError("truncated matrix header")
-    r, c = struct.unpack_from("<QQ", buf, off)
-    off += 16
-    nbytes = r * c * itemsize
-    if off + nbytes > len(buf):
-        raise FormatError("truncated matrix payload")
-    M = np.frombuffer(buf[off : off + nbytes], dtype=dtype).reshape(r, c)
-    return M, off + nbytes
+def _unpack_matrix(r, dtype):
+    return np.array(r.array(dtype, r.fields("QQ")))
 
 
-_FLAG_B = 1
-_FLAG_Z = 2
+def _unpack_words(r, n, k):
+    return np.array(r.array("<u8", (n, (k + 63) >> 6)))
+
+
+_FLAG_B, _FLAG_Z = 1, 2
+_MATRIX_DTYPES = ("<f4", "<f4", "<f4", "<f4", "<f8", "<f4")  # mean, std, W, centers, lam, vote
 
 
 def save_model(model: HashModel, path):
-    """Serialize to the ESHM container: header, sections, CRC32 trailer."""
+    """Serialize to the ESHM container: header, six matrices, optional B and Z, CRC32."""
     flags = (_FLAG_B if model.B is not None else 0) | (_FLAG_Z if model.Z is not None else 0)
-    body = bytearray()
-    body += MODEL_MAGIC
-    body += struct.pack("<B", MODEL_VERSION)
-    body += struct.pack("<B", flags)
-    body += struct.pack("<B", _QUERY_MODES.index(model.query_mode))
-    body += struct.pack("<QQQ", model.d, model.k, model.m)
-    body += struct.pack("<d", model.sigma2)
-    body += struct.pack("<Q", model.s)
-    body += _pack_matrix(model.mean.reshape(1, -1), "<f4")
-    body += _pack_matrix(model.std.reshape(1, -1), "<f4")
-    body += _pack_matrix(model.W, "<f4")
-    body += _pack_matrix(model.centers, "<f4")
-    body += _pack_matrix(model.lam.reshape(1, -1), "<f8")
-    body += _pack_matrix(model.vote_matrix, "<f4")
+    w = Writer(MODEL_MAGIC, MODEL_VERSION).fields(
+        "BBQQQdQ", flags, QUERY_MODES.index(model.query_mode),
+        model.d, model.k, model.m, model.sigma2, model.s)
+    matrices = (model.mean.reshape(1, -1), model.std.reshape(1, -1), model.W,
+                model.centers, model.lam.reshape(1, -1), model.vote_matrix)
+    for M, dtype in zip(matrices, _MATRIX_DTYPES):
+        _pack_matrix(w, M, dtype)
     if model.B is not None:
-        body += struct.pack("<QQ", model.B.n, model.B.k)
-        body += np.ascontiguousarray(model.B.words, dtype="<u8").tobytes()
+        w.fields("QQ", model.B.n, model.B.k).array(model.B.words, "<u8")
     if model.Z is not None:
-        body += struct.pack("<QQ", model.Z.n, model.Z.s)
-        body += np.ascontiguousarray(model.Z.indices, dtype="<i8").tobytes()
-        body += np.ascontiguousarray(model.Z.weights, dtype="<f8").tobytes()
-    crc = zlib.crc32(bytes(body))
-    with open(path, "wb") as f:
-        f.write(bytes(body))
-        f.write(struct.pack("<I", crc))
+        w.fields("QQ", model.Z.n, model.Z.s)
+        w.array(model.Z.indices, "<i8").array(model.Z.weights, "<f8")
+    w.save(path, crc=True)
 
 
 def load_model(path):
-    with open(path, "rb") as f:
-        data = f.read()
-    if len(data) < 4 + 3 + 24 + 8 + 8 + 4 or data[:4] != MODEL_MAGIC:
-        raise FormatError(f"{path}: not a model file")
-    body, trailer = data[:-4], data[-4:]
-    (crc,) = struct.unpack("<I", trailer)
-    if zlib.crc32(body) != crc:
-        raise FormatError(f"{path}: checksum mismatch, file corrupt")
-    off = 4
-    version = body[off]
-    off += 1
-    if version != MODEL_VERSION:
-        raise FormatError(f"{path}: unsupported model version {version}")
-    flags = body[off]
-    off += 1
-    mode_idx = body[off]
-    off += 1
-    if mode_idx >= len(_QUERY_MODES):
-        raise FormatError(f"{path}: unknown query mode byte {mode_idx}")
-    d, k, m = struct.unpack_from("<QQQ", body, off)
-    off += 24
-    (sigma2,) = struct.unpack_from("<d", body, off)
-    off += 8
-    (s,) = struct.unpack_from("<Q", body, off)
-    off += 8
-    mean, off = _unpack_matrix(body, off, "<f4", 4)
-    std, off = _unpack_matrix(body, off, "<f4", 4)
-    W, off = _unpack_matrix(body, off, "<f4", 4)
-    centers, off = _unpack_matrix(body, off, "<f4", 4)
-    lam, off = _unpack_matrix(body, off, "<f8", 8)
-    vote, off = _unpack_matrix(body, off, "<f4", 4)
-    B = Zrows = None
-    if flags & _FLAG_B:
-        if off + 16 > len(body):
-            raise FormatError(f"{path}: truncated code section")
-        bn, bk = struct.unpack_from("<QQ", body, off)
-        off += 16
-        w = (bk + 63) >> 6
-        nbytes = bn * w * 8
-        if off + nbytes > len(body):
-            raise FormatError(f"{path}: truncated code words")
-        words = np.frombuffer(body[off : off + nbytes], dtype="<u8").reshape(bn, w)
-        off += nbytes
-        B = PackedCodes(n=int(bn), k=int(bk), words=words.astype(np.uint64))
-    if flags & _FLAG_Z:
-        if off + 16 > len(body):
-            raise FormatError(f"{path}: truncated affinity section")
-        zn, zs = struct.unpack_from("<QQ", body, off)
-        off += 16
-        nidx, nwts = zn * zs * 8, zn * zs * 8
-        if off + nidx + nwts > len(body):
-            raise FormatError(f"{path}: truncated affinity rows")
-        idx = np.frombuffer(body[off : off + nidx], dtype="<i8").reshape(zn, zs)
-        off += nidx
-        wts = np.frombuffer(body[off : off + nwts], dtype="<f8").reshape(zn, zs)
-        off += nwts
-        Zrows = SparseAffinityRows(indices=idx.astype(np.int64), weights=np.array(wts), m=int(m))
-    if off != len(body):
-        raise FormatError(f"{path}: {len(body) - off} unexpected trailing bytes")
-    try:
+    with Reader(path, MODEL_MAGIC, MODEL_VERSION, "model", crc=True) as r:
+        flags, mode = r.fields("BB")
+        d, k, m = r.shape(3)
+        sigma2, s = r.fields("dQ")
+        mean, std, W, centers, lam, vote = [_unpack_matrix(r, dt) for dt in _MATRIX_DTYPES]
+        B = Z = None
+        if flags & _FLAG_B:
+            n, bits = r.fields("QQ")
+            B = PackedCodes(n=n, k=bits, words=_unpack_words(r, n, bits))
+        if flags & _FLAG_Z:
+            n, snn = r.fields("QQ")
+            Z = SparseAffinityRows(indices=np.array(r.array("<i8", (n, snn))),
+                                   weights=np.array(r.array("<f8", (n, snn))), m=m)
+        if mode >= len(QUERY_MODES):
+            raise ValueError(f"unknown query mode byte {mode}")
         return HashModel(
-            mean=np.array(mean).reshape(-1),
-            std=np.array(std).reshape(-1),
-            W=np.array(W).reshape(d, k),
-            centers=np.array(centers).reshape(m, d),
-            sigma2=float(sigma2),
-            s=int(s),
-            lam=np.array(lam).reshape(-1),
-            vote_matrix=np.array(vote).reshape(k, m),
-            query_mode=_QUERY_MODES[mode_idx],
-            B=B,
-            Z=Zrows,
+            mean=mean.reshape(-1), std=std.reshape(-1), W=W.reshape(d, k),
+            centers=centers.reshape(m, d), sigma2=sigma2, s=s, lam=lam.reshape(-1),
+            vote_matrix=vote.reshape(k, m), query_mode=QUERY_MODES[mode], B=B, Z=Z,
         )
-    except ValueError as e:
-        raise FormatError(f"{path}: inconsistent model contents: {e}") from None
 
 
 def save_codes(codes: PackedCodes, path):
-    with open(path, "wb") as f:
-        f.write(CODE_MAGIC)
-        f.write(struct.pack("<BQQ", CODE_VERSION, codes.n, codes.k))
-        f.write(np.ascontiguousarray(codes.words, dtype="<u8").tobytes())
+    w = Writer(CODE_MAGIC, CODE_VERSION).fields("QQ", codes.n, codes.k)
+    w.array(codes.words, "<u8").save(path)
 
 
 def load_codes(path):
-    with open(path, "rb") as f:
-        data = f.read()
-    if len(data) < 21 or data[:4] != CODE_MAGIC:
-        raise FormatError(f"{path}: not a code file")
-    version = data[4]
-    if version != CODE_VERSION:
-        raise FormatError(f"{path}: unsupported code format version {version}")
-    n, k = struct.unpack_from("<QQ", data, 5)
-    w = (k + 63) >> 6
-    payload = data[21:]
-    if len(payload) != n * w * 8:
-        raise FormatError(f"{path}: payload holds {len(payload)} bytes, expected {n * w * 8}")
-    words = np.frombuffer(payload, dtype="<u8").reshape(n, w).astype(np.uint64)
-    return PackedCodes(n=int(n), k=int(k), words=words)
+    with Reader(path, CODE_MAGIC, CODE_VERSION, "code") as r:
+        n, k = r.shape(2)
+        return PackedCodes(n=n, k=k, words=_unpack_words(r, n, k))
 
 
 def codes_to_csv(codes: PackedCodes, path):

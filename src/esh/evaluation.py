@@ -127,6 +127,8 @@ def _precision_at(rel, depth):
 
 def _within(ranking: Ranking, radius):
     """How many ranked codes lie within Hamming distance `radius`."""
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
     return int(np.searchsorted(ranking.distances, radius, side="right"))
 
 

@@ -73,14 +73,6 @@ def _eval(W, X, S, alpha):
     return loss, G
 
 
-def loss_value(W, X, S, alpha):
-    return _eval(W, X, S, alpha)[0]
-
-
-def euclidean_gradient(W, X, S, alpha):
-    return _eval(W, X, S, alpha)[1]
-
-
 def auto_alpha(W0, X, S):
     """Balance the two loss terms at the starting point.
 

@@ -11,14 +11,13 @@ import numpy as np
 import pytest
 
 from esh.anchor_graph import (AnchorSet, anchor_weights, build_affinity_rows,
-                              dense_affinity, fit_anchors, prune_dead_anchors,
-                              similarity_matrix)
+                              fit_anchors, prune_dead_anchors, similarity_matrix)
 from esh.cli import main
 from esh.dataset import LabelSet, generate_synthetic, standardize
 from esh.encoder import build_hash_model, pack_codes, unpack_codes
 from esh.evaluation import (GroundTruth, evaluate, pr_curve, rank_database)
-from esh.optimizer import (TrainConfig, euclidean_gradient, loss_value,
-                           stiefel_project, train)
+from esh.optimizer import TrainConfig, stiefel_project, train
+from oracles import dense_affinity, euclidean_gradient, loss_value
 
 SPREAD = 1.75
 DATA_SEED = 123

@@ -390,6 +390,38 @@ def test_synth_rejects_unknown_format_from_config(tmp_path, capsys):
     assert not out.exists() or not any(out.glob("features.*"))
 
 
+def test_eval_rejects_negative_radius(tmp_path, capsys):
+    cp = write_codes(tmp_path, "codes.eshb", np.eye(6) * 2 - 1)
+    labels = tmp_path / "labels.csv"
+    labels.write_text("".join(f"{i % 3}\n" for i in range(6)))
+    out = tmp_path / "ev"
+    assert run("eval", "--query-codes", cp, "--db-codes", cp, "--query-labels", labels,
+               "--labels", labels, "--radius", -1, "--out", out) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "radius" in err["message"]
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("bad", [{"query_mode": "bogus"}, {"eta": -1.0}, {"algo": "esh3"}])
+def test_train_checks_config_before_fitting_anchors(tmp_path, capsys, monkeypatch, bad):
+    def fail(*args, **kwargs):
+        raise AssertionError("fit_anchors ran before the config was checked")
+
+    monkeypatch.setattr("esh.cli.fit_anchors", fail)
+    features = tmp_path / "f.csv"
+    save_features(np.random.default_rng(0).standard_normal((20, 4)), features)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bad))
+    out = tmp_path / "run"
+    assert run("train", "--config", cfg, "--features", features, "--out", out) == 1
+    line = capsys.readouterr().err
+    assert line.count("\n") == 1
+    err = json.loads(line)
+    assert err["error"] == "ValueError"
+    assert not (out / "model.eshm").exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_encode_and_query_reject_non_finite_after_standardization(tmp_path, capsys):
     # a finite 1e308 over a column of std 0.01 standardizes to inf, in both modes

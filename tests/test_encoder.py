@@ -18,6 +18,7 @@ from esh.encoder import (
     unpack_codes,
 )
 from esh.optimizer import TrainConfig, init_projection, train
+from oracles import to_dense
 
 
 def random_bits(rng, n, k):
@@ -184,7 +185,7 @@ def test_graph_matches_exhaustive_argmax():
     queries = queries + 0.05 * rng.standard_normal(queries.shape)
 
     B = unpack_codes(model.B).astype(np.float64)  # (n, k)
-    Zd = model.Z.to_dense()  # (n, m)
+    Zd = to_dense(model.Z)  # (n, m)
     lam = model.lam
     mean = model.mean.astype(np.float64)
     std = model.std.astype(np.float64)

@@ -183,6 +183,16 @@ def test_ap_rejects_cutoff_below_one():
         evaluate(q, db, gt, depths=(1,), cutoff=0)
 
 
+def test_negative_radius_rejected():
+    mask = np.array([True, False, True, False])
+    with pytest.raises(ValueError, match="radius"):
+        precision_within_radius(make_ranking([0, 1, 2, 3]), mask, radius=-1)
+    gt = GroundTruth(LabelSet.from_array([0, 1]), LabelSet.from_array([0, 1, 0, 1]))
+    q, db = pack_codes(np.eye(4)[:2] * 2 - 1), pack_codes(np.eye(4) * 2 - 1)
+    with pytest.raises(ValueError, match="radius"):
+        evaluate(q, db, gt, depths=(1,), radius=-1)
+
+
 def test_ap_no_positives_is_zero():
     assert average_precision(make_ranking([0, 1]), np.array([False, False])) == 0.0
 

@@ -10,9 +10,7 @@ from esh.optimizer import (
     auto_alpha,
     bb_step,
     cayley_step,
-    euclidean_gradient,
     init_projection,
-    loss_value,
     orth_residual,
     sgn,
     stiefel_project,
@@ -20,6 +18,7 @@ from esh.optimizer import (
     train,
 )
 from esh.optimizer import _eval, _prepare, _should_stop, _TraceBuilder
+from oracles import euclidean_gradient, loss_value
 
 
 def naive_loss(W, X, S, alpha):

@@ -2,8 +2,10 @@
 
 Every subcommand reads options from an optional JSON config file plus
 flags; flags win. Each artifact gets a sidecar manifest carrying the
-resolved config and its hash, so artifacts from different runs cannot be
-mixed up silently. All randomness flows from the single --seed value.
+resolved config and its hash. Manifests are provenance records only: no
+subcommand reads them, so nothing checks that the codes and model given
+to a command come from the same run. All randomness flows from the
+single --seed value.
 """
 
 import argparse

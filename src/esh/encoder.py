@@ -74,15 +74,6 @@ def unpack_codes(codes: PackedCodes):
     return (flat.astype(np.int8) * 2 - 1).astype(np.int8)
 
 
-def encode_train(X, W):
-    """B = sgn(XW) packed; zeros become +1. X must already be standardized."""
-    X = np.asarray(X, dtype=np.float64)
-    W = np.asarray(W, dtype=np.float64)
-    if X.ndim != 2 or W.ndim != 2 or X.shape[1] != W.shape[0]:
-        raise ValueError(f"cannot project {X.shape} features through {W.shape}")
-    return pack_codes(sgn(X @ W, zero_rule="one"))
-
-
 @dataclass(frozen=True)
 class HashModel:
     """A trained hasher plus its out-of-sample machinery.
@@ -276,6 +267,9 @@ def load_model(path):
 
 
 def save_codes(codes: PackedCodes, path):
+    """Write an .eshb; n and k must be at least 1, as load_codes requires."""
+    if codes.n < 1 or codes.k < 1:
+        raise ValueError(f"codes need at least one sample and one bit, got n={codes.n}, k={codes.k}")
     w = Writer(CODE_MAGIC, CODE_VERSION).fields("QQ", codes.n, codes.k)
     w.array(codes.words, "<u8").save(path)
 
@@ -285,7 +279,3 @@ def load_codes(path):
         n, k = r.shape(2)
         return PackedCodes(n=n, k=k, words=_unpack_words(r, n, k))
 
-
-def codes_to_csv(codes: PackedCodes, path):
-    """Debug export: one row of +-1 per sample."""
-    np.savetxt(path, unpack_codes(codes), delimiter=",", fmt="%d")

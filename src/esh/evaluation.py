@@ -22,15 +22,6 @@ from .encoder import PackedCodes
 PR_GRID_POINTS = 101
 
 
-def hamming_distance(a_words, b_words):
-    """Differing bits between two packed codes of equal width."""
-    a = np.asarray(a_words, dtype=np.uint64)
-    b = np.asarray(b_words, dtype=np.uint64)
-    if a.shape != b.shape:
-        raise ValueError("codes have different word counts")
-    return int(np.bitwise_count(np.bitwise_xor(a, b)).sum())
-
-
 def hamming_distances(query_words, db: PackedCodes, narrow=False):
     """Distances from one packed code (1-D word array) to every db code.
 

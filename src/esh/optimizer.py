@@ -10,6 +10,13 @@ projected gradient descent (esh1), which re-orthonormalizes after every
 Euclidean step via an SVD, and a Cayley-transform move along a curve on
 the manifold with a Barzilai-Borwein step size (esh2), which stays
 feasible by construction.
+
+Cost: the Gram term X^T X is formed once, in O(n d^2) time, and folded
+with S into one d x d matrix. After that an iteration costs one n x d x k
+product in float32, whose result is used only for the signs of XW and is
+checked in float64 near zero, one d x d x k product, and a sparse update
+where signs flipped. Memory beyond X is a float32 copy of X, d x d and
+n x k int8 signs.
 """
 
 import csv
@@ -17,11 +24,13 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 TAU_MIN = 1e-10
 TAU_MAX = 1e3
 AUTO_ALPHA_FLOOR = 1e-12
 PROJECT_RANK_FLOOR = 1e-12
+SIGN_BAND_SLACK = 1.01  # gamma_m = m u / (1 - m u) <= 1.01 m u while m u <= 0.0099
 
 TRACE_COLUMNS = ("iteration", "loss", "orth_residual", "step_size", "elapsed_ms")
 
@@ -62,15 +71,71 @@ def stiefel_project(M):
     return U @ Vt
 
 
-def _eval(W, X, S, alpha):
-    """Loss and Euclidean gradient in one pass; XW is computed once."""
-    n = X.shape[0]
-    XW = X @ W
-    R = XW - sgn(XW)  # |XW| - 1 up to signs; sgn(0)=0 keeps zeros inert
-    SW = S @ W
-    loss = -np.einsum("ij,ij->", W, SW) / n + 0.5 * alpha / n * np.einsum("ij,ij->", R, R)
-    G = (-2.0 / n) * SW + (alpha / n) * (X.T @ R)
-    return loss, G
+class _Objective:
+    """Loss and Euclidean gradient of one training problem, one W at a time.
+
+    Set-up folds both d x d terms into H = (alpha X^T X - 2S)/n, so that
+
+        G = H W - (alpha/n) P,  with P = X^T sgn(XW),
+        L = tr(W^T H W)/2 - (alpha/n) tr(W^T P) + (alpha/2n) nnz(sgn(XW)).
+
+    XW enters only through its signs. They come from one float32 product on
+    unit-norm copies of the rows; every entry inside that product's rounding
+    band around zero is recomputed in float64 from X, so the signs are the
+    float64 ones, sgn(0) = 0 included. P is kept from call to call and
+    updated only where a sign changed: a flip adds a multiple of x_i to one
+    column. A call is therefore one n x d x k product in float32, one
+    d x d x k product in float64 and the sparse update; set-up is the
+    O(n d^2) Gram matrix.
+    """
+
+    def __init__(self, X, S, alpha):
+        n, d = X.shape
+        self.X = X
+        self.scale = alpha / n
+        H = X.T @ X
+        H *= alpha
+        H -= 2.0 * S
+        H /= n
+        self.H = H
+        norms = np.sqrt(np.einsum("ij,ij->i", X, X))
+        self.X_unit = np.empty((n, d), dtype=np.float32)
+        np.divide(X, np.where(norms > 0, norms, 1.0)[:, None], out=self.X_unit)
+        # Higham's gamma_{d+2} bound on |fl32(x.w) - x.w| / |w| for |x| = 1:
+        # the dot product plus the float32 roundings of x and w
+        self.gamma = SIGN_BAND_SLACK * (d + 2) * 2.0**-24
+        self.B = None  # int8 sgn(XW) at the last call
+        self.Pt = None  # P^T = B^T X, (k, d)
+
+    def signs(self, W):
+        """sgn(XW) as int8, equal to the sign of the float64 product."""
+        Y = self.X_unit @ W.astype(np.float32)
+        band = self.gamma * np.sqrt(np.einsum("ij,ij->j", W, W)).max()
+        B = (Y > band).view(np.int8) - (Y < -band).view(np.int8)
+        near = np.flatnonzero(B == 0)
+        if near.size:
+            rows, cols = np.divmod(near, B.shape[1])
+            B.flat[near] = np.sign(np.einsum("ij,ij->i", self.X[rows], W.T[cols]))
+        return B
+
+    def __call__(self, W):
+        B = self.signs(W)
+        if self.B is None:
+            self.Pt = B.T.astype(np.float64) @ self.X
+        else:
+            flips = np.flatnonzero(B != self.B)
+            if flips.size:
+                rows, cols = np.divmod(flips, B.shape[1])
+                # (k, n): entry (j, i) is the change in sgn(x_i . w_j)
+                D = sp.csr_matrix((B.flat[flips] - self.B.flat[flips], (cols, rows)),
+                                  shape=B.shape[::-1], dtype=np.float64)
+                self.Pt += D @ self.X
+        self.B = B
+        HW = self.H @ W
+        G = HW - self.scale * self.Pt.T
+        loss = (0.5 * np.einsum("ij,ij->", W, HW) - self.scale * np.einsum("ij,ji->", W, self.Pt)
+                + 0.5 * self.scale * np.count_nonzero(B))
+        return loss, G
 
 
 def auto_alpha(W0, X, S):
@@ -283,12 +348,13 @@ def train(X, S, cfg: TrainConfig):
     """
     X, S, W, alpha = _prepare(X, S, cfg)
     step = _STEP_RULES[cfg.algorithm](cfg)
-    loss, G = _eval(W, X, S, alpha)
+    objective = _Objective(X, S, alpha)
+    loss, G = objective(W)
     tr = _TraceBuilder(alpha, loss)
     losses = [loss]
     for it in range(1, cfg.iters + 1):
         W, step_size = step(W, G)
-        loss, G = _eval(W, X, S, alpha)
+        loss, G = objective(W)
         tr.add(it, loss, orth_residual(W), step_size)
         losses.append(loss)
         if _should_stop(losses, cfg):

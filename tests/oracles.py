@@ -1,9 +1,11 @@
-"""Test-only oracles: dense or one-output forms of what esh computes in factored form."""
+"""Test-only oracles: dense or one-output forms of what esh computes in
+factored form, and helpers that only tests use."""
 
 import numpy as np
 
 from esh.anchor_graph import SparseAffinityRows
-from esh.optimizer import _eval
+from esh.encoder import PackedCodes, pack_codes, unpack_codes
+from esh.optimizer import _Objective, sgn
 
 DENSE_ORACLE_MAX_N = 1000
 
@@ -23,9 +25,59 @@ def dense_affinity(Z: SparseAffinityRows, lam):
     return Zd @ np.diag(1.0 / np.asarray(lam)) @ Zd.T
 
 
+def reference_objective(W, X, S, alpha):
+    """Loss and Euclidean gradient straight from the definition, in float64,
+    with XW, the residual R and X^T R formed in full."""
+    n = X.shape[0]
+    XW = X @ W
+    R = XW - sgn(XW)  # |XW| - 1 up to signs; sgn(0)=0 keeps zeros inert
+    SW = S @ W
+    loss = -np.einsum("ij,ij->", W, SW) / n + 0.5 * alpha / n * np.einsum("ij,ij->", R, R)
+    G = (-2.0 / n) * SW + (alpha / n) * (X.T @ R)
+    return loss, G
+
+
+def objective_terms(W, X, S, alpha):
+    """|similarity term| + quantization term: the scale that rounding
+    errors in the loss are measured against, since the loss is their
+    difference and can be zero."""
+    n = X.shape[0]
+    XW = X @ W
+    R = XW - sgn(XW)
+    return abs(np.einsum("ij,ij->", W, S @ W)) / n + 0.5 * alpha / n * np.einsum("ij,ij->", R, R)
+
+
+def _fresh_objective(W, X, S, alpha):
+    """Loss and gradient from a new instance of the evaluator training uses."""
+    return _Objective(np.asarray(X, dtype=np.float64), np.asarray(S, dtype=np.float64), alpha)(W)
+
+
 def loss_value(W, X, S, alpha):
-    return _eval(W, X, S, alpha)[0]
+    return _fresh_objective(W, X, S, alpha)[0]
 
 
 def euclidean_gradient(W, X, S, alpha):
-    return _eval(W, X, S, alpha)[1]
+    return _fresh_objective(W, X, S, alpha)[1]
+
+
+def encode_train(X, W):
+    """B = sgn(XW) packed; zeros become +1. X must already be standardized."""
+    X = np.asarray(X, dtype=np.float64)
+    W = np.asarray(W, dtype=np.float64)
+    if X.ndim != 2 or W.ndim != 2 or X.shape[1] != W.shape[0]:
+        raise ValueError(f"cannot project {X.shape} features through {W.shape}")
+    return pack_codes(sgn(X @ W, zero_rule="one"))
+
+
+def codes_to_csv(codes: PackedCodes, path):
+    """One row of +-1 per sample."""
+    np.savetxt(path, unpack_codes(codes), delimiter=",", fmt="%d")
+
+
+def hamming_distance(a_words, b_words):
+    """Differing bits between two packed codes of equal width."""
+    a = np.asarray(a_words, dtype=np.uint64)
+    b = np.asarray(b_words, dtype=np.uint64)
+    if a.shape != b.shape:
+        raise ValueError("codes have different word counts")
+    return int(np.bitwise_count(np.bitwise_xor(a, b)).sum())

@@ -188,6 +188,22 @@ def test_query_rejects_top_below_one(tmp_path, capsys):
         assert not (out / "results.csv").exists()
 
 
+def test_encode_of_no_rows_is_a_json_error_not_an_unreadable_file(tmp_path, capsys, monkeypatch):
+    data = synth_small(tmp_path)
+    run_dir = tmp_path / "run"
+    assert run("train", "--features", data / "features.csv", "--bits", 4,
+               "--iters", 2, "--anchors", 10, "--seed", 1, "--out", run_dir) == 0
+    # the feature loaders refuse empty files, so feed esh encode no rows directly
+    monkeypatch.setattr("esh.cli.load_features", lambda path: np.zeros((0, 8)))
+    enc = tmp_path / "enc"
+    assert run("encode", "--model", run_dir / "model.eshm", "--features", data / "features.csv",
+               "--query-mode", "linear", "--out", enc) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "at least one sample" in err["message"]
+    assert not (enc / "codes.eshb").exists()
+
+
 def write_codes(tmp_path, name, bits_matrix):
     from esh.encoder import pack_codes, save_codes
 

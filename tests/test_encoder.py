@@ -8,8 +8,6 @@ from esh.encoder import (
     FormatError,
     PackedCodes,
     build_hash_model,
-    codes_to_csv,
-    encode_train,
     load_codes,
     load_model,
     pack_codes,
@@ -18,7 +16,7 @@ from esh.encoder import (
     unpack_codes,
 )
 from esh.optimizer import TrainConfig, init_projection, train
-from oracles import to_dense
+from oracles import codes_to_csv, encode_train, to_dense
 
 
 def random_bits(rng, n, k):
@@ -296,6 +294,15 @@ def test_codes_file_round_trip(tmp_path):
     back = load_codes(p)
     assert back.n == codes.n and back.k == codes.k
     assert np.array_equal(back.words, codes.words)
+
+
+@pytest.mark.parametrize("n, k", [(0, 8), (3, 0), (0, 0)])
+def test_save_codes_rejects_what_load_codes_refuses(tmp_path, n, k):
+    codes = PackedCodes(n=n, k=k, words=np.zeros((n, (k + 63) // 64), dtype=np.uint64))
+    p = tmp_path / "c.eshb"
+    with pytest.raises(ValueError, match="at least one"):
+        save_codes(codes, p)
+    assert not p.exists()
 
 
 def test_codes_file_truncation(tmp_path):

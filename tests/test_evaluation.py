@@ -10,13 +10,13 @@ from esh.evaluation import (
     Ranking,
     average_precision,
     evaluate,
-    hamming_distance,
     hamming_distances,
     pr_curve,
     precision_at,
     precision_within_radius,
     rank_database,
 )
+from oracles import hamming_distance
 
 
 def random_bits(rng, n, k):

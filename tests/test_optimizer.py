@@ -17,8 +17,8 @@ from esh.optimizer import (
     tangent_gradient,
     train,
 )
-from esh.optimizer import _eval, _prepare, _should_stop, _TraceBuilder
-from oracles import euclidean_gradient, loss_value
+from esh.optimizer import _STEP_RULES, _Objective, _prepare, _should_stop, _TraceBuilder
+from oracles import euclidean_gradient, loss_value, objective_terms, reference_objective
 
 
 def naive_loss(W, X, S, alpha):
@@ -51,17 +51,19 @@ def blob_problem(n_per, clusters, d, seed):
     return X, S
 
 
-# The two training loops that `train` replaced, kept verbatim as the
-# reference that its step rules must reproduce bit for bit.
+# The two training loops that `train` replaced, kept verbatim but for the
+# evaluator they share with it, as the reference that its step rules must
+# reproduce bit for bit.
 def esh1_train(X, S, cfg: TrainConfig):
     """Projected gradient descent: Euclidean step, then SVD projection."""
     X, S, W, alpha = _prepare(X, S, cfg)
-    loss, G = _eval(W, X, S, alpha)
+    objective = _Objective(X, S, alpha)
+    loss, G = objective(W)
     tr = _TraceBuilder(alpha, loss)
     losses = [loss]
     for it in range(1, cfg.iters + 1):
         W = stiefel_project(W - cfg.eta * G)
-        loss, G = _eval(W, X, S, alpha)
+        loss, G = objective(W)
         tr.add(it, loss, orth_residual(W), cfg.eta)
         losses.append(loss)
         if _should_stop(losses, cfg):
@@ -72,14 +74,15 @@ def esh1_train(X, S, cfg: TrainConfig):
 def esh2_train(X, S, cfg: TrainConfig):
     """Cayley curve search with Barzilai-Borwein steps."""
     X, S, W, alpha = _prepare(X, S, cfg)
-    loss, G = _eval(W, X, S, alpha)
+    objective = _Objective(X, S, alpha)
+    loss, G = objective(W)
     T = tangent_gradient(W, G)
     tr = _TraceBuilder(alpha, loss)
     losses = [loss]
     tau = cfg.tau0
     for it in range(1, cfg.iters + 1):
         W_new = cayley_step(W, G, tau)
-        loss, G_new = _eval(W_new, X, S, alpha)
+        loss, G_new = objective(W_new)
         T_new = tangent_gradient(W_new, G_new)
         tr.add(it, loss, orth_residual(W_new), tau)
         losses.append(loss)
@@ -138,7 +141,10 @@ def test_loss_quantization_free():
     B = np.where(rng.standard_normal((n, k)) > 0, 1.0, -1.0)
     X = B @ W.T  # XW = B exactly, all entries +-1
     S = np.zeros((d, d))
-    assert abs(loss_value(W, X, S, alpha=10.0)) < 1e-20
+    assert abs(reference_objective(W, X, S, alpha=10.0)[0]) < 1e-20
+    # training's evaluator forms the quantization term from Gram terms of
+    # size alpha k / 2 each, so it returns zero up to their rounding
+    assert abs(loss_value(W, X, S, alpha=10.0)) < 1e-12
 
 
 def test_loss_matches_naive_oracle():
@@ -149,6 +155,85 @@ def test_loss_matches_naive_oracle():
         assert np.isclose(
             loss_value(W, X, S, alpha), naive_loss(W, X, S, alpha), rtol=1e-12
         )
+
+
+def assert_matches_reference(objective, W, X, S, alpha, rtol=1e-12):
+    loss, G = objective(W)
+    ref_loss, ref_G = reference_objective(W, X, S, alpha)
+    assert abs(loss - ref_loss) <= rtol * objective_terms(W, X, S, alpha)
+    assert np.linalg.norm(G - ref_G) <= rtol * np.linalg.norm(ref_G)
+    return G
+
+
+@pytest.mark.parametrize("n, d, k", [(40, 6, 2), (300, 32, 8), (500, 64, 64), (2000, 128, 16)])
+def test_objective_matches_reference_over_shapes(n, d, k):
+    rng = np.random.default_rng(n + d + k)
+    X, S, W = random_instance(rng, n, d, k)
+    alpha = float(rng.uniform(0.1, 5.0))
+    objective = _Objective(X, S, alpha)
+    assert_matches_reference(objective, W, X, S, alpha)
+    # a second, unrelated W flips about half the signs at once
+    assert_matches_reference(objective, init_projection(d, k, seed=n), X, S, alpha)
+
+
+@pytest.mark.parametrize("algorithm", ["esh1", "esh2"])
+def test_objective_matches_reference_along_300_iterations(algorithm):
+    # P = X^T sgn(XW) is updated where signs flip; drift would show here
+    X, S = blob_problem(150, 8, 32, seed=41)
+    cfg = TrainConfig(bits=16, iters=300, algorithm=algorithm, eta=0.05, seed=42)
+    X, S, W, alpha = _prepare(X, S, cfg)
+    step = _STEP_RULES[algorithm](cfg)
+    objective = _Objective(X, S, alpha)
+    flips, G = 0, objective(W)[1]
+    for _ in range(cfg.iters):
+        W, _ = step(W, G)
+        before = objective.B
+        G = assert_matches_reference(objective, W, X, S, alpha)
+        flips += int(np.count_nonzero(objective.B != before))
+    assert flips > 100
+    fresh = objective.B.T.astype(np.float64) @ X
+    assert np.linalg.norm(objective.Pt - fresh) <= 1e-12 * np.linalg.norm(fresh)
+
+
+def test_objective_keeps_zero_rows_and_exact_zeros_of_XW():
+    # w_0 lives on dims 0-3 and w_1 on dims 4-7, so rows on the other half
+    # project to exactly zero in any precision and summation order
+    rng = np.random.default_rng(44)
+    d, n = 8, 40
+    W = np.zeros((d, 2))
+    W[:4, 0] = init_projection(4, 1, seed=45)[:, 0]
+    W[4:, 1] = init_projection(4, 1, seed=46)[:, 0]
+    X = rng.standard_normal((n, d))
+    X[:10, :4] = 0.0
+    X[10:20, 4:] = 0.0
+    X[20:25] = 0.0
+    M = rng.standard_normal((d, d))
+    S = M @ M.T / n
+    XW = X @ W
+    assert np.count_nonzero(XW == 0.0) >= 25
+    objective = _Objective(X, S, 2.0)
+    B = objective.signs(W)
+    assert not B[20:25].any()
+    assert np.array_equal(B, np.sign(XW))
+    assert_matches_reference(objective, W, X, S, 2.0)
+
+
+def test_objective_corrects_float32_signs_inside_the_error_band():
+    # rows moved to within 1e-10 of the hyperplane of w_j: the float32
+    # product gets some of their signs wrong, the evaluator must not
+    rng = np.random.default_rng(47)
+    n, d, k = 400, 64, 4
+    X, S, W = random_instance(rng, n, d, k)
+    j = np.arange(n) % k
+    t = rng.choice([-1.0, 1.0], n) * 1e-10 * rng.uniform(1.0, 2.0, n)
+    Wj = W[:, j].T
+    X -= ((np.einsum("ij,ij->i", X, Wj) - t) / np.einsum("ij,ij->i", Wj, Wj))[:, None] * Wj
+    objective = _Objective(X, S, 0.7)
+    exact = np.sign(X @ W)
+    float32 = np.sign(objective.X_unit @ W.astype(np.float32))
+    assert np.count_nonzero(float32 != exact) >= 10
+    assert np.array_equal(objective.signs(W), exact)
+    assert_matches_reference(objective, W, X, S, 0.7)
 
 
 def test_gradient_identity_similarity():

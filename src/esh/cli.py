@@ -1,11 +1,12 @@
 """Command line pipeline: synth, train, encode, query, eval.
 
 Every subcommand reads options from an optional JSON config file plus
-flags; flags win. Each artifact gets a sidecar manifest carrying the
-resolved config and its hash. Manifests are provenance records only: no
-subcommand reads them, so nothing checks that the codes and model given
-to a command come from the same run. All randomness flows from the
-single --seed value.
+flags; flags win. One table per command declares each option once, and
+the flags, the config-file checks and the required inputs all come from
+it. Each artifact gets a sidecar manifest carrying the resolved config
+and its hash. Manifests are provenance records only: no subcommand reads
+them, so nothing checks that the codes and model given to a command come
+from the same run. All randomness flows from the single --seed value.
 """
 
 import argparse
@@ -13,6 +14,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,108 +43,167 @@ from .encoder import (
 from .evaluation import GroundTruth, evaluate, rank_database
 from .optimizer import TrainConfig, train
 
-SYNTH_DEFAULTS = {
-    "clusters": 10,
-    "per_cluster": 500,
-    "dims": 32,
-    "spread": 1.0,
-    "seed": 0,
-    "format": "csv",
-}
+PATH = "path"  # an input file that must exist
+SWITCH = "switch"  # a flag that takes no value; true or false in a config file
 
-TRAIN_DEFAULTS = {
-    "features": None,
-    "bits": 16,
-    "algo": "esh2",
-    "iters": 300,
-    "eta": 0.01,
-    "alpha": "auto",
-    "anchors": 300,
-    "snn": 3,
-    "sigma2": None,
-    "tau0": 0.01,
-    "seed": 0,
-    "kmeans_iters": 10,
-    "query_mode": "graph",
-    "retain_train": False,
-}
 
-ENCODE_DEFAULTS = {
-    "model": None,
-    "features": None,
+class Opt(NamedTuple):
+    """One option of one command: flag --some-name, config key some_name.
+
+    `kind` is int, float, PATH, SWITCH, a tuple of choices, or a parser that
+    takes the flag's string or the config file's JSON value.
+    """
+
+    name: str
+    default: object
+    kind: object
+    required: bool = False
+    help: str | None = None
+
+    @property
+    def flag(self):
+        return "--" + self.name.replace("_", "-")
+
+
+# argparse quotes a parser's name when it rejects a flag's value
+# ("invalid alpha value: 'x'"), so the parsers have short plain names
+def alpha(value):
+    """'auto' or a number."""
+    if value == "auto":
+        return value
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise TypeError(f"must be 'auto' or a number, got {json.dumps(value)}")
+    return float(value)
+
+
+def depths(value):
+    """Precision depths: a list of ints or a string such as "100,300"."""
+    if isinstance(value, str):
+        return [int(tok) for tok in value.split(",") if tok]
+    # bool is a subclass of int, so compare types exactly
+    if not isinstance(value, list) or any(type(v) is not int for v in value):
+        raise TypeError(f"must be a list of ints or a string, got {json.dumps(value)}")
+    return value
+
+
+# entry order is the flag order in --help
+SYNTH = (
+    Opt("seed", 0, int),
+    Opt("clusters", 10, int),
+    Opt("per_cluster", 500, int),
+    Opt("dims", 32, int),
+    Opt("spread", 1.0, float),
+    Opt("format", "csv", ("csv", "binary")),
+)
+
+TRAIN = (
+    Opt("seed", 0, int),
+    Opt("features", None, PATH, required=True),
+    Opt("bits", 16, int),
+    Opt("algo", "esh2", ("esh1", "esh2")),
+    Opt("iters", 300, int),
+    Opt("eta", 0.01, float),
+    Opt("alpha", "auto", alpha, help="'auto' or a nonnegative number"),
+    Opt("anchors", 300, int),
+    Opt("snn", 3, int, help="nearest anchors kept per sample"),
+    Opt("sigma2", None, float),
+    Opt("tau0", 0.01, float),
+    Opt("kmeans_iters", 10, int),
+    Opt("query_mode", "graph", QUERY_MODES),
+    Opt("retain_train", False, SWITCH,
+        help="keep training codes and affinity rows inside the model file"),
+)
+
+ENCODE = (
+    Opt("model", None, PATH, required=True),
+    Opt("features", None, PATH, required=True),
     # database encoding is the plain sign of the projection; pass
     # --query-mode graph to push features through the anchor vote instead
-    "query_mode": "linear",
+    Opt("query_mode", "linear", QUERY_MODES),
+)
+
+QUERY = (
+    Opt("model", None, PATH, required=True),
+    Opt("features", None, PATH, required=True),
+    Opt("db_codes", None, PATH, required=True),
+    Opt("top", 10, int),
+    Opt("query_mode", None, QUERY_MODES),  # None = whatever the model says
+)
+
+EVAL = (
+    Opt("query_codes", None, PATH, required=True),
+    Opt("db_codes", None, PATH, required=True),
+    Opt("query_labels", None, PATH, required=True),
+    Opt("labels", None, PATH, required=True, help="database labels"),
+    Opt("precision_at", [300], depths, help="comma-separated depths, e.g. 100,300"),
+    Opt("radius", 2, int),
+    Opt("cutoff", None, int, help="rank cutoff for AP (default: full ranking)"),
+    Opt("exclude_self", False, SWITCH, help="drop database item i from query i's ranking"),
+    Opt("skip_empty", False, SWITCH,
+        help="drop queries with no relevant item instead of scoring 0"),
+)
+
+COMMANDS = {
+    "synth": ("generate Gaussian blob features + labels", SYNTH),
+    "train": ("train a hash model on a feature file", TRAIN),
+    "encode": ("encode a feature file with a trained model", ENCODE),
+    "query": ("rank database codes for query features", QUERY),
+    "eval": ("score query codes against a labeled database", EVAL),
 }
 
-QUERY_DEFAULTS = {
-    "model": None,
-    "features": None,
-    "db_codes": None,
-    "top": 10,
-    "query_mode": None,  # None = whatever the model says
-}
-
-EVAL_DEFAULTS = {
-    "query_codes": None,
-    "db_codes": None,
-    "query_labels": None,
-    "labels": None,
-    "precision_at": [300],
-    "radius": 2,
-    "cutoff": None,
-    "exclude_self": False,
-    "skip_empty": False,
-}
+# JSON types a config value of each plain kind may take; bool is a subclass
+# of int, yet true/false is only a value for a switch
+_JSON_TYPES = {int: (int,), float: (int, float), PATH: (str,), SWITCH: (bool,)}
 
 
-# JSON types a config-file value may take where its default does not say:
-# numeric options that default to None and options with more than one form.
-# Any other option that defaults to None takes a string (a path or a mode).
-_CONFIG_TYPES = {
-    "alpha": (str, int, float),  # "auto" or a number
-    "sigma2": (int, float),
-    "cutoff": (int,),
-    "precision_at": (list, str),  # [100, 300] or "100,300"
-}
+def _config_value(opt, value):
+    """A config-file value, put through the checks its flag gets.
 
-
-def _check_config_type(key, value, default):
-    """Config-file values skip argparse, so check them against the defaults."""
-    if value is None and default is None:
-        return
-    if key in _CONFIG_TYPES:
-        allowed = _CONFIG_TYPES[key]
-    elif default is None:
+    Numbers keep their JSON type, so {"eta": 1} is recorded as 1; only a
+    parser kind converts.
+    """
+    if value is None and opt.default is None:
+        return value
+    if isinstance(opt.kind, tuple):
         allowed = (str,)
-    elif isinstance(default, float):
-        allowed = (int, float)
+    elif opt.kind in _JSON_TYPES:
+        allowed = _JSON_TYPES[opt.kind]
     else:
-        allowed = (type(default),)
-    # bool is a subclass of int, yet true/false is only a value for a switch
+        try:
+            return opt.kind(value)
+        except TypeError as e:
+            raise TypeError(f"config key {opt.name!r} {e}") from None
     if isinstance(value, bool) != (bool in allowed) or not isinstance(value, allowed):
         names = " or ".join(t.__name__ for t in allowed)
-        raise TypeError(f"config key {key!r} must be {names}, got {json.dumps(value)}")
+        raise TypeError(f"config key {opt.name!r} must be {names}, got {json.dumps(value)}")
+    if isinstance(opt.kind, tuple) and value not in opt.kind:
+        raise ValueError(f"config key {opt.name!r} must be one of {', '.join(opt.kind)}, "
+                         f"got {json.dumps(value)}")
+    return value
 
 
-def _resolve(args, defaults, required=()):
-    """Merge flag values over config-file values over built-in defaults."""
+def _resolve(args, table):
+    """Merge flag values over config-file values over the table's defaults."""
     file_cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as f:
             file_cfg = json.load(f)
-        unknown = set(file_cfg) - set(defaults)
+        if not isinstance(file_cfg, dict):
+            raise TypeError(f"config file {args.config} must hold a JSON object, "
+                            f"got {type(file_cfg).__name__}")
+        unknown = set(file_cfg) - {opt.name for opt in table}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in file_cfg.items():
-            _check_config_type(key, value, defaults[key])
+        file_cfg = {opt.name: _config_value(opt, file_cfg[opt.name])
+                    for opt in table if opt.name in file_cfg}
     out = {}
-    for key, builtin in defaults.items():
-        flag = getattr(args, key, None)
-        out[key] = flag if flag is not None else file_cfg.get(key, builtin)
-    for key in required:
-        if out[key] is None:
-            raise ValueError(f"missing required option --{key.replace('_', '-')}")
+    for opt in table:
+        flag = getattr(args, opt.name)
+        value = out[opt.name] = flag if flag is not None else file_cfg.get(opt.name, opt.default)
+        if opt.required and value is None:
+            raise ValueError(f"missing required option {opt.flag}")
+        if opt.kind is PATH and value is not None and not Path(value).is_file():
+            raise FileNotFoundError(f"{opt.flag}: no such file: {value}")
     return out
 
 
@@ -169,42 +230,20 @@ def _out_dir(args):
     return out
 
 
-def _require_files(**paths):
-    for name, p in paths.items():
-        if p is None:
-            raise ValueError(f"missing required option --{name.replace('_', '-')}")
-        if not Path(p).is_file():
-            raise FileNotFoundError(f"--{name.replace('_', '-')}: no such file: {p}")
-
-
 def _sub_seeds(seed, count):
     # independent streams for k-means and W init, all derived from one seed
-    return [int(v) for v in np.random.SeedSequence(int(seed)).generate_state(count)]
-
-
-def _parse_alpha(value):
-    if value is None or value == "auto":
-        return value
-    return float(value)
-
-
-def _parse_depths(value):
-    if value is None:
-        return None
-    if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
-    return [int(tok) for tok in str(value).split(",") if tok]
+    return [int(v) for v in np.random.SeedSequence(seed).generate_state(count)]
 
 
 def cmd_synth(args):
-    cfg = _resolve(args, SYNTH_DEFAULTS)
+    cfg = _resolve(args, SYNTH)
     out = _out_dir(args)
     X, labels = generate_synthetic(
-        clusters=int(cfg["clusters"]),
-        per_cluster=int(cfg["per_cluster"]),
-        dims=int(cfg["dims"]),
+        clusters=cfg["clusters"],
+        per_cluster=cfg["per_cluster"],
+        dims=cfg["dims"],
         spread=float(cfg["spread"]),
-        seed=int(cfg["seed"]),
+        seed=cfg["seed"],
     )
     feat_path = out / ("features.eshf" if cfg["format"] == "binary" else "features.csv")
     label_path = out / "labels.csv"
@@ -218,32 +257,28 @@ def cmd_synth(args):
 
 
 def cmd_train(args):
-    cfg = _resolve(args, TRAIN_DEFAULTS, required=("features",))
-    cfg["alpha"] = _parse_alpha(cfg["alpha"])
+    cfg = _resolve(args, TRAIN)
     kmeans_seed, w_seed = _sub_seeds(cfg["seed"], 2)
     # check every option before the anchor graph and training spend time
     tc = TrainConfig(
-        bits=int(cfg["bits"]),
-        iters=int(cfg["iters"]),
+        bits=cfg["bits"],
+        iters=cfg["iters"],
         algorithm=cfg["algo"],
         eta=float(cfg["eta"]),
         alpha=cfg["alpha"],
         tau0=float(cfg["tau0"]),
         seed=w_seed,
     )
-    if cfg["query_mode"] not in QUERY_MODES:
-        raise ValueError(f"unknown query mode {cfg['query_mode']!r}")
-    _require_files(features=cfg["features"])
     out = _out_dir(args)
 
     X_raw = load_features(cfg["features"])
     Xs, stats = standardize(X_raw)
     anchors = fit_anchors(
         Xs,
-        int(cfg["anchors"]),
-        iters=int(cfg["kmeans_iters"]),
+        cfg["anchors"],
+        iters=cfg["kmeans_iters"],
         seed=kmeans_seed,
-        s=int(cfg["snn"]),
+        s=cfg["snn"],
         sigma2=cfg["sigma2"],
     )
     Z = build_affinity_rows(Xs, anchors)
@@ -254,7 +289,7 @@ def cmd_train(args):
     model, _codes = build_hash_model(
         stats, W, anchors, Z, lam, X_raw,
         query_mode=cfg["query_mode"],
-        retain_train=bool(cfg["retain_train"]),
+        retain_train=cfg["retain_train"],
     )
 
     model_path = out / "model.eshm"
@@ -271,8 +306,7 @@ def cmd_train(args):
 
 
 def cmd_encode(args):
-    cfg = _resolve(args, ENCODE_DEFAULTS, required=("model", "features"))
-    _require_files(model=cfg["model"], features=cfg["features"])
+    cfg = _resolve(args, ENCODE)
     out = _out_dir(args)
     model = load_model(cfg["model"])
     X = load_features(cfg["features"])
@@ -285,10 +319,9 @@ def cmd_encode(args):
 
 
 def cmd_query(args):
-    cfg = _resolve(args, QUERY_DEFAULTS, required=("model", "features", "db_codes"))
-    if int(cfg["top"]) < 1:
+    cfg = _resolve(args, QUERY)
+    if cfg["top"] < 1:
         raise ValueError(f"--top must be >= 1, got {cfg['top']}")
-    _require_files(model=cfg["model"], features=cfg["features"], db_codes=cfg["db_codes"])
     out = _out_dir(args)
     model = load_model(cfg["model"])
     db = load_codes(cfg["db_codes"])
@@ -297,7 +330,7 @@ def cmd_query(args):
     X = load_features(cfg["features"])
     mode = cfg["query_mode"] if cfg["query_mode"] is not None else model.query_mode
     codes = model.encode(X, mode=mode)
-    top = min(int(cfg["top"]), db.n)
+    top = min(cfg["top"], db.n)
     results_path = out / "results.csv"
     row = "%d,%d,%d,%d\n" * top  # query_id, rank, db_id, distance
     with open(results_path, "w") as f:
@@ -312,17 +345,7 @@ def cmd_query(args):
 
 
 def cmd_eval(args):
-    cfg = _resolve(
-        args, EVAL_DEFAULTS,
-        required=("query_codes", "db_codes", "query_labels", "labels"),
-    )
-    cfg["precision_at"] = _parse_depths(cfg["precision_at"])
-    _require_files(
-        query_codes=cfg["query_codes"],
-        db_codes=cfg["db_codes"],
-        query_labels=cfg["query_labels"],
-        labels=cfg["labels"],
-    )
+    cfg = _resolve(args, EVAL)
     out = _out_dir(args)
     q_codes = load_codes(cfg["query_codes"])
     db_codes = load_codes(cfg["db_codes"])
@@ -332,9 +355,9 @@ def cmd_eval(args):
         db_codes,
         gt,
         depths=cfg["precision_at"],
-        radius=int(cfg["radius"]),
-        exclude_self=bool(cfg["exclude_self"]),
-        cutoff=None if cfg["cutoff"] is None else int(cfg["cutoff"]),
+        radius=cfg["radius"],
+        exclude_self=cfg["exclude_self"],
+        cutoff=cfg["cutoff"],
         count_empty=not cfg["skip_empty"],
     )
     report_path = out / "report.json"
@@ -350,87 +373,38 @@ def cmd_eval(args):
     return 0
 
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--out", help="output directory (default: current)")
-    p.add_argument("--seed", type=int)
+class _Parser(argparse.ArgumentParser):
+    """Raises on a bad command line, so that main reports it like any other failure."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="esh",
         description="Learn binary hash codes, encode vectors, and score retrieval.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate Gaussian blob features + labels")
-    _add_common(p)
-    p.add_argument("--clusters", type=int)
-    p.add_argument("--per-cluster", dest="per_cluster", type=int)
-    p.add_argument("--dims", type=int)
-    p.add_argument("--spread", type=float)
-    p.add_argument("--format", choices=("csv", "binary"))
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("train", help="train a hash model on a feature file")
-    _add_common(p)
-    p.add_argument("--features")
-    p.add_argument("--bits", type=int)
-    p.add_argument("--algo", choices=("esh1", "esh2"))
-    p.add_argument("--iters", type=int)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--alpha", help="'auto' or a nonnegative number")
-    p.add_argument("--anchors", type=int)
-    p.add_argument("--snn", type=int, help="nearest anchors kept per sample")
-    p.add_argument("--sigma2", type=float)
-    p.add_argument("--tau0", type=float)
-    p.add_argument("--kmeans-iters", dest="kmeans_iters", type=int)
-    p.add_argument("--query-mode", dest="query_mode", choices=QUERY_MODES)
-    p.add_argument("--retain-train", dest="retain_train",
-                   action="store_const", const=True,
-                   help="keep training codes and affinity rows inside the model file")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("encode", help="encode a feature file with a trained model")
-    _add_common(p)
-    p.add_argument("--model")
-    p.add_argument("--features")
-    p.add_argument("--query-mode", dest="query_mode", choices=QUERY_MODES)
-    p.set_defaults(func=cmd_encode)
-
-    p = sub.add_parser("query", help="rank database codes for query features")
-    _add_common(p)
-    p.add_argument("--model")
-    p.add_argument("--features")
-    p.add_argument("--db-codes", dest="db_codes")
-    p.add_argument("--top", type=int)
-    p.add_argument("--query-mode", dest="query_mode", choices=QUERY_MODES)
-    p.set_defaults(func=cmd_query)
-
-    p = sub.add_parser("eval", help="score query codes against a labeled database")
-    _add_common(p)
-    p.add_argument("--query-codes", dest="query_codes")
-    p.add_argument("--db-codes", dest="db_codes")
-    p.add_argument("--query-labels", dest="query_labels")
-    p.add_argument("--labels", help="database labels")
-    p.add_argument("--precision-at", dest="precision_at",
-                   help="comma-separated depths, e.g. 100,300")
-    p.add_argument("--radius", type=int)
-    p.add_argument("--cutoff", type=int, help="rank cutoff for AP (default: full ranking)")
-    p.add_argument("--exclude-self", dest="exclude_self",
-                   action="store_const", const=True,
-                   help="drop database item i from query i's ranking")
-    p.add_argument("--skip-empty", dest="skip_empty",
-                   action="store_const", const=True,
-                   help="drop queries with no relevant item instead of scoring 0")
-    p.set_defaults(func=cmd_eval)
+    for command, (help_text, table) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="JSON config file; flags override its values")
+        p.add_argument("--out", help="output directory (default: current)")
+        for opt in table:
+            if opt.kind is SWITCH:
+                p.add_argument(opt.flag, action="store_const", const=True, help=opt.help)
+            elif isinstance(opt.kind, tuple):
+                p.add_argument(opt.flag, choices=opt.kind, help=opt.help)
+            else:
+                p.add_argument(opt.flag, type=None if opt.kind is PATH else opt.kind, help=opt.help)
     return ap
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        # looked up at call time, so a wrapper set on this module is the one called
+        return globals()[f"cmd_{args.command}"](args)
     except Exception as e:  # noqa: BLE001 - single reporting point for the CLI
         print(json.dumps({"error": type(e).__name__, "message": str(e)}),
               file=sys.stderr)

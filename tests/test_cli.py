@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,6 +296,8 @@ def test_config_values_of_the_wrong_type_rejected(tmp_path, capsys):
         (evals, {"skip_empty": "false"}),
         (evals, {"radius": None}),
         (evals, {"precision_at": 300}),
+        (evals, {"precision_at": [300.9]}),
+        (evals, {"precision_at": [100, True]}),
         (("synth",), {"format": ["csv"]}),
     )
     for i, (argv, doc) in enumerate(cases):
@@ -419,23 +423,120 @@ def test_eval_rejects_negative_radius(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
-@pytest.mark.parametrize("bad", [{"query_mode": "bogus"}, {"eta": -1.0}, {"algo": "esh3"}])
-def test_train_checks_config_before_fitting_anchors(tmp_path, capsys, monkeypatch, bad):
+def assert_config_rejected_before_reading(tmp_path, capsys, monkeypatch, argv, bad):
     def fail(*args, **kwargs):
-        raise AssertionError("fit_anchors ran before the config was checked")
+        raise AssertionError("work started before the config was checked")
 
-    monkeypatch.setattr("esh.cli.fit_anchors", fail)
-    features = tmp_path / "f.csv"
-    save_features(np.random.default_rng(0).standard_normal((20, 4)), features)
+    for name in ("generate_synthetic", "load_features", "load_model", "load_codes",
+                 "fit_anchors"):
+        monkeypatch.setattr(f"esh.cli.{name}", fail)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(bad))
-    out = tmp_path / "run"
-    assert run("train", "--config", cfg, "--features", features, "--out", out) == 1
+    out = tmp_path / "out"
+    assert run(*argv, "--config", cfg, "--out", out) == 1
     line = capsys.readouterr().err
     assert line.count("\n") == 1
     err = json.loads(line)
     assert err["error"] == "ValueError"
-    assert not (out / "model.eshm").exists()
+    assert not out.exists()
+
+
+def an_input_file(tmp_path):
+    # every reader is patched to fail, so one existing file stands for all inputs
+    path = tmp_path / "f.csv"
+    save_features(np.random.default_rng(0).standard_normal((20, 4)), path)
+    return path
+
+
+@pytest.mark.parametrize("bad", [{"query_mode": "bogus"}, {"eta": -1.0}, {"algo": "esh3"}])
+def test_train_checks_config_before_fitting_anchors(tmp_path, capsys, monkeypatch, bad):
+    argv = ("train", "--features", an_input_file(tmp_path))
+    assert_config_rejected_before_reading(tmp_path, capsys, monkeypatch, argv, bad)
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("synth", {"format": "bogus"}),
+    ("encode", {"query_mode": "bogus"}),
+    ("query", {"query_mode": "bogus"}),
+    ("query", {"top": 0}),
+])
+def test_other_commands_check_config_before_reading_inputs(tmp_path, capsys, monkeypatch,
+                                                           command, bad):
+    f = an_input_file(tmp_path)
+    inputs = {"synth": (), "encode": ("--model", f, "--features", f),
+              "query": ("--model", f, "--features", f, "--db-codes", f)}
+    assert_config_rejected_before_reading(tmp_path, capsys, monkeypatch,
+                                          (command, *inputs[command]), bad)
+
+
+@pytest.mark.parametrize("doc", ["abc", 5, [1, 2]])
+def test_config_file_must_hold_a_json_object(tmp_path, capsys, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "data"
+    assert run("synth", "--config", cfg, "--out", out) == 1
+    line = capsys.readouterr().err
+    assert line.count("\n") == 1
+    err = json.loads(line)
+    assert err["error"] == "TypeError"
+    assert "must hold a JSON object" in err["message"]
+    assert not out.exists()
+
+
+def test_seed_rejected_where_nothing_is_random(tmp_path, capsys):
+    data = synth_small(tmp_path)
+    run_dir = tmp_path / "run"
+    assert run("train", "--features", data / "features.csv", "--bits", 4,
+               "--iters", 2, "--anchors", 10, "--seed", 1, "--out", run_dir) == 0
+    encode = ("encode", "--model", run_dir / "model.eshm", "--features", data / "features.csv")
+    assert run(*encode, "--out", tmp_path / "enc") == 0
+    for argv in (encode, ("query",), ("eval",)):
+        out = tmp_path / f"{argv[0]}_seed"
+        assert run(*argv, "--seed", 1, "--out", out) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert "--seed" in err["message"]
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("train", "--bits", "abc"),
+    ("train", "--algo", "esh3"),
+    ("train", "--alpha", "big"),
+    ("eval", "--precision-at", "100,x"),
+    ("encode", "--no-such-flag"),
+    ("tran", "--bits", "4"),
+    (),
+])
+def test_bad_command_line_is_a_one_line_json_error(capsys, argv):
+    assert run(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert set(json.loads(captured.err)) == {"error", "message"}
+
+
+def test_help_prints_usage_and_exits_zero(capsys):
+    for argv in (["--help"], ["train", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: esh")
+
+
+def readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```\n")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in lines if line.strip() and not line.startswith("#")]
+
+
+def test_readme_command_block_runs_as_written(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {"esh"}
+    assert {argv[1] for argv in commands} == {"synth", "train", "encode", "query", "eval"}
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

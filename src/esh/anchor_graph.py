@@ -10,6 +10,7 @@ S = X^T A X, computed in factored form without ever forming A.
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,6 +38,12 @@ class AnchorSet:
     @property
     def m(self):
         return self.centers.shape[0]
+
+    @cached_property
+    def sq_norms(self):
+        """Squared row norms of the centers, summed once per anchor set."""
+        C = np.asarray(self.centers, dtype=np.float64)
+        return (C * C).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -81,17 +88,20 @@ class SparseAffinityRows:
         )
 
 
-def pairwise_sq_dists(X, C, x_sq=None):
+def pairwise_sq_dists(X, C, x_sq=None, c_sq=None):
     """Squared Euclidean distances between rows of X and rows of C.
 
     One GEMM plus the norm expansion; clipped at zero to kill the tiny
-    negatives the expansion produces. Callers that reuse X pass its row norms x_sq.
+    negatives the expansion produces. Callers that reuse X or C pass their
+    row norms as x_sq or c_sq.
     """
     X = np.asarray(X, dtype=np.float64)
     C = np.asarray(C, dtype=np.float64)
     if x_sq is None:
         x_sq = (X * X).sum(axis=1)
-    d2 = x_sq[:, None] - 2.0 * (X @ C.T) + (C * C).sum(axis=1)[None, :]
+    if c_sq is None:
+        c_sq = (C * C).sum(axis=1)
+    d2 = x_sq[:, None] - 2.0 * (X @ C.T) + c_sq[None, :]
     return np.maximum(d2, 0.0)
 
 
@@ -161,7 +171,7 @@ def anchor_weights(x_rows, anchors: AnchorSet):
     weights are exact but can never all underflow to zero.
     """
     x_rows = np.atleast_2d(np.asarray(x_rows, dtype=np.float64))
-    d2 = pairwise_sq_dists(x_rows, anchors.centers)
+    d2 = pairwise_sq_dists(x_rows, anchors.centers, c_sq=anchors.sq_norms)
     s = anchors.s
     order = np.argsort(d2, axis=1, kind="stable")[:, :s]
     near = np.take_along_axis(d2, order, axis=1)

@@ -8,17 +8,21 @@ A HashModel bundles everything needed to hash a new vector: the
 standardization stats, the projection W, and the anchor machinery for
 graph-based out-of-sample extension. Matrices are held as float32 (the
 on-disk precision) so a save/load round trip is bit-exact; training math
-stays float64 up to the point the model is assembled.
+stays float64 up to the point the model is assembled. Encoding runs in
+float64 from copies each model instance casts once, on first use after
+build or load; graph mode also reuses the anchors' squared norms. Linear
+encoding holds one block of about 2 MB of standardized rows at a time,
+never an n x d float64 copy of its input.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .anchor_graph import AnchorSet, SparseAffinityRows, anchor_weights
 from .container import FormatError, Reader, Writer  # noqa: F401 - esh.encoder.FormatError
 from .dataset import StandardizationStats, apply_standardization
-from .optimizer import sgn
 
 CODE_MAGIC = b"ESHB"
 CODE_VERSION = 1
@@ -26,6 +30,8 @@ MODEL_MAGIC = b"ESHM"
 MODEL_VERSION = 1
 
 QUERY_MODES = ("graph", "linear")
+# float64 entries of standardized rows per linear-encoding block: 2 MB
+LINEAR_BLOCK_VALUES = 2**18
 
 
 @dataclass(frozen=True)
@@ -52,26 +58,21 @@ class PackedCodes:
 
 
 def pack_codes(bits):
-    """Pack a (n, k) matrix of +-1 (or {0,1}) values into PackedCodes."""
-    bits = np.asarray(bits)
-    if bits.ndim != 2:
+    """Pack a (n, k) matrix of +-1 (or {0,1}, or bool) values into PackedCodes."""
+    on = np.asarray(bits) > 0
+    if on.ndim != 2:
         raise ValueError("expected an (n, k) bit matrix")
-    n, k = bits.shape
-    on = (bits > 0).astype(np.uint64)
-    w = (k + 63) >> 6
-    padded = np.zeros((n, w * 64), dtype=np.uint64)
-    padded[:, :k] = on
-    shifts = np.arange(64, dtype=np.uint64)
-    words = (padded.reshape(n, w, 64) << shifts).sum(axis=2, dtype=np.uint64)
-    return PackedCodes(n=n, k=k, words=words)
+    n, k = on.shape
+    octets = np.zeros((n, 8 * ((k + 63) >> 6)), dtype=np.uint8)
+    octets[:, : (k + 7) >> 3] = np.packbits(on, axis=1, bitorder="little")
+    return PackedCodes(n=n, k=k, words=octets.view("<u8").astype(np.uint64, copy=False))
 
 
 def unpack_codes(codes: PackedCodes):
     """Back to a (n, k) int8 matrix of +-1 values."""
-    shifts = np.arange(64, dtype=np.uint64)
-    bits = (codes.words[:, :, None] >> shifts) & np.uint64(1)
-    flat = bits.reshape(codes.n, codes.n_words * 64)[:, : codes.k]
-    return (flat.astype(np.int8) * 2 - 1).astype(np.int8)
+    octets = np.ascontiguousarray(codes.words, dtype="<u8").view(np.uint8)
+    on = np.unpackbits(octets, axis=1, count=codes.k, bitorder="little")
+    return on.view(np.int8) * 2 - 1
 
 
 @dataclass(frozen=True)
@@ -112,6 +113,11 @@ class HashModel:
             raise ValueError("sigma2 must be positive")
         if not 1 <= self.s <= m:
             raise ValueError("s must be in [1, m]")
+        for name in ("mean", "std", "W", "centers", "lam", "vote_matrix"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} has non-finite entries")
+        if np.any(self.std <= 0):
+            raise ValueError("std entries must be positive")
         if self.B is not None and self.B.k != k:
             raise ValueError("retained codes have the wrong bit width")
         if self.Z is not None and self.Z.m != m:
@@ -131,41 +137,59 @@ class HashModel:
     def m(self):
         return self.centers.shape[0]
 
-    def _stats(self):
+    # float64 encoding state, cast once per instance; replace() and
+    # load_model build new instances, so it never outlives its matrices
+    @cached_property
+    def _stats64(self):
         return StandardizationStats(
             mean=self.mean.astype(np.float64), std=self.std.astype(np.float64)
         )
 
-    def _anchors(self):
+    @cached_property
+    def _W64(self):
+        return self.W.astype(np.float64)
+
+    @cached_property
+    def _anchors64(self):
         return AnchorSet(
             centers=self.centers.astype(np.float64), sigma2=self.sigma2, s=self.s
         )
 
+    @cached_property
+    def _vote64(self):
+        return self.vote_matrix.astype(np.float64)
+
     def _standardized(self, X_raw):
         """Standardized rows; both encoders reject what is not finite."""
-        Xs = apply_standardization(np.atleast_2d(X_raw), self._stats())
+        Xs = apply_standardization(np.atleast_2d(X_raw), self._stats64)
         if not np.all(np.isfinite(Xs)):
             raise ValueError("query contains non-finite values after standardization")
         return Xs
 
     def encode_linear(self, X_raw):
-        """sgn of the standardized projection; ties at zero become +1."""
-        Xs = self._standardized(X_raw)
-        bits = sgn(Xs @ self.W.astype(np.float64), zero_rule="one")
-        return pack_codes(bits)
+        """sgn of the standardized projection; ties at zero become +1.
+
+        Rows go through in blocks of LINEAR_BLOCK_VALUES standardized
+        entries, so no n x d float64 copy of the input is ever held.
+        """
+        X = np.atleast_2d(X_raw)
+        rows = max(1, LINEAR_BLOCK_VALUES // self.d)
+        on = np.empty((X.shape[0], self.k), dtype=bool)
+        for i in range(0, X.shape[0], rows):
+            on[i : i + rows] = self._standardized(X[i : i + rows]) @ self._W64 >= 0
+        return pack_codes(on)
 
     def encode_graph(self, X_raw):
         """Out-of-sample codes by anchor vote: sgn(vote_matrix @ z).
 
         z is the same kernel row Z would hold for this point, so a training
-        sample gets (numerically) the code its neighbors voted for.
+        sample gets (numerically) the code its neighbors voted for. Ties at
+        zero become +1.
         """
         Xs = self._standardized(X_raw)
-        idx, w = anchor_weights(Xs, self._anchors())
-        V = self.vote_matrix.astype(np.float64)
-        scores = np.einsum("kqs,qs->qk", V[:, idx], w)
-        bits = sgn(scores, zero_rule="one")
-        return pack_codes(bits)
+        idx, w = anchor_weights(Xs, self._anchors64)
+        scores = np.einsum("kqs,qs->qk", self._vote64[:, idx], w)
+        return pack_codes(scores >= 0)
 
     def encode(self, X_raw, mode=None):
         mode = self.query_mode if mode is None else mode

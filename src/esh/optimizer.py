@@ -215,17 +215,14 @@ class TrainConfig:
             raise ValueError("iters must be >= 1")
         if self.algorithm not in _STEP_RULES:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.eta < 0:
-            raise ValueError("eta must be nonnegative")
-        if self.tau0 < 0:
-            raise ValueError("tau0 must be nonnegative")
-        if isinstance(self.alpha, str):
-            if self.alpha != "auto":
-                raise ValueError(f"alpha must be a number or 'auto', got {self.alpha!r}")
-        elif not float(self.alpha) >= 0:
-            raise ValueError("alpha must be nonnegative")
-        if self.stop_tol < 0:
-            raise ValueError("stop_tol must be nonnegative")
+        if isinstance(self.alpha, str) and self.alpha != "auto":
+            raise ValueError(f"alpha must be a number or 'auto', got {self.alpha!r}")
+        numbers = ("eta", "tau0", "stop_tol") + (() if self.alpha == "auto" else ("alpha",))
+        for name in numbers:
+            value = getattr(self, name)
+            # NaN fails both comparisons, so it is caught here too
+            if not 0 <= float(value) < np.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         if self.stop_patience < 1:
             raise ValueError("stop_patience must be >= 1")
 

@@ -69,6 +69,19 @@ def encode_train(X, W):
     return pack_codes(sgn(X @ W, zero_rule="one"))
 
 
+def shift_and_sum_pack(bits):
+    """Words of pack_codes by shifting each bit into place and summing:
+    bit j of a row goes to word j >> 6 at position j & 63."""
+    bits = np.asarray(bits)
+    n, k = bits.shape
+    on = (bits > 0).astype(np.uint64)
+    w = (k + 63) >> 6
+    padded = np.zeros((n, w * 64), dtype=np.uint64)
+    padded[:, :k] = on
+    shifts = np.arange(64, dtype=np.uint64)
+    return (padded.reshape(n, w, 64) << shifts).sum(axis=2, dtype=np.uint64)
+
+
 def codes_to_csv(codes: PackedCodes, path):
     """One row of +-1 per sample."""
     np.savetxt(path, unpack_codes(codes), delimiter=",", fmt="%d")

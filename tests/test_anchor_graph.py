@@ -79,6 +79,15 @@ def test_pairwise_sq_dists_matches_loops():
     assert np.allclose(pairwise_sq_dists(X, C), brute_sq_dists(X, C), atol=1e-10)
 
 
+def test_pairwise_with_given_center_norms_is_bit_identical():
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((23, 6))
+    anchors = AnchorSet(centers=rng.standard_normal((7, 6)), sigma2=1.0, s=2)
+    plain = pairwise_sq_dists(X, anchors.centers)
+    assert np.array_equal(pairwise_sq_dists(X, anchors.centers, c_sq=anchors.sq_norms), plain)
+    assert np.array_equal(anchors.sq_norms, (anchors.centers ** 2).sum(axis=1))
+
+
 def test_pairwise_never_negative():
     rng = np.random.default_rng(1)
     X = 1e8 * rng.standard_normal((40, 3))

@@ -515,6 +515,18 @@ def test_bad_command_line_is_a_one_line_json_error(capsys, argv):
     assert set(json.loads(captured.err)) == {"error", "message"}
 
 
+@pytest.mark.parametrize("flag", ["--eta", "--tau0", "--alpha"])
+def test_train_rejects_non_finite_step_sizes_before_writing(tmp_path, capsys, flag):
+    data = synth_small(tmp_path)
+    out = tmp_path / "run"
+    assert run("train", "--features", data / "features.csv", "--bits", 4, "--iters", 3,
+               "--anchors", 10, flag, "nan", "--out", out) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "must be finite" in err["message"]
+    assert not (out / "model.eshm").exists()
+
+
 def test_help_prints_usage_and_exits_zero(capsys):
     for argv in (["--help"], ["train", "--help"]):
         with pytest.raises(SystemExit) as exc:

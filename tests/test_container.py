@@ -173,6 +173,34 @@ def test_model_with_unknown_query_mode_byte_rejected(tmp_path):
     assert_format_error(load_model, tmp_path / "bad.eshm", match="query mode")
 
 
+MODEL_MATRICES = [("mean", "<f4"), ("std", "<f4"), ("W", "<f4"), ("centers", "<f4"),
+                  ("lam", "<f8"), ("vote_matrix", "<f4")]
+
+
+@pytest.mark.parametrize("name, dtype", MODEL_MATRICES)
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_model_with_non_finite_matrix_rejected(tmp_path, name, dtype, value):
+    model = tiny_model(retain=False)
+    save_model(model, tmp_path / "m.eshm")
+    body = bytearray((tmp_path / "m.eshm").read_bytes()[:-4])
+    data = np.ascontiguousarray(getattr(model, name), dtype=dtype).tobytes()
+    off = bytes(body).find(data)
+    assert off > 0
+    body[off : off + np.dtype(dtype).itemsize] = np.array([value], dtype).tobytes()
+    (tmp_path / "bad.eshm").write_bytes(recrc(body))
+    assert_format_error(load_model, tmp_path / "bad.eshm", match=f"{name} has non-finite")
+
+
+def test_model_with_zero_std_rejected(tmp_path):
+    model = tiny_model(retain=False)
+    save_model(model, tmp_path / "m.eshm")
+    body = bytearray((tmp_path / "m.eshm").read_bytes()[:-4])
+    off = bytes(body).find(model.std.astype("<f4").tobytes())
+    body[off : off + 4] = np.array([0.0], "<f4").tobytes()
+    (tmp_path / "bad.eshm").write_bytes(recrc(body))
+    assert_format_error(load_model, tmp_path / "bad.eshm", match="std entries must be positive")
+
+
 def test_reader_arrays_are_views_and_stop_at_the_end(tmp_path):
     path = tmp_path / "x.bin"
     Writer(b"TEST", 3).fields("QQ", 2, 3).array(np.arange(6), "<i4").save(path, crc=True)

@@ -1,11 +1,21 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from esh import dataset
 from esh.anchor_graph import anchor_mass, build_affinity_rows, fit_anchors, similarity_matrix
-from esh.dataset import generate_synthetic, standardize
+from esh.dataset import (
+    StandardizationStats,
+    apply_standardization,
+    generate_synthetic,
+    standardize,
+)
 from esh.encoder import (
+    LINEAR_BLOCK_VALUES,
     FormatError,
+    HashModel,
     PackedCodes,
     build_hash_model,
     load_codes,
@@ -15,7 +25,7 @@ from esh.encoder import (
     save_model,
     unpack_codes,
 )
-from esh.optimizer import TrainConfig, init_projection, train
+from esh.optimizer import TrainConfig, init_projection, sgn, train
 from oracles import codes_to_csv, encode_train, to_dense
 
 
@@ -129,6 +139,95 @@ def test_encode_rejects_non_finite_rows_in_both_modes(mode, bad):
     X[3, 2] = bad
     with pytest.raises(ValueError, match="non-finite"):
         model.encode(X, mode=mode)
+
+
+def random_model(d, k, m=5, seed=0):
+    """A HashModel of the given shape from random matrices; no training."""
+    rng = np.random.default_rng(seed)
+    return HashModel(
+        mean=rng.standard_normal(d).astype(np.float32),
+        std=(0.5 + rng.random(d)).astype(np.float32),
+        W=init_projection(d, k, seed=seed).astype(np.float32),
+        centers=rng.standard_normal((m, d)).astype(np.float32),
+        sigma2=1.0, s=2, lam=np.ones(m), vote_matrix=np.zeros((k, m), np.float32),
+    )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_build_hash_model_rejects_non_finite_projection(bad):
+    X_raw, _ = generate_synthetic(4, 40, 8, 1.0, seed=11)
+    Xs, stats = standardize(X_raw)
+    anchors = fit_anchors(Xs, m=12, iters=10, seed=12, s=3)
+    Z = build_affinity_rows(Xs, anchors)
+    W = init_projection(8, 6, seed=13)
+    W[2, 1] = bad
+    with pytest.raises(ValueError, match="W has non-finite"):
+        build_hash_model(stats, W, anchors, Z, anchor_mass(Z), X_raw)
+
+
+def test_hash_model_rejects_non_finite_or_non_positive_matrices():
+    model = random_model(d=6, k=4, seed=12)
+    for name in ("mean", "std", "W", "centers", "lam", "vote_matrix"):
+        bad = getattr(model, name).copy()
+        bad.flat[0] = np.nan
+        with pytest.raises(ValueError, match=f"{name} has non-finite"):
+            replace(model, **{name: bad})
+    for value in (0.0, -1.0):
+        std = model.std.copy()
+        std[1] = value
+        with pytest.raises(ValueError, match="std entries must be positive"):
+            replace(model, std=std)
+
+
+def linear_oracle(model, X):
+    """sgn(apply_standardization(X) @ W) on the whole input at once."""
+    stats = StandardizationStats(mean=model.mean.astype(np.float64),
+                                 std=model.std.astype(np.float64))
+    Xs = apply_standardization(np.atleast_2d(X), stats)
+    return sgn(Xs @ model.W.astype(np.float64), zero_rule="one").astype(np.int8)
+
+
+def blocks_of(model):
+    return LINEAR_BLOCK_VALUES // model.d
+
+
+def test_linear_encoding_across_blocks_matches_the_oracle():
+    model = random_model(d=512, k=70, seed=1)
+    rows = blocks_of(model)
+    n = 3 * rows + 77  # three whole blocks and a remainder
+    rng = np.random.default_rng(2)
+    X = rng.standard_normal((n, model.d)) * 2.0
+    X[2 * rows + 5] = model.mean  # standardizes to zero in the third block
+    B = unpack_codes(model.encode_linear(X))
+    assert np.array_equal(B, linear_oracle(model, X))
+    assert np.all(B[2 * rows + 5] == 1)
+
+
+def test_linear_encoding_rejects_non_finite_in_the_last_block():
+    model = random_model(d=512, k=8, seed=3)
+    X = np.random.default_rng(4).standard_normal((2 * blocks_of(model) + 9, model.d))
+    X[-1, 3] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        model.encode_linear(X)
+
+
+def test_linear_encoding_of_any_layout_matches_the_oracle():
+    model = random_model(d=300, k=40, seed=5)
+    X = np.random.default_rng(6).standard_normal((2 * blocks_of(model) + 3, model.d))
+    for same in (X[4], X.astype(np.float32), np.asfortranarray(X)):
+        assert np.array_equal(unpack_codes(model.encode_linear(same)), linear_oracle(model, same))
+
+
+def test_linear_encoding_holds_no_copy_of_its_input():
+    model = random_model(d=128, k=64, seed=7)
+    X = np.random.default_rng(8).standard_normal((20000, model.d))  # 20.5 MB
+    tracemalloc.start()
+    try:
+        model.encode_linear(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < X.nbytes / 2
 
 
 def test_stored_codes_equal_models_own_encoding():

@@ -430,6 +430,13 @@ def test_train_config_validation():
             TrainConfig(**bad)
 
 
+@pytest.mark.parametrize("field", ["eta", "tau0", "alpha", "stop_tol"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_train_config_rejects_non_finite_numbers(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        TrainConfig(bits=4, iters=10, **{field: value})
+
+
 def test_esh1_zero_step_is_projection_of_start():
     X, S = blob_problem(40, 3, 6, seed=23)
     cfg = TrainConfig(bits=3, iters=1, algorithm="esh1", eta=0.0, seed=24)

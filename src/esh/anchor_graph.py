@@ -19,6 +19,12 @@ LAMBDA_FLOOR = 1e-12
 SIGMA_FLOOR = 1e-12
 
 
+def check_sigma2(sigma2):
+    """Reject a kernel bandwidth that is not a finite positive number."""
+    if not 0 < float(sigma2) < np.inf:  # NaN fails too
+        raise ValueError(f"sigma2 must be finite and positive, got {sigma2}")
+
+
 @dataclass(frozen=True)
 class AnchorSet:
     """k-means anchor centers plus the kernel bandwidth and sparsity used."""
@@ -30,8 +36,7 @@ class AnchorSet:
     def __post_init__(self):
         if self.centers.ndim != 2 or self.centers.shape[0] < 1:
             raise ValueError("centers must be a non-empty (m, d) matrix")
-        if not self.sigma2 > 0:
-            raise ValueError("sigma2 must be positive")
+        check_sigma2(self.sigma2)
         if not 1 <= self.s <= self.centers.shape[0]:
             raise ValueError("s must be in [1, m]")
 
@@ -127,9 +132,11 @@ def fit_anchors(X, m, iters=10, seed=0, s=3, sigma2=None):
 
     Empty clusters are reseeded to the point farthest from its nearest
     center (deterministic argmax). When sigma2 is not given it defaults to
-    the mean squared distance from samples to their s-th nearest anchor,
-    floored to avoid a degenerate kernel.
+    the mean squared distance from samples to their s-th nearest anchor.
+    Either is floored to avoid a degenerate kernel.
     """
+    if sigma2 is not None:
+        check_sigma2(sigma2)
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     if not 1 <= m <= n:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .anchor_graph import (
     build_affinity_rows,
+    check_sigma2,
     fit_anchors,
     prune_dead_anchors,
     similarity_matrix,
@@ -269,6 +270,8 @@ def cmd_train(args):
         tau0=float(cfg["tau0"]),
         seed=w_seed,
     )
+    if cfg["sigma2"] is not None:
+        check_sigma2(cfg["sigma2"])
     out = _out_dir(args)
 
     X_raw = load_features(cfg["features"])

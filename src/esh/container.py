@@ -7,10 +7,13 @@ bytes; the loaders list their fields through Writer and Reader.
 """
 
 import math
+import os
 import struct
 import zlib
 
 import numpy as np
+
+ALIGN = 64  # the reader's buffer puts the end of the file on this boundary
 
 
 class FormatError(ValueError):
@@ -49,12 +52,20 @@ class Reader:
     Build the loaded object inside `with Reader(...) as r:`. A clean exit
     rejects unread trailing bytes; a ValueError from the object's own
     validation leaves as a FormatError naming the file.
+
+    The file is read once into a buffer that ends on an ALIGN-byte
+    boundary, so the array that ends a file (the payload of .eshf and
+    .eshb) is aligned for its dtype.
     """
 
     def __init__(self, path, magic, version, kind, crc=False):
         self.path, self.kind = path, kind
         with open(path, "rb") as f:
-            self.data = f.read()
+            size = os.fstat(f.fileno()).st_size
+            buf = np.empty(size + ALIGN, dtype=np.uint8)
+            start = -(buf.ctypes.data + size) % ALIGN
+            self.data = memoryview(buf)[start : start + size]
+            self.data = self.data[: f.readinto(self.data)]
         self.off, self.end = len(magic), len(self.data)
         if self.data[: self.off] != magic:
             raise self.error(f"not a {kind} file (bad magic)")
@@ -87,11 +98,15 @@ class Reader:
             raise self.error(f"invalid shape {dims}")
         return dims
 
-    def array(self, dtype, shape):
-        """A read-only view of the next array's bytes; callers copy what they keep."""
+    def array(self, dtype, shape, writable=False):
+        """A view of the next array's bytes, read-only unless writable is
+        set; the buffer belongs to this reader alone, so a caller that
+        keeps the array may write to it."""
         dtype, count = np.dtype(dtype), math.prod(shape)
         off = self._advance(count * dtype.itemsize, "payload")
-        return np.frombuffer(self.data, dtype, count, off).reshape(shape)
+        a = np.frombuffer(self.data, dtype, count, off).reshape(shape)
+        a.flags.writeable = writable
+        return a
 
     def __enter__(self):
         return self

@@ -1,9 +1,11 @@
 """Feature datasets: loading, standardization, synthesis and labels.
 
-Features live in memory as float64 (n, d) arrays. Two on-disk formats are
-supported: headerless CSV (one sample per row) and a binary container with
-magic "ESHF". Labels are integer ids, one line per sample, semicolons
-separating multiple ids.
+Features are (n, d) arrays held at their stored precision. Two on-disk
+formats are supported: headerless CSV (one sample per row), loaded as
+float64, and a binary container with magic "ESHF", whose float32 rows are
+loaded as they are, without a float64 copy. Standardization and training
+work in float64; linear encoding takes either precision. Labels are
+integer ids, one line per sample, semicolons separating multiple ids.
 """
 
 from dataclasses import dataclass
@@ -83,7 +85,8 @@ def load_features(path, fmt="infer"):
     """Load a feature matrix from `path`.
 
     fmt is 'csv', 'binary', or 'infer' (by extension: .eshf is binary,
-    anything else CSV). Rejects empty matrices and non-finite entries.
+    anything else CSV). CSV gives float64, binary its writable float32
+    payload. Rejects empty matrices and non-finite entries.
     """
     path = str(path)
     if fmt == "infer":
@@ -96,7 +99,7 @@ def load_features(path, fmt="infer"):
         return _validate_matrix(X, f"{path}: ")
     if fmt == "binary":
         with Reader(path, FEATURE_MAGIC, FEATURE_VERSION, "feature") as r:
-            X = r.array("<f4", r.shape(2)).astype(np.float64)
+            X = r.array("<f4", r.shape(2), writable=True)
         return _validate_matrix(X, f"{path}: ")
     raise ValueError(f"unknown feature format {fmt!r}")
 

@@ -8,21 +8,29 @@ A HashModel bundles everything needed to hash a new vector: the
 standardization stats, the projection W, and the anchor machinery for
 graph-based out-of-sample extension. Matrices are held as float32 (the
 on-disk precision) so a save/load round trip is bit-exact; training math
-stays float64 up to the point the model is assembled. Encoding runs in
-float64 from copies each model instance casts once, on first use after
-build or load; graph mode also reuses the anchors' squared norms. Linear
-encoding holds one block of about 2 MB of standardized rows at a time,
-never an n x d float64 copy of its input.
+stays float64 up to the point the model is assembled.
+
+Linear encoding reads the rows at their stored precision. Each model
+folds standardization into the projection once: W' = W / std, its
+columns scaled to unit norm (which keeps every sign), and b = mean W' in
+float64, then W' in float32. A block of raw rows then costs one float32
+product X W' - b. optimizer.float32_signs bounds that
+product's rounding error; entries inside the bound are recomputed as
+((x - mean) / std) . w in float64, so every sign is that of the float64
+computation, and zero still gives +1. Graph encoding standardizes in
+float64 from state cast once per model and reuses the anchors' squared
+norms.
 """
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
-from .anchor_graph import AnchorSet, SparseAffinityRows, anchor_weights
+from .anchor_graph import AnchorSet, SparseAffinityRows, anchor_weights, check_sigma2
 from .container import FormatError, Reader, Writer  # noqa: F401 - esh.encoder.FormatError
 from .dataset import StandardizationStats, apply_standardization
+from .optimizer import float32_signs
 
 CODE_MAGIC = b"ESHB"
 CODE_VERSION = 1
@@ -30,7 +38,7 @@ MODEL_MAGIC = b"ESHM"
 MODEL_VERSION = 1
 
 QUERY_MODES = ("graph", "linear")
-# float64 entries of standardized rows per linear-encoding block: 2 MB
+# input entries per linear-encoding block
 LINEAR_BLOCK_VALUES = 2**18
 
 
@@ -75,6 +83,16 @@ def unpack_codes(codes: PackedCodes):
     return on.view(np.int8) * 2 - 1
 
 
+def _row_norm_bounds(X):
+    """Upper bounds on the rows' 2-norms from a sum of squares at X's own
+    precision: its rounding (gamma_d, Higham 2002, 3.1) and underflow."""
+    fi = np.finfo(X.dtype)
+    d = X.shape[1]
+    with np.errstate(over="ignore"):  # an overflowing row gets inf, which callers check
+        sq = np.einsum("ij,ij->i", X, X).astype(np.float64)
+    return np.sqrt((sq + d * float(fi.smallest_subnormal)) / (1 - d * float(fi.eps)))
+
+
 @dataclass(frozen=True)
 class HashModel:
     """A trained hasher plus its out-of-sample machinery.
@@ -109,8 +127,7 @@ class HashModel:
             raise ValueError("anchor mass / vote matrix shapes inconsistent")
         if self.query_mode not in QUERY_MODES:
             raise ValueError(f"unknown query mode {self.query_mode!r}")
-        if not self.sigma2 > 0:
-            raise ValueError("sigma2 must be positive")
+        check_sigma2(self.sigma2)
         if not 1 <= self.s <= m:
             raise ValueError("s must be in [1, m]")
         for name in ("mean", "std", "W", "centers", "lam", "vote_matrix"):
@@ -159,6 +176,19 @@ class HashModel:
     def _vote64(self):
         return self.vote_matrix.astype(np.float64)
 
+    @cached_property
+    def _folded(self):
+        """The linear encoder's state: W' = W / std with its columns scaled
+        to unit norm (a positive scale leaves each sign as it is), in
+        float32; b = mean W' in float64; the largest column norm of W'
+        and |mean|, for the sign band."""
+        W = self._W64 / self._stats64.std[:, None]
+        norms = np.sqrt(np.einsum("ij,ij->j", W, W))
+        W /= np.where(norms > 0, norms, 1.0)
+        mean = self._stats64.mean
+        return (W.astype(np.float32), mean @ W, float(np.sqrt(np.einsum("ij,ij->j", W, W).max())),
+                float(np.sqrt(mean @ mean)))
+
     def _standardized(self, X_raw):
         """Standardized rows; both encoders reject what is not finite."""
         Xs = apply_standardization(np.atleast_2d(X_raw), self._stats64)
@@ -166,17 +196,38 @@ class HashModel:
             raise ValueError("query contains non-finite values after standardization")
         return Xs
 
+    def _projected(self, X, rows, cols):
+        """Entries (rows, cols) of the float64 projection ((X - mean) / std) W,
+        from one product over the distinct rows they lie in."""
+        distinct, inverse = np.unique(rows, return_inverse=True)
+        return (self._standardized(X[distinct]) @ self._W64)[inverse, cols]
+
     def encode_linear(self, X_raw):
         """sgn of the standardized projection; ties at zero become +1.
 
-        Rows go through in blocks of LINEAR_BLOCK_VALUES standardized
-        entries, so no n x d float64 copy of the input is ever held.
+        Rows go through in blocks of LINEAR_BLOCK_VALUES entries: float32
+        rows as they are, others in float64. A block costs one float32
+        product with the folded W' and b; no standardized copy of it is
+        made except for the rows float32_signs rechecks.
         """
         X = np.atleast_2d(X_raw)
+        if X.shape[-1] != self.d:
+            raise ValueError(f"dimension mismatch: got {X.shape[-1]}, stats have {self.d}")
+        W32, b, w_norm, mean_norm = self._folded
         rows = max(1, LINEAR_BLOCK_VALUES // self.d)
         on = np.empty((X.shape[0], self.k), dtype=bool)
         for i in range(0, X.shape[0], rows):
-            on[i : i + rows] = self._standardized(X[i : i + rows]) @ self._W64 >= 0
+            block = X[i : i + rows]
+            if block.dtype != np.float32:
+                block = np.asarray(block, dtype=np.float64)
+            x_norms = _row_norm_bounds(block)
+            bad = ~np.isfinite(x_norms)
+            if bad.any():
+                # raises on rows that are not finite; the rest are huge and rechecked whole
+                self._standardized(block[bad])
+            B = float32_signs(block, W32, x_norms, w_norm,
+                              partial(self._projected, block), b, mean_norm)
+            on[i : i + rows] = B >= 0
         return pack_codes(on)
 
     def encode_graph(self, X_raw):

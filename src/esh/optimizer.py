@@ -13,10 +13,12 @@ feasible by construction.
 
 Cost: the Gram term X^T X is formed once, in O(n d^2) time, and folded
 with S into one d x d matrix. After that an iteration costs one n x d x k
-product in float32, whose result is used only for the signs of XW and is
-checked in float64 near zero, one d x d x k product, and a sparse update
-where signs flipped. Memory beyond X is a float32 copy of X, d x d and
-n x k int8 signs.
+product in float32, whose result is used only for the signs of XW, one
+d x d x k product, and a sparse update where signs flipped. The signs come
+from float32_signs, which linear encoding shares: it bounds the float32
+product's rounding error and recomputes in float64 every entry within
+that bound of zero, so they are the float64 signs. Memory beyond X is a
+float32 copy of X, d x d and n x k int8 signs.
 """
 
 import csv
@@ -31,6 +33,12 @@ TAU_MAX = 1e3
 AUTO_ALPHA_FLOOR = 1e-12
 PROJECT_RANK_FLOOR = 1e-12
 SIGN_BAND_SLACK = 1.01  # gamma_m = m u / (1 - m u) <= 1.01 m u while m u <= 0.0099
+F32_UNIT = 2.0**-24  # unit roundoff u of float32
+F64_UNIT = 2.0**-53
+# g32 s >= 2^-149 sqrt(d) and g32 s^2 >= 2^-149 d for s = NORM_PAD: padding both
+# norms by s adds at least 2^-149 (d + sqrt(d)(|x| + |w|)), the float32 underflow
+NORM_PAD = 2.0**-60
+F32_SAFE = 2.0**126  # while |x| |w| stays below this, no float32 product or sum overflows
 
 TRACE_COLUMNS = ("iteration", "loss", "orth_residual", "step_size", "elapsed_ms")
 
@@ -47,6 +55,52 @@ def sgn(M, zero_rule="zero"):
     elif zero_rule != "zero":
         raise ValueError(f"unknown zero_rule {zero_rule!r}")
     return out
+
+
+def float32_signs(X, W32, x_norms, w_norm, recheck, offset=None, offset_norm=0.0):
+    """sgn(z) as int8, sgn(0) = 0, for z_ij = x_i . w_j - offset_j, from one
+    float32 product.
+
+    X holds the rows x_i in float32 or float64 and W32 the float32
+    rounding of float64 columns w_j; x_norms (n,) or a scalar bounds the
+    rows' 2-norms from above and w_norm the columns'. offset_j = mu . w_j
+    is in float64, with offset_norm >= |mu|. Y = X W32 - offset, all in
+    float32, then lies within
+
+        band_i = gamma32_{d+3} |x_i| |w| + u32 |mu| |w|
+                 + gamma64_{d+3} (|x_i| + |mu|) |w|
+
+    of z (Higham 2002, 3.1), with NORM_PAD added to |x_i| and |w| so that
+    float32 underflow is covered too. The first term is the float32 dot
+    product, the roundings of x and w to float32 and the subtraction; the
+    second the rounding of the offset to float32; the third any float64
+    rounding of order |x||w| or |mu||w| in the caller's w, offset or z.
+    Entries with |Y| > band have z's sign. The rest take the sign of
+    recheck(rows, cols): z, or a positive multiple of it, at those
+    entries in float64. Rows whose norms could overflow float32 get an
+    infinite band, so they are rechecked whole and their float32 product
+    is never read.
+    """
+    d = X.shape[1]
+    g32 = SIGN_BAND_SLACK * (d + 3) * F32_UNIT
+    g64 = SIGN_BAND_SLACK * (d + 3) * F64_UNIT
+    w_norm = float(w_norm) + NORM_PAD
+    x_norms = np.asarray(x_norms, dtype=np.float64) + NORM_PAD
+    x_norms = np.where(np.maximum(x_norms, max(1.0, offset_norm)) * max(1.0, w_norm) < F32_SAFE,
+                       x_norms, np.inf)
+    band = ((g32 + g64) * x_norms + (SIGN_BAND_SLACK * F32_UNIT + g64) * offset_norm) * w_norm
+    # rounded up to float32, so that the comparisons run in float32; one value per row
+    band = np.nextafter(band.astype(np.float32), np.float32(np.inf))[..., None]
+    with np.errstate(over="ignore", invalid="ignore"):  # only in rows of infinite band
+        Y = X.astype(np.float32, copy=False) @ W32
+        if offset is not None:
+            Y -= offset.astype(np.float32)
+    B = (Y > band).view(np.int8) - (Y < -band).view(np.int8)
+    near = np.flatnonzero(B == 0)
+    if near.size:
+        rows, cols = np.divmod(near, B.shape[1])
+        B.flat[near] = np.sign(recheck(rows, cols))
+    return B
 
 
 def init_projection(d, k, seed):
@@ -79,14 +133,13 @@ class _Objective:
         G = H W - (alpha/n) P,  with P = X^T sgn(XW),
         L = tr(W^T H W)/2 - (alpha/n) tr(W^T P) + (alpha/2n) nnz(sgn(XW)).
 
-    XW enters only through its signs. They come from one float32 product on
-    unit-norm copies of the rows; every entry inside that product's rounding
-    band around zero is recomputed in float64 from X, so the signs are the
-    float64 ones, sgn(0) = 0 included. P is kept from call to call and
-    updated only where a sign changed: a flip adds a multiple of x_i to one
-    column. A call is therefore one n x d x k product in float32, one
-    d x d x k product in float64 and the sparse update; set-up is the
-    O(n d^2) Gram matrix.
+    XW enters only through its signs, taken by float32_signs from one
+    float32 product on unit-norm copies of the rows, with the entries
+    inside its rounding band recomputed in float64 from X. P is kept from
+    call to call and updated only where a sign changed: a flip adds a
+    multiple of x_i to one column. A call is therefore one n x d x k
+    product in float32, one d x d x k product in float64 and the sparse
+    update; set-up is the O(n d^2) Gram matrix.
     """
 
     def __init__(self, X, S, alpha):
@@ -101,22 +154,15 @@ class _Objective:
         norms = np.sqrt(np.einsum("ij,ij->i", X, X))
         self.X_unit = np.empty((n, d), dtype=np.float32)
         np.divide(X, np.where(norms > 0, norms, 1.0)[:, None], out=self.X_unit)
-        # Higham's gamma_{d+2} bound on |fl32(x.w) - x.w| / |w| for |x| = 1:
-        # the dot product plus the float32 roundings of x and w
-        self.gamma = SIGN_BAND_SLACK * (d + 2) * 2.0**-24
         self.B = None  # int8 sgn(XW) at the last call
         self.Pt = None  # P^T = B^T X, (k, d)
 
     def signs(self, W):
         """sgn(XW) as int8, equal to the sign of the float64 product."""
-        Y = self.X_unit @ W.astype(np.float32)
-        band = self.gamma * np.sqrt(np.einsum("ij,ij->j", W, W)).max()
-        B = (Y > band).view(np.int8) - (Y < -band).view(np.int8)
-        near = np.flatnonzero(B == 0)
-        if near.size:
-            rows, cols = np.divmod(near, B.shape[1])
-            B.flat[near] = np.sign(np.einsum("ij,ij->i", self.X[rows], W.T[cols]))
-        return B
+        def recheck(rows, cols):
+            return np.einsum("ij,ij->i", self.X[rows], W.T[cols])
+        w_norm = np.sqrt(np.einsum("ij,ij->j", W, W).max())
+        return float32_signs(self.X_unit, W.astype(np.float32), 1.0, w_norm, recheck)
 
     def __call__(self, W):
         B = self.signs(W)

@@ -4,10 +4,13 @@ factored form, and helpers that only tests use."""
 import numpy as np
 
 from esh.anchor_graph import SparseAffinityRows
-from esh.encoder import PackedCodes, pack_codes, unpack_codes
+from esh.dataset import STD_FLOOR, StandardizationStats, apply_standardization
+from esh.encoder import LINEAR_BLOCK_VALUES, PackedCodes, pack_codes, unpack_codes
 from esh.optimizer import _Objective, sgn
 
 DENSE_ORACLE_MAX_N = 1000
+# the least float32 std that a model's float64 stats accept
+STD_FLOOR32 = np.nextafter(np.float32(STD_FLOOR), np.float32(1))
 
 
 def to_dense(Z: SparseAffinityRows):
@@ -67,6 +70,23 @@ def encode_train(X, W):
     if X.ndim != 2 or W.ndim != 2 or X.shape[1] != W.shape[0]:
         raise ValueError(f"cannot project {X.shape} features through {W.shape}")
     return pack_codes(sgn(X @ W, zero_rule="one"))
+
+
+def float64_linear_codes(model, X_raw):
+    """model.encode_linear by standardizing blocks of rows in float64 and
+    projecting them with W in float64; ties at zero become +1."""
+    X = np.atleast_2d(X_raw)
+    stats = StandardizationStats(mean=model.mean.astype(np.float64),
+                                 std=model.std.astype(np.float64))
+    W = model.W.astype(np.float64)
+    rows = max(1, LINEAR_BLOCK_VALUES // model.d)
+    on = np.empty((X.shape[0], model.k), dtype=bool)
+    for i in range(0, X.shape[0], rows):
+        Xs = apply_standardization(X[i : i + rows], stats)
+        if not np.all(np.isfinite(Xs)):
+            raise ValueError("query contains non-finite values after standardization")
+        on[i : i + rows] = Xs @ W >= 0
+    return pack_codes(on)
 
 
 def shift_and_sum_pack(bits):

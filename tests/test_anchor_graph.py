@@ -131,6 +131,18 @@ def test_kmeans_rejects_bad_args():
         fit_anchors(X, m=2, iters=0, seed=0)
 
 
+@pytest.mark.parametrize("sigma2", [np.inf, -np.inf, np.nan])
+def test_non_finite_sigma2_rejected(sigma2, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("k-means started before sigma2 was checked")
+
+    monkeypatch.setattr("esh.anchor_graph._kmeans_pp_init", fail)
+    with pytest.raises(ValueError, match="sigma2 must be finite"):
+        fit_anchors(np.ones((5, 2)), m=2, seed=0, sigma2=sigma2)
+    with pytest.raises(ValueError, match="sigma2 must be finite"):
+        AnchorSet(centers=np.zeros((2, 2)), sigma2=sigma2, s=1)
+
+
 def test_default_sigma2_is_mean_sth_distance():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((40, 3))

@@ -448,10 +448,29 @@ def an_input_file(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("bad", [{"query_mode": "bogus"}, {"eta": -1.0}, {"algo": "esh3"}])
+@pytest.mark.parametrize("bad", [{"query_mode": "bogus"}, {"eta": -1.0}, {"algo": "esh3"},
+                                 {"sigma2": float("inf")}, {"sigma2": float("nan")}])
 def test_train_checks_config_before_fitting_anchors(tmp_path, capsys, monkeypatch, bad):
     argv = ("train", "--features", an_input_file(tmp_path))
     assert_config_rejected_before_reading(tmp_path, capsys, monkeypatch, argv, bad)
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_train_rejects_non_finite_sigma2_flag_before_reading(tmp_path, capsys, monkeypatch,
+                                                             value):
+    def fail(*args, **kwargs):
+        raise AssertionError("input read before sigma2 was checked")
+
+    monkeypatch.setattr("esh.cli.load_features", fail)
+    out = tmp_path / "out"
+    assert run("train", "--features", an_input_file(tmp_path), "--sigma2", value,
+               "--out", out) == 1
+    line = capsys.readouterr().err
+    assert line.count("\n") == 1
+    err = json.loads(line)
+    assert err["error"] == "ValueError"
+    assert err["message"] == f"sigma2 must be finite and positive, got {value}"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, bad", [

@@ -191,6 +191,18 @@ def test_model_with_non_finite_matrix_rejected(tmp_path, name, dtype, value):
     assert_format_error(load_model, tmp_path / "bad.eshm", match=f"{name} has non-finite")
 
 
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_model_with_non_finite_sigma2_rejected(tmp_path, value):
+    model = tiny_model(retain=False)
+    save_model(model, tmp_path / "m.eshm")
+    body = bytearray((tmp_path / "m.eshm").read_bytes()[:-4])
+    off = bytes(body).find(struct.pack("<d", model.sigma2))
+    assert off > 0
+    body[off : off + 8] = struct.pack("<d", value)
+    (tmp_path / "bad.eshm").write_bytes(recrc(body))
+    assert_format_error(load_model, tmp_path / "bad.eshm", match="sigma2 must be finite")
+
+
 def test_model_with_zero_std_rejected(tmp_path):
     model = tiny_model(retain=False)
     save_model(model, tmp_path / "m.eshm")

@@ -52,6 +52,19 @@ def test_binary_round_trip(tmp_path):
     assert np.array_equal(X, Y)  # float32 payload, input already float32-exact
 
 
+def test_features_load_at_their_stored_precision(tmp_path):
+    X = np.random.default_rng(1).standard_normal((13, 5)).astype(np.float32).astype(np.float64)
+    save_features(X, tmp_path / "f.eshf")
+    save_features(X, tmp_path / "f.csv")
+    binary, text = load_features(tmp_path / "f.eshf"), load_features(tmp_path / "f.csv")
+    assert binary.dtype == np.float32 and text.dtype == np.float64
+    for Y in (binary, text):
+        assert Y.flags.writeable and Y.flags.aligned
+        assert np.array_equal(Y, X)
+    binary[0, 0] = 7.0  # the payload is the caller's own
+    assert load_features(tmp_path / "f.eshf")[0, 0] == np.float32(X[0, 0])
+
+
 def test_binary_empty_rejected(tmp_path):
     import struct
 

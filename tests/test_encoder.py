@@ -26,7 +26,7 @@ from esh.encoder import (
     unpack_codes,
 )
 from esh.optimizer import TrainConfig, init_projection, sgn, train
-from oracles import codes_to_csv, encode_train, to_dense
+from oracles import codes_to_csv, encode_train, float64_linear_codes, to_dense
 
 
 def random_bits(rng, n, k):
@@ -218,7 +218,21 @@ def test_linear_encoding_of_any_layout_matches_the_oracle():
         assert np.array_equal(unpack_codes(model.encode_linear(same)), linear_oracle(model, same))
 
 
-def test_linear_encoding_holds_no_copy_of_its_input():
+def test_linear_encoding_beyond_float32_range_matches_the_oracle():
+    # rows past float32 range, one whose squared norm overflows float64:
+    # their float32 product is never read, they are rechecked in float64
+    model = random_model(d=16, k=9, seed=13)
+    X = np.random.default_rng(14).standard_normal((6, model.d))
+    X[1, 2], X[2, 5], X[3] = 1e39, -1e200, 1e160
+    assert np.array_equal(model.encode_linear(X).words, float64_linear_codes(model, X).words)
+    # 4e38 x 1e-40 adds 0.04 to a bit the second entry sets to -1; in float32
+    # the first entry is inf and would outvote it
+    tiny = replace(random_model(d=2, k=1, seed=15), mean=np.zeros(2, np.float32),
+                   std=np.ones(2, np.float32), W=np.array([[1e-40], [-1.0]], np.float32))
+    assert unpack_codes(tiny.encode_linear(np.array([4e38, 1.0])))[0, 0] == -1
+
+
+def test_linear_encoding_holds_no_copy_of_its_input(tmp_path):
     model = random_model(d=128, k=64, seed=7)
     X = np.random.default_rng(8).standard_normal((20000, model.d))  # 20.5 MB
     tracemalloc.start()
@@ -228,6 +242,16 @@ def test_linear_encoding_holds_no_copy_of_its_input():
     finally:
         tracemalloc.stop()
     assert peak < X.nbytes / 2
+    # from an .eshf file: loading and encoding together stay below X in float64
+    dataset.save_features(X, tmp_path / "x.eshf")
+    tracemalloc.start()
+    try:
+        codes = model.encode_linear(dataset.load_features(tmp_path / "x.eshf"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < X.nbytes
+    assert np.array_equal(codes.words, float64_linear_codes(model, X.astype(np.float32)).words)
 
 
 def test_stored_codes_equal_models_own_encoding():

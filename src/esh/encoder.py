@@ -17,7 +17,7 @@ float64, then W' in float32. A block of raw rows then costs one float32
 product X W' - b. optimizer.float32_signs bounds that
 product's rounding error; entries inside the bound are recomputed as
 ((x - mean) / std) . w in float64, so every sign is that of the float64
-computation, and zero still gives +1. Graph encoding standardizes in
+block product, and zero still gives +1. Graph encoding standardizes in
 float64 from state cast once per model and reuses the anchors' squared
 norms.
 """
@@ -30,7 +30,7 @@ import numpy as np
 from .anchor_graph import AnchorSet, SparseAffinityRows, anchor_weights, check_sigma2
 from .container import FormatError, Reader, Writer  # noqa: F401 - esh.encoder.FormatError
 from .dataset import StandardizationStats, apply_standardization
-from .optimizer import float32_signs
+from .optimizer import F64_UNIT, SIGN_BAND_SLACK, float32_signs
 
 CODE_MAGIC = b"ESHB"
 CODE_VERSION = 1
@@ -40,6 +40,7 @@ MODEL_VERSION = 1
 QUERY_MODES = ("graph", "linear")
 # input entries per linear-encoding block
 LINEAR_BLOCK_VALUES = 2**18
+F64_TINY = 2.0**-1074  # the least float64 subnormal, the absolute rounding of an underflow
 
 
 @dataclass(frozen=True)
@@ -167,6 +168,11 @@ class HashModel:
         return self.W.astype(np.float64)
 
     @cached_property
+    def _W64_sq(self):
+        """Squared column norms of _W64."""
+        return np.einsum("ij,ij->j", self._W64, self._W64)
+
+    @cached_property
     def _anchors64(self):
         return AnchorSet(
             centers=self.centers.astype(np.float64), sigma2=self.sigma2, s=self.s
@@ -197,10 +203,24 @@ class HashModel:
         return Xs
 
     def _projected(self, X, rows, cols):
-        """Entries (rows, cols) of the float64 projection ((X - mean) / std) W,
-        from one product over the distinct rows they lie in."""
+        """Entries (rows, cols) of the float64 projection ((X - mean) / std) W
+        of the block X, as its float64 product computes them.
+
+        One product over the distinct rows they lie in has them to within
+        e = gamma64_d |x_i| |w_j| (plus underflow) in any summation order.
+        So two orders can disagree on a sign only where that product is
+        within 2e of zero; those entries are taken from the product of the
+        whole block, the one the float64 encoder forms.
+        """
         distinct, inverse = np.unique(rows, return_inverse=True)
-        return (self._standardized(X[distinct]) @ self._W64)[inverse, cols]
+        Xs = self._standardized(X[distinct])
+        z = (Xs @ self._W64)[inverse, cols]
+        x_sq = np.einsum("ij,ij->i", Xs, Xs)[inverse]
+        tol = 2 * SIGN_BAND_SLACK * (self.d + 3) * F64_UNIT * np.sqrt(x_sq * self._W64_sq[cols])
+        tie = np.flatnonzero(np.abs(z) <= tol + self.d * F64_TINY)
+        if tie.size:
+            z[tie] = (self._standardized(X) @ self._W64)[rows[tie], cols[tie]]
+        return z
 
     def encode_linear(self, X_raw):
         """sgn of the standardized projection; ties at zero become +1.

@@ -2,7 +2,7 @@
 (the test extra)."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from esh.encoder import HashModel, pack_codes, unpack_codes
@@ -50,6 +50,8 @@ def linear_model(mean, std, W):
 @given(d=st.sampled_from([1, 7, 128, 1024]), k=st.sampled_from([1, 63, 64, 65]),
        stats=st.sampled_from(["plain", "constant column", "large offset"]),
        float32=st.booleans(), n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+# rows at exactly 0 ulps, whose float64 signs depend on the order of the sums
+@example(d=1024, k=63, stats="plain", float32=False, n=16, seed=0)
 def test_encode_linear_matches_the_float64_encoder(d, k, stats, float32, n, seed):
     rng = np.random.default_rng(seed)
     mean, std = rng.standard_normal(d), 0.5 + rng.random(d)

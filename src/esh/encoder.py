@@ -10,16 +10,16 @@ graph-based out-of-sample extension. Matrices are held as float32 (the
 on-disk precision) so a save/load round trip is bit-exact; training math
 stays float64 up to the point the model is assembled.
 
-Linear encoding reads the rows at their stored precision. Each model
-folds standardization into the projection once: W' = W / std, its
-columns scaled to unit norm (which keeps every sign), and b = mean W' in
-float64, then W' in float32. A block of raw rows then costs one float32
-product X W' - b. optimizer.float32_signs bounds that
-product's rounding error; entries inside the bound are recomputed as
+Linear encoding reads the rows at their stored precision. A block of
+rows is standardized at that precision (float32 rows with the float32
+stats, others in float64) and costs one float32 product with W.
+optimizer.float32_signs bounds that product's rounding error by
+|xs| |w|; entries inside the bound are recomputed as
 ((x - mean) / std) . w in float64, so every sign is that of the float64
-block product, and zero still gives +1. Graph encoding standardizes in
-float64 from state cast once per model and reuses the anchors' squared
-norms.
+projection, and zero still gives +1. (Where that projection is within
+float64 rounding of zero, its sign depends on the order of the sums.)
+Graph encoding standardizes in float64 from state cast once per model
+and reuses the anchors' squared norms.
 """
 
 from dataclasses import dataclass, replace
@@ -30,7 +30,7 @@ import numpy as np
 from .anchor_graph import AnchorSet, SparseAffinityRows, anchor_weights, check_sigma2
 from .container import FormatError, Reader, Writer  # noqa: F401 - esh.encoder.FormatError
 from .dataset import StandardizationStats, apply_standardization
-from .optimizer import F64_UNIT, SIGN_BAND_SLACK, float32_signs
+from .optimizer import float32_signs
 
 CODE_MAGIC = b"ESHB"
 CODE_VERSION = 1
@@ -40,7 +40,6 @@ MODEL_VERSION = 1
 QUERY_MODES = ("graph", "linear")
 # input entries per linear-encoding block
 LINEAR_BLOCK_VALUES = 2**18
-F64_TINY = 2.0**-1074  # the least float64 subnormal, the absolute rounding of an underflow
 
 
 @dataclass(frozen=True)
@@ -168,11 +167,6 @@ class HashModel:
         return self.W.astype(np.float64)
 
     @cached_property
-    def _W64_sq(self):
-        """Squared column norms of _W64."""
-        return np.einsum("ij,ij->j", self._W64, self._W64)
-
-    @cached_property
     def _anchors64(self):
         return AnchorSet(
             centers=self.centers.astype(np.float64), sigma2=self.sigma2, s=self.s
@@ -183,17 +177,9 @@ class HashModel:
         return self.vote_matrix.astype(np.float64)
 
     @cached_property
-    def _folded(self):
-        """The linear encoder's state: W' = W / std with its columns scaled
-        to unit norm (a positive scale leaves each sign as it is), in
-        float32; b = mean W' in float64; the largest column norm of W'
-        and |mean|, for the sign band."""
-        W = self._W64 / self._stats64.std[:, None]
-        norms = np.sqrt(np.einsum("ij,ij->j", W, W))
-        W /= np.where(norms > 0, norms, 1.0)
-        mean = self._stats64.mean
-        return (W.astype(np.float32), mean @ W, float(np.sqrt(np.einsum("ij,ij->j", W, W).max())),
-                float(np.sqrt(mean @ mean)))
+    def _w_norm(self):
+        """The largest column norm of W, for the sign band."""
+        return float(np.sqrt(np.einsum("ij,ij->j", self._W64, self._W64).max()))
 
     def _standardized(self, X_raw):
         """Standardized rows; both encoders reject what is not finite."""
@@ -203,50 +189,39 @@ class HashModel:
         return Xs
 
     def _projected(self, X, rows, cols):
-        """Entries (rows, cols) of the float64 projection ((X - mean) / std) W
-        of the block X, as its float64 product computes them.
-
-        One product over the distinct rows they lie in has them to within
-        e = gamma64_d |x_i| |w_j| (plus underflow) in any summation order.
-        So two orders can disagree on a sign only where that product is
-        within 2e of zero; those entries are taken from the product of the
-        whole block, the one the float64 encoder forms.
-        """
-        distinct, inverse = np.unique(rows, return_inverse=True)
-        Xs = self._standardized(X[distinct])
-        z = (Xs @ self._W64)[inverse, cols]
-        x_sq = np.einsum("ij,ij->i", Xs, Xs)[inverse]
-        tol = 2 * SIGN_BAND_SLACK * (self.d + 3) * F64_UNIT * np.sqrt(x_sq * self._W64_sq[cols])
-        tie = np.flatnonzero(np.abs(z) <= tol + self.d * F64_TINY)
-        if tie.size:
-            z[tie] = (self._standardized(X) @ self._W64)[rows[tie], cols[tie]]
-        return z
+        """Entries (rows, cols) of ((X - mean) / std) W in float64, from one
+        product over the distinct rows they lie in."""
+        hit = np.zeros(X.shape[0], dtype=bool)
+        hit[rows] = True
+        slot = np.cumsum(hit) - 1  # a row's place among the distinct ones
+        return (self._standardized(X[hit]) @ self._W64)[slot[rows], cols]
 
     def encode_linear(self, X_raw):
         """sgn of the standardized projection; ties at zero become +1.
 
-        Rows go through in blocks of LINEAR_BLOCK_VALUES entries: float32
-        rows as they are, others in float64. A block costs one float32
-        product with the folded W' and b; no standardized copy of it is
-        made except for the rows float32_signs rechecks.
+        Rows go through in blocks of LINEAR_BLOCK_VALUES entries,
+        standardized in float32 if they are float32 and in float64
+        otherwise. A block costs one float32 product with W; rows that
+        float32_signs rechecks are standardized again in float64.
         """
         X = np.atleast_2d(X_raw)
         if X.shape[-1] != self.d:
             raise ValueError(f"dimension mismatch: got {X.shape[-1]}, stats have {self.d}")
-        W32, b, w_norm, mean_norm = self._folded
         rows = max(1, LINEAR_BLOCK_VALUES // self.d)
         on = np.empty((X.shape[0], self.k), dtype=bool)
         for i in range(0, X.shape[0], rows):
-            block = X[i : i + rows]
+            block, stats = X[i : i + rows], self
             if block.dtype != np.float32:
-                block = np.asarray(block, dtype=np.float64)
-            x_norms = _row_norm_bounds(block)
+                block, stats = np.asarray(block, dtype=np.float64), self._stats64
+            with np.errstate(over="ignore"):  # a row that overflows gets inf, checked below
+                xs = block - stats.mean
+                xs /= stats.std
+            x_norms = _row_norm_bounds(xs)
             bad = ~np.isfinite(x_norms)
             if bad.any():
                 # raises on rows that are not finite; the rest are huge and rechecked whole
                 self._standardized(block[bad])
-            B = float32_signs(block, W32, x_norms, w_norm,
-                              partial(self._projected, block), b, mean_norm)
+            B = float32_signs(xs, self.W, x_norms, self._w_norm, partial(self._projected, block))
             on[i : i + rows] = B >= 0
         return pack_codes(on)
 

@@ -57,46 +57,39 @@ def sgn(M, zero_rule="zero"):
     return out
 
 
-def float32_signs(X, W32, x_norms, w_norm, recheck, offset=None, offset_norm=0.0):
-    """sgn(z) as int8, sgn(0) = 0, for z_ij = x_i . w_j - offset_j, from one
-    float32 product.
+def float32_signs(X, W32, x_norms, w_norm, recheck):
+    """sgn(z) as int8, sgn(0) = 0, for z_ij = x_i . w_j, from one float32
+    product.
 
     X holds the rows x_i in float32 or float64 and W32 the float32
     rounding of float64 columns w_j; x_norms (n,) or a scalar bounds the
-    rows' 2-norms from above and w_norm the columns'. offset_j = mu . w_j
-    is in float64, with offset_norm >= |mu|. Y = X W32 - offset, all in
+    rows' 2-norms from above and w_norm the columns'. Y = X W32, in
     float32, then lies within
 
-        band_i = gamma32_{d+3} |x_i| |w| + u32 |mu| |w|
-                 + gamma64_{d+3} (|x_i| + |mu|) |w|
+        band_i = (gamma32_{d+2} + gamma64_{d+4}) |x_i| |w|
 
     of z (Higham 2002, 3.1), with NORM_PAD added to |x_i| and |w| so that
-    float32 underflow is covered too. The first term is the float32 dot
-    product, the roundings of x and w to float32 and the subtraction; the
-    second the rounding of the offset to float32; the third any float64
-    rounding of order |x||w| or |mu||w| in the caller's w, offset or z.
-    Entries with |Y| > band have z's sign. The rest take the sign of
-    recheck(rows, cols): z, or a positive multiple of it, at those
-    entries in float64. Rows whose norms could overflow float32 get an
-    infinite band, so they are rechecked whole and their float32 product
-    is never read.
+    float32 underflow is covered too. The float32 part is the dot product
+    and two float32 roundings in the factors of each of its terms (one
+    each of x and w in training; two of x, its centering and scaling, in
+    encoding); the float64 part any float64 rounding of order |x||w| in
+    the caller's x, w or z. Entries with |Y| > band have z's sign. The
+    rest take the sign of recheck(rows, cols): z, or a positive multiple
+    of it, at those entries in float64. Rows whose norms could overflow
+    float32 get an infinite band, so they are rechecked whole and their
+    float32 product is never read.
     """
     d = X.shape[1]
-    g32 = SIGN_BAND_SLACK * (d + 3) * F32_UNIT
-    g64 = SIGN_BAND_SLACK * (d + 3) * F64_UNIT
+    gamma = SIGN_BAND_SLACK * ((d + 2) * F32_UNIT + (d + 4) * F64_UNIT)
     w_norm = float(w_norm) + NORM_PAD
     x_norms = np.asarray(x_norms, dtype=np.float64) + NORM_PAD
-    x_norms = np.where(np.maximum(x_norms, max(1.0, offset_norm)) * max(1.0, w_norm) < F32_SAFE,
-                       x_norms, np.inf)
-    band = ((g32 + g64) * x_norms + (SIGN_BAND_SLACK * F32_UNIT + g64) * offset_norm) * w_norm
+    x_norms = np.where(np.maximum(x_norms, 1.0) * max(1.0, w_norm) < F32_SAFE, x_norms, np.inf)
     # rounded up to float32, so that the comparisons run in float32; one value per row
-    band = np.nextafter(band.astype(np.float32), np.float32(np.inf))[..., None]
+    band = np.nextafter((gamma * w_norm * x_norms).astype(np.float32), np.float32(np.inf))[..., None]
     with np.errstate(over="ignore", invalid="ignore"):  # only in rows of infinite band
         Y = X.astype(np.float32, copy=False) @ W32
-        if offset is not None:
-            Y -= offset.astype(np.float32)
     B = (Y > band).view(np.int8) - (Y < -band).view(np.int8)
-    near = np.flatnonzero(B == 0)
+    near = np.flatnonzero(B == 0)  # few as a rule; 2-D nonzero or a mask would cost ~10x more
     if near.size:
         rows, cols = np.divmod(near, B.shape[1])
         B.flat[near] = np.sign(recheck(rows, cols))

@@ -6,7 +6,7 @@ import numpy as np
 from esh.anchor_graph import SparseAffinityRows
 from esh.dataset import STD_FLOOR, StandardizationStats, apply_standardization
 from esh.encoder import LINEAR_BLOCK_VALUES, PackedCodes, pack_codes, unpack_codes
-from esh.optimizer import _Objective, sgn
+from esh.optimizer import F64_UNIT, SIGN_BAND_SLACK, _Objective, sgn
 
 DENSE_ORACLE_MAX_N = 1000
 # the least float32 std that a model's float64 stats accept
@@ -72,21 +72,31 @@ def encode_train(X, W):
     return pack_codes(sgn(X @ W, zero_rule="one"))
 
 
-def float64_linear_codes(model, X_raw):
-    """model.encode_linear by standardizing blocks of rows in float64 and
-    projecting them with W in float64; ties at zero become +1."""
+def float64_linear_projection(model, X_raw):
+    """((X - mean) / std) W of model.encode_linear, standardizing blocks of
+    rows in float64 and projecting them with W in float64, and for each
+    entry the most another order of the sums could move it:
+    2 gamma64_d |xs_i| |w_j| plus underflow."""
     X = np.atleast_2d(X_raw)
     stats = StandardizationStats(mean=model.mean.astype(np.float64),
                                  std=model.std.astype(np.float64))
     W = model.W.astype(np.float64)
     rows = max(1, LINEAR_BLOCK_VALUES // model.d)
-    on = np.empty((X.shape[0], model.k), dtype=bool)
+    Z, xs_norms = np.empty((X.shape[0], model.k)), np.empty(X.shape[0])
     for i in range(0, X.shape[0], rows):
         Xs = apply_standardization(X[i : i + rows], stats)
         if not np.all(np.isfinite(Xs)):
             raise ValueError("query contains non-finite values after standardization")
-        on[i : i + rows] = Xs @ W >= 0
-    return pack_codes(on)
+        Z[i : i + rows] = Xs @ W
+        xs_norms[i : i + rows] = np.hypot.reduce(Xs, axis=1)  # no overflow in the squares
+    gamma = 2 * SIGN_BAND_SLACK * model.d * F64_UNIT
+    slack = gamma * np.outer(xs_norms, np.linalg.norm(W, axis=0)) + model.d * 2.0**-1074
+    return Z, slack
+
+
+def float64_linear_codes(model, X_raw):
+    """model.encode_linear by the float64 block encoder; ties at zero become +1."""
+    return pack_codes(float64_linear_projection(model, X_raw)[0] >= 0)
 
 
 def shift_and_sum_pack(bits):

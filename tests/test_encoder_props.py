@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from esh.encoder import HashModel, pack_codes, unpack_codes
-from oracles import STD_FLOOR32, float64_linear_codes, shift_and_sum_pack
+from oracles import STD_FLOOR32, float64_linear_projection, shift_and_sum_pack
 
 # every width up to 200 bits, with the word boundaries drawn on purpose
 WIDTHS = st.one_of(st.sampled_from([63, 64, 65, 127, 128, 129]), st.integers(1, 200))
@@ -50,12 +50,12 @@ def linear_model(mean, std, W):
 @given(d=st.sampled_from([1, 7, 128, 1024]), k=st.sampled_from([1, 63, 64, 65]),
        stats=st.sampled_from(["plain", "constant column", "large offset"]),
        float32=st.booleans(), n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
-# rows at exactly 0 ulps, whose float64 signs depend on the order of the sums
+# rows at exactly 0 ulps, where two orders of the float64 sums give different signs
 @example(d=1024, k=63, stats="plain", float32=False, n=16, seed=0)
 def test_encode_linear_matches_the_float64_encoder(d, k, stats, float32, n, seed):
     rng = np.random.default_rng(seed)
     mean, std = rng.standard_normal(d), 0.5 + rng.random(d)
-    if stats == "large offset":  # the band is wide and many entries are rechecked
+    if stats == "large offset":  # |x| is 1e4 times |(x - mean) / std|
         mean = 1e4 * (1.0 + rng.random(d))
     model = linear_model(mean, std, rng.standard_normal((d, k)) / np.sqrt(d))
     mean, std, W = (a.astype(np.float64) for a in (model.mean, model.std, model.W))
@@ -75,6 +75,8 @@ def test_encode_linear_matches_the_float64_encoder(d, k, stats, float32, n, seed
     X = S * std + mean  # float64 rows are not float32-exact
     if float32:
         X = X.astype(np.float32)
-    got = model.encode_linear(X)
-    assert np.array_equal(got.words, float64_linear_codes(model, X).words)
-    assert np.all(unpack_codes(got)[kind == 1] == 1)
+    got = unpack_codes(model.encode_linear(X)) > 0
+    z, slack = float64_linear_projection(model, X)
+    fixed = np.abs(z) > slack  # elsewhere the float64 sign depends on the order of the sums
+    assert np.array_equal(got[fixed], z[fixed] >= 0)
+    assert np.all(got[kind == 1])

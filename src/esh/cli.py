@@ -46,6 +46,9 @@ from .optimizer import TrainConfig, train
 
 PATH = "path"  # an input file that must exist
 SWITCH = "switch"  # a flag that takes no value; true or false in a config file
+# results.csv rows that esh query formats in one write; bounds the Python
+# ints a write holds
+QUERY_BLOCK_ROWS = 2**16
 
 
 class Opt(NamedTuple):
@@ -335,13 +338,20 @@ def cmd_query(args):
     codes = model.encode(X, mode=mode)
     top = min(cfg["top"], db.n)
     results_path = out / "results.csv"
-    row = "%d,%d,%d,%d\n" * top  # query_id, rank, db_id, distance
+    # rows of query_id, rank, db_id, distance; one formatted write per block
+    block = max(1, QUERY_BLOCK_ROWS // top)
     with open(results_path, "w") as f:
         f.write("query_id,rank,db_id,distance\n")
-        for qi in range(codes.n):
-            ranking = rank_database(codes.words[qi], db, query_id=qi)
-            cols = (np.full(top, qi), np.arange(1, top + 1), ranking.ids[:top], ranking.distances[:top])
-            f.write(row % tuple(np.column_stack(cols).ravel().tolist()))
+        for q0 in range(0, codes.n, block):
+            qids = np.arange(q0, min(q0 + block, codes.n))
+            rows = np.empty((qids.size, top, 4), dtype=np.int64)
+            rows[:, :, 0] = qids[:, None]
+            rows[:, :, 1] = np.arange(1, top + 1)
+            for j, qi in enumerate(qids.tolist()):
+                ranking = rank_database(codes.words[qi], db, query_id=qi, top=top)
+                rows[j, :, 2] = ranking.ids
+                rows[j, :, 3] = ranking.distances
+            f.write("%d,%d,%d,%d\n" * (qids.size * top) % tuple(rows.ravel().tolist()))
     _write_manifest(results_path, "query", cfg)
     print(f"wrote {results_path} ({codes.n} queries, top {top}, {mode} mode)")
     return 0

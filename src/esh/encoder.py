@@ -29,7 +29,7 @@ import numpy as np
 
 from .anchor_graph import AnchorSet, SparseAffinityRows, anchor_weights, check_sigma2
 from .container import FormatError, Reader, Writer  # noqa: F401 - esh.encoder.FormatError
-from .dataset import StandardizationStats, apply_standardization
+from .dataset import STD_FLOOR, StandardizationStats, apply_standardization
 from .optimizer import float32_signs
 
 CODE_MAGIC = b"ESHB"
@@ -255,11 +255,17 @@ def build_hash_model(stats, W, anchors: AnchorSet, Z: SparseAffinityRows, lam,
     what it would re-encode agree exactly. The vote matrix is accumulated
     in float64 and cast last. retain_train keeps B and Z on the model (and
     in its file) for later inspection.
+
+    A column whose training std sits at STD_FLOOR is constant, so its
+    standardized training values are (near) 0. It gets a zero row of W and
+    a std of 1, and whatever a later row holds there leaves its codes as
+    they are.
     """
+    flat = stats.std <= STD_FLOOR
     model = HashModel(
         mean=stats.mean.astype(np.float32),
-        std=stats.std.astype(np.float32),
-        W=np.asarray(W, dtype=np.float32),
+        std=np.where(flat, 1.0, stats.std).astype(np.float32),
+        W=np.where(flat[:, None], 0.0, W).astype(np.float32),
         centers=anchors.centers.astype(np.float32),
         sigma2=float(anchors.sigma2),
         s=int(anchors.s),

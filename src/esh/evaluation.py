@@ -4,7 +4,9 @@ Everything rests on one ranking primitive: XOR + popcount distances, then
 a stable sort so equal distances break toward the lower database id. The
 distances are sorted as uint8 (one code word) or uint16 (up to 65535 bits),
 for which numpy's stable sort is a radix sort, linear in the database size;
-wider codes fall back to int64. On top of that sit average precision,
+wider codes fall back to int64. A caller that needs only the first t ids
+(`esh query --top t`) gets them from one partition of packed
+(distance, id) keys instead. On top of that sit average precision,
 precision at a depth, precision within a Hamming ball, and per-query
 precision/recall curves, aggregated into a report.
 """
@@ -12,6 +14,7 @@ precision/recall curves, aggregated into a report.
 import json
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,19 +45,63 @@ def hamming_distances(query_words, db: PackedCodes, narrow=False):
 
 @dataclass(frozen=True)
 class Ranking:
-    """Database ids sorted by ascending distance, ties by ascending id."""
+    """Database ids sorted by ascending distance, ties by ascending id.
+
+    A ranking cut at `top` holds the first `top` of them.
+    """
 
     ids: np.ndarray
     distances: np.ndarray
     query_id: object = None
 
 
-def rank_database(query_words, db: PackedCodes, exclude_id=None, query_id=None):
+@lru_cache(maxsize=4)
+def _key_ids(n):
+    """0..n-1 as uint32, built once per database size and shared read-only."""
+    ids = np.arange(n, dtype=np.uint32)
+    ids.flags.writeable = False
+    return ids
+
+
+def _nearest(dist, k, top=None):
+    """Ids in ranking order (ascending distance, then id): all, or the first `top`.
+
+    With `top` below n, each id is packed with its distance into one uint32
+    key, distance << b | id. The keys are distinct and order exactly as the
+    ranking does, so one partition and a sort of `top` keys give the
+    ranking's prefix, ties included. Keys that need more than 32 bits, and
+    full rankings, take the stable sort: on uint8/uint16 distances it is
+    numpy's radix sort, which beat a sort of packed keys.
+    """
+    n = dist.size
+    b = (n - 1).bit_length()
+    if top is not None and top < n and k.bit_length() + b <= 32:
+        key = dist.astype(np.uint32)
+        key <<= b
+        key |= _key_ids(n)
+        key.partition(top - 1)
+        head = key[:top]
+        head.sort()
+        return (head & ((1 << b) - 1)).astype(np.intp)
+    return np.argsort(dist, kind="stable")[:top]
+
+
+def rank_database(query_words, db: PackedCodes, exclude_id=None, query_id=None, top=None):
+    """Rank the database codes by Hamming distance to one query.
+
+    The full ranking is a stable radix sort of the distances. `top` keeps
+    only its first `top` entries, as `esh query --top` does; they come from
+    one partition of packed (distance, id) keys, without sorting the rest.
+    `exclude_id` leaves one database id out before the cut.
+    """
+    if top is not None and top < 1:
+        raise ValueError(f"top must be >= 1, got {top}")
     dist = hamming_distances(query_words, db, narrow=True)
-    # stable on uint8/uint16 is numpy's radix sort; equal distances keep id order
-    order = np.argsort(dist, kind="stable")
+    # one entry more, for the excluded id to leave
+    depth = top if top is None or exclude_id is None else top + 1
+    order = _nearest(dist, db.k, depth)
     if exclude_id is not None:
-        order = order[order != exclude_id]
+        order = order[order != exclude_id][:top]
     return Ranking(ids=order, distances=dist[order].astype(np.int64), query_id=query_id)
 
 

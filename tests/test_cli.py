@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from esh.cli import main
+from esh.cli import QUERY_BLOCK_ROWS, main
 from esh.dataset import load_features, load_labels, save_features
 from esh.encoder import load_codes, load_model, unpack_codes
 from esh.evaluation import GroundTruth, evaluate, rank_database
@@ -148,25 +148,31 @@ def per_row_results_csv(q_codes, db, top):
     return "".join(lines).encode()
 
 
-def test_query_results_bytes_equal_per_row_loop(tmp_path):
+def test_query_results_bytes_equal_per_row_loop(tmp_path, monkeypatch):
     data = synth_small(tmp_path)
     run_dir = tmp_path / "run"
     assert run("train", "--features", data / "features.csv", "--bits", 6,
                "--iters", 10, "--anchors", 20, "--seed", 3, "--out", run_dir) == 0
-    small_db = tmp_path / "db.csv"
-    save_features(load_features(data / "features.csv")[:30], small_db)
-    enc = tmp_path / "enc"
-    assert run("encode", "--model", run_dir / "model.eshm",
-               "--features", small_db, "--out", enc) == 0
     model = load_model(run_dir / "model.eshm")
-    db = load_codes(enc / "codes.eshb")
-    q_codes = model.encode(load_features(data / "features.csv"), mode="graph")
-    for top in (1, 7, 50):
-        qdir = tmp_path / f"q{top}"  # top 50 > the 30 database codes
-        assert run("query", "--model", run_dir / "model.eshm",
-                   "--features", data / "features.csv",
-                   "--db-codes", enc / "codes.eshb", "--top", top, "--out", qdir) == 0
-        assert (qdir / "results.csv").read_bytes() == per_row_results_csv(q_codes, db, top)
+    X = load_features(data / "features.csv")
+    q_codes = model.encode(X, mode="graph")
+    # 30 distinct rows in one block of results, then three rows ten times
+    # each in turn, so that ties straddle every cut, in blocks of 16 rows
+    for name, db_rows, block_rows in (("spread", np.arange(30), QUERY_BLOCK_ROWS),
+                                      ("dups", np.tile([0, 40, 80], 10), 16)):
+        monkeypatch.setattr("esh.cli.QUERY_BLOCK_ROWS", block_rows)
+        small_db = tmp_path / f"{name}.csv"
+        save_features(X[db_rows], small_db)
+        enc = tmp_path / f"enc_{name}"
+        assert run("encode", "--model", run_dir / "model.eshm",
+                   "--features", small_db, "--out", enc) == 0
+        db = load_codes(enc / "codes.eshb")
+        for top in (1, 7, 50):
+            qdir = tmp_path / f"q_{name}{top}"  # top 50 > the 30 database codes
+            assert run("query", "--model", run_dir / "model.eshm",
+                       "--features", data / "features.csv",
+                       "--db-codes", enc / "codes.eshb", "--top", top, "--out", qdir) == 0
+            assert (qdir / "results.csv").read_bytes() == per_row_results_csv(q_codes, db, top)
 
 
 def test_query_rejects_top_below_one(tmp_path, capsys):
@@ -597,3 +603,21 @@ def test_encode_and_query_reject_non_finite_after_standardization(tmp_path, caps
             assert err["error"] == "ValueError"
             assert "non-finite" in err["message"]
             assert not any(out.iterdir())
+
+
+def test_train_on_a_constant_column_and_encode_without_it(tmp_path):
+    # 0.1 is not float32-exact: a stored mean that misses it must not matter
+    data = synth_small(tmp_path, clusters=3, per_cluster=20)
+    X = load_features(data / "features.csv")
+    X[:, 2] = 0.1
+    train_csv = tmp_path / "train.csv"
+    save_features(X, train_csv)
+    run_dir = tmp_path / "run"
+    assert run("train", "--features", train_csv, "--bits", 8, "--iters", 20,
+               "--anchors", 15, "--seed", 2, "--out", run_dir) == 0
+    model = load_model(run_dir / "model.eshm")
+    codes = model.encode(X, mode="linear")
+    assert np.unique(codes.words, axis=0).shape[0] > 1
+    moved = X.copy()
+    moved[:, 2] = np.linspace(-50.0, 50.0, X.shape[0])
+    assert np.array_equal(model.encode(moved, mode="linear").words, codes.words)

@@ -126,6 +126,13 @@ def test_rank_exclude_id():
     assert r.query_id == 0
 
 
+def test_rank_rejects_top_below_one():
+    codes = pack_codes(np.ones((5, 3)))
+    for top in (0, -1):
+        with pytest.raises(ValueError, match="top"):
+            rank_database(codes.words[0], codes, top=top)
+
+
 def test_ap_perfect_and_simple_cases():
     mask = np.array([True, True, False, False])
     assert average_precision(make_ranking([0, 1, 2, 3]), mask) == 1.0

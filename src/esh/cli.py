@@ -114,8 +114,6 @@ TRAIN = (
     Opt("tau0", 0.01, float),
     Opt("kmeans_iters", 10, int),
     Opt("query_mode", "graph", QUERY_MODES),
-    Opt("retain_train", False, SWITCH,
-        help="keep training codes and affinity rows inside the model file"),
 )
 
 ENCODE = (
@@ -275,9 +273,14 @@ def cmd_train(args):
     )
     if cfg["sigma2"] is not None:
         check_sigma2(cfg["sigma2"])
+    if cfg["snn"] < 1:
+        raise ValueError(f"--snn must be >= 1, got {cfg['snn']}")
+    X_raw = load_features(cfg["features"])
+    if cfg["bits"] > X_raw.shape[1]:
+        raise ValueError(f"--bits must be at most the {X_raw.shape[1]} feature dimensions, "
+                         f"got {cfg['bits']}")
     out = _out_dir(args)
 
-    X_raw = load_features(cfg["features"])
     Xs, stats = standardize(X_raw)
     anchors = fit_anchors(
         Xs,
@@ -292,11 +295,8 @@ def cmd_train(args):
     S = similarity_matrix(Xs, Z, lam)
 
     W, trace = train(Xs, S, tc)
-    model, _codes = build_hash_model(
-        stats, W, anchors, Z, lam, X_raw,
-        query_mode=cfg["query_mode"],
-        retain_train=cfg["retain_train"],
-    )
+    model, _codes = build_hash_model(stats, W, anchors, Z, lam, X_raw,
+                                     query_mode=cfg["query_mode"])
 
     model_path = out / "model.eshm"
     trace_path = out / "trace.csv"
@@ -348,7 +348,7 @@ def cmd_query(args):
             rows[:, :, 0] = qids[:, None]
             rows[:, :, 1] = np.arange(1, top + 1)
             for j, qi in enumerate(qids.tolist()):
-                ranking = rank_database(codes.words[qi], db, query_id=qi, top=top)
+                ranking = rank_database(codes.words[qi], db, top=top)
                 rows[j, :, 2] = ranking.ids
                 rows[j, :, 3] = ranking.distances
             f.write("%d,%d,%d,%d\n" * (qids.size * top) % tuple(rows.ravel().tolist()))

@@ -98,9 +98,10 @@ class HashModel:
     """A trained hasher plus its out-of-sample machinery.
 
     vote_matrix is B^T Z diag(lam)^{-1}, precomputed so a graph-mode query
-    costs one sparse kernel row and one (k, m) @ (m,) product. The training
-    codes B and affinity rows Z can optionally be retained (the vote matrix
-    is then recomputable from them); queries never need them.
+    costs one sparse kernel row and one (k, m) @ (m,) product. Queries never
+    need the training codes B or affinity rows Z, so the model holds neither:
+    save_model writes a flags byte of 0, and load_model checks, then skips,
+    the B and Z sections that older files flag with bits 0 and 1.
     query_mode is the default for queries ('graph' or 'linear').
     """
 
@@ -113,8 +114,6 @@ class HashModel:
     lam: np.ndarray  # (m,) float64
     vote_matrix: np.ndarray  # (k, m) float32
     query_mode: str = "graph"
-    B: object = None  # PackedCodes when retained
-    Z: object = None  # SparseAffinityRows when retained
 
     def __post_init__(self):
         d, k = self.W.shape
@@ -135,12 +134,6 @@ class HashModel:
                 raise ValueError(f"{name} has non-finite entries")
         if np.any(self.std <= 0):
             raise ValueError("std entries must be positive")
-        if self.B is not None and self.B.k != k:
-            raise ValueError("retained codes have the wrong bit width")
-        if self.Z is not None and self.Z.m != m:
-            raise ValueError("retained affinity rows do not match the anchors")
-        if self.B is not None and self.Z is not None and self.B.n != self.Z.n:
-            raise ValueError("retained codes and affinity rows disagree on n")
 
     @property
     def d(self):
@@ -247,14 +240,14 @@ class HashModel:
 
 
 def build_hash_model(stats, W, anchors: AnchorSet, Z: SparseAffinityRows, lam,
-                     X_raw, query_mode="graph", retain_train=False):
+                     X_raw, query_mode="graph"):
     """Assemble a HashModel from trained pieces.
 
     Database codes B are the model's own linear encoding of the training
     set, computed after the float32 cast so that what the model stores and
     what it would re-encode agree exactly. The vote matrix is accumulated
-    in float64 and cast last. retain_train keeps B and Z on the model (and
-    in its file) for later inspection.
+    in float64 and cast last. The model keeps neither B nor Z, as a query
+    needs only the vote matrix; B is returned beside it.
 
     A column whose training std sits at STD_FLOOR is constant, so its
     standardized training values are (near) 0. It gets a zero row of W and
@@ -276,13 +269,7 @@ def build_hash_model(stats, W, anchors: AnchorSet, Z: SparseAffinityRows, lam,
     codes = model.encode_linear(X_raw)
     B = unpack_codes(codes).astype(np.float64)  # (n, k) of +-1
     vote = (Z.to_csr().T @ B).T / np.asarray(lam, dtype=np.float64)[None, :]  # (k, m)
-    model = replace(
-        model,
-        vote_matrix=vote.astype(np.float32),
-        B=codes if retain_train else None,
-        Z=Z if retain_train else None,
-    )
-    return model, codes
+    return replace(model, vote_matrix=vote.astype(np.float32)), codes
 
 
 def _pack_matrix(w, M, dtype):
@@ -297,48 +284,45 @@ def _unpack_words(r, n, k):
     return np.array(r.array("<u8", (n, (k + 63) >> 6)))
 
 
+# flag bits of the B and Z sections that older models may carry
 _FLAG_B, _FLAG_Z = 1, 2
 _MATRIX_DTYPES = ("<f4", "<f4", "<f4", "<f4", "<f8", "<f4")  # mean, std, W, centers, lam, vote
 
 
 def save_model(model: HashModel, path):
-    """Serialize to the ESHM container: header, six matrices, optional B and Z, CRC32."""
-    flags = (_FLAG_B if model.B is not None else 0) | (_FLAG_Z if model.Z is not None else 0)
+    """Serialize to the ESHM container: header with flags 0, six matrices, CRC32."""
     w = Writer(MODEL_MAGIC, MODEL_VERSION).fields(
-        "BBQQQdQ", flags, QUERY_MODES.index(model.query_mode),
+        "BBQQQdQ", 0, QUERY_MODES.index(model.query_mode),
         model.d, model.k, model.m, model.sigma2, model.s)
     matrices = (model.mean.reshape(1, -1), model.std.reshape(1, -1), model.W,
                 model.centers, model.lam.reshape(1, -1), model.vote_matrix)
     for M, dtype in zip(matrices, _MATRIX_DTYPES):
         _pack_matrix(w, M, dtype)
-    if model.B is not None:
-        w.fields("QQ", model.B.n, model.B.k).array(model.B.words, "<u8")
-    if model.Z is not None:
-        w.fields("QQ", model.Z.n, model.Z.s)
-        w.array(model.Z.indices, "<i8").array(model.Z.weights, "<f8")
     w.save(path, crc=True)
 
 
 def load_model(path):
+    """Read an .eshm; B and Z sections of older files are checked, then dropped."""
     with Reader(path, MODEL_MAGIC, MODEL_VERSION, "model", crc=True) as r:
         flags, mode = r.fields("BB")
+        if flags & ~(_FLAG_B | _FLAG_Z):
+            raise r.error(f"unknown flag bits {flags:#04x}")
         d, k, m = r.shape(3)
         sigma2, s = r.fields("dQ")
         mean, std, W, centers, lam, vote = [_unpack_matrix(r, dt) for dt in _MATRIX_DTYPES]
-        B = Z = None
         if flags & _FLAG_B:
             n, bits = r.fields("QQ")
-            B = PackedCodes(n=n, k=bits, words=_unpack_words(r, n, bits))
+            PackedCodes(n=n, k=bits, words=_unpack_words(r, n, bits))
         if flags & _FLAG_Z:
             n, snn = r.fields("QQ")
-            Z = SparseAffinityRows(indices=np.array(r.array("<i8", (n, snn))),
-                                   weights=np.array(r.array("<f8", (n, snn))), m=m)
+            SparseAffinityRows(indices=r.array("<i8", (n, snn)),
+                               weights=r.array("<f8", (n, snn)), m=m)
         if mode >= len(QUERY_MODES):
             raise ValueError(f"unknown query mode byte {mode}")
         return HashModel(
             mean=mean.reshape(-1), std=std.reshape(-1), W=W.reshape(d, k),
             centers=centers.reshape(m, d), sigma2=sigma2, s=s, lam=lam.reshape(-1),
-            vote_matrix=vote.reshape(k, m), query_mode=QUERY_MODES[mode], B=B, Z=Z,
+            vote_matrix=vote.reshape(k, m), query_mode=QUERY_MODES[mode],
         )
 
 

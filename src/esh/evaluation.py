@@ -52,7 +52,6 @@ class Ranking:
 
     ids: np.ndarray
     distances: np.ndarray
-    query_id: object = None
 
 
 @lru_cache(maxsize=4)
@@ -86,7 +85,7 @@ def _nearest(dist, k, top=None):
     return np.argsort(dist, kind="stable")[:top]
 
 
-def rank_database(query_words, db: PackedCodes, exclude_id=None, query_id=None, top=None):
+def rank_database(query_words, db: PackedCodes, exclude_id=None, top=None):
     """Rank the database codes by Hamming distance to one query.
 
     The full ranking is a stable radix sort of the distances. `top` keeps
@@ -102,7 +101,7 @@ def rank_database(query_words, db: PackedCodes, exclude_id=None, query_id=None, 
     order = _nearest(dist, db.k, depth)
     if exclude_id is not None:
         order = order[order != exclude_id][:top]
-    return Ranking(ids=order, distances=dist[order].astype(np.int64), query_id=query_id)
+    return Ranking(ids=order, distances=dist[order].astype(np.int64))
 
 
 class GroundTruth:
@@ -273,7 +272,7 @@ def _eval_one(qi, q_words, db, gt, depths, radius, exclude, cutoff):
         # the query's own row leaves both the ranking and the positive set
         mask = mask.copy()
         mask[qi] = False
-    ranking = rank_database(q_words, db, exclude_id=qi if exclude else None, query_id=qi)
+    ranking = rank_database(q_words, db, exclude_id=qi if exclude else None)
     # one gather per query; every metric below reads this relevance vector
     rel = mask[ranking.ids]
     n_pos = int(mask.sum())

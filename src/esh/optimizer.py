@@ -43,20 +43,6 @@ F32_SAFE = 2.0**126  # while |x| |w| stays below this, no float32 product or sum
 TRACE_COLUMNS = ("iteration", "loss", "orth_residual", "step_size", "elapsed_ms")
 
 
-def sgn(M, zero_rule="zero"):
-    """Elementwise sign. zero_rule picks what sgn(0) means:
-
-    'zero' (gradient path) keeps zeros at 0 so they contribute nothing;
-    'one' (code path) maps them to +1 so every bit is +-1.
-    """
-    out = np.sign(np.asarray(M, dtype=np.float64))
-    if zero_rule == "one":
-        out[out == 0] = 1.0
-    elif zero_rule != "zero":
-        raise ValueError(f"unknown zero_rule {zero_rule!r}")
-    return out
-
-
 def float32_signs(X, W32, x_norms, w_norm, recheck):
     """sgn(z) as int8, sgn(0) = 0, for z_ij = x_i . w_j, from one float32
     product.
@@ -188,7 +174,7 @@ def auto_alpha(W0, X, S):
     n = X.shape[0]
     XW = X @ W0
     t1 = -np.einsum("ij,ij->", W0, S @ W0) / n
-    R = XW - sgn(XW)
+    R = XW - np.sign(XW)
     t2 = np.einsum("ij,ij->", R, R) / n
     if t2 < AUTO_ALPHA_FLOOR:
         raise ValueError("quantization term vanishes at W0; cannot balance terms")

@@ -6,11 +6,25 @@ import numpy as np
 from esh.anchor_graph import SparseAffinityRows
 from esh.dataset import STD_FLOOR, StandardizationStats, apply_standardization
 from esh.encoder import LINEAR_BLOCK_VALUES, PackedCodes, pack_codes, unpack_codes
-from esh.optimizer import F64_UNIT, SIGN_BAND_SLACK, _Objective, sgn
+from esh.optimizer import F64_UNIT, SIGN_BAND_SLACK, _Objective
 
 DENSE_ORACLE_MAX_N = 1000
 # the least float32 std that a model's float64 stats accept
 STD_FLOOR32 = np.nextafter(np.float32(STD_FLOOR), np.float32(1))
+
+
+def sgn(M, zero_rule="zero"):
+    """Elementwise sign. zero_rule picks what sgn(0) means:
+
+    'zero' (gradient path) keeps zeros at 0 so they contribute nothing;
+    'one' (code path) maps them to +1 so every bit is +-1.
+    """
+    out = np.sign(np.asarray(M, dtype=np.float64))
+    if zero_rule == "one":
+        out[out == 0] = 1.0
+    elif zero_rule != "zero":
+        raise ValueError(f"unknown zero_rule {zero_rule!r}")
+    return out
 
 
 def to_dense(Z: SparseAffinityRows):

@@ -1,8 +1,10 @@
 """The byte layout of .eshf, .eshb and .eshm as hand-written writers.
 
 These are the writers the three file formats were first defined by, kept
-verbatim (only the imports are new) so tests can check that the writers
-built on esh.container still emit the same bytes.
+verbatim (only the imports are new, and save_model takes the optional
+B and Z sections as arguments, since models no longer hold them) so tests
+can check that the writers built on esh.container still emit the same
+bytes, and that models with the legacy sections still load.
 """
 
 import struct
@@ -43,9 +45,13 @@ _FLAG_B = 1
 _FLAG_Z = 2
 
 
-def save_model(model: HashModel, path):
-    """Serialize to the ESHM container: header, sections, CRC32 trailer."""
-    flags = (_FLAG_B if model.B is not None else 0) | (_FLAG_Z if model.Z is not None else 0)
+def save_model(model: HashModel, path, B=None, Z=None):
+    """Serialize to the ESHM container: header, sections, CRC32 trailer.
+
+    B (PackedCodes) and Z (SparseAffinityRows) are the training codes and
+    affinity rows that older models could carry.
+    """
+    flags = (_FLAG_B if B is not None else 0) | (_FLAG_Z if Z is not None else 0)
     body = bytearray()
     body += MODEL_MAGIC
     body += struct.pack("<B", MODEL_VERSION)
@@ -60,13 +66,13 @@ def save_model(model: HashModel, path):
     body += _pack_matrix(model.centers, "<f4")
     body += _pack_matrix(model.lam.reshape(1, -1), "<f8")
     body += _pack_matrix(model.vote_matrix, "<f4")
-    if model.B is not None:
-        body += struct.pack("<QQ", model.B.n, model.B.k)
-        body += np.ascontiguousarray(model.B.words, dtype="<u8").tobytes()
-    if model.Z is not None:
-        body += struct.pack("<QQ", model.Z.n, model.Z.s)
-        body += np.ascontiguousarray(model.Z.indices, dtype="<i8").tobytes()
-        body += np.ascontiguousarray(model.Z.weights, dtype="<f8").tobytes()
+    if B is not None:
+        body += struct.pack("<QQ", B.n, B.k)
+        body += np.ascontiguousarray(B.words, dtype="<u8").tobytes()
+    if Z is not None:
+        body += struct.pack("<QQ", Z.n, Z.s)
+        body += np.ascontiguousarray(Z.indices, dtype="<i8").tobytes()
+        body += np.ascontiguousarray(Z.weights, dtype="<f8").tobytes()
     crc = zlib.crc32(bytes(body))
     with open(path, "wb") as f:
         f.write(bytes(body))

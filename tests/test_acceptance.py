@@ -300,7 +300,7 @@ def test_criterion_8_fast_metrics_equal_enumeration():
         # per-query curve points, one pair per retrieved positive
         for qi in range(nq):
             mask = gt.positives_mask(qi)
-            ranking = rank_database(q_codes.words[qi], db_codes, query_id=qi)
+            ranking = rank_database(q_codes.words[qi], db_codes)
             rec, prec = pr_curve(ranking, mask)
             n_pos = int(mask.sum())
             dists = [sum(1 for t in range(k) if q_bits[qi, t] != db_bits[j, t])

@@ -7,7 +7,7 @@ import pytest
 
 from esh.cli import QUERY_BLOCK_ROWS, main
 from esh.dataset import load_features, load_labels, save_features
-from esh.encoder import load_codes, load_model, unpack_codes
+from esh.encoder import build_hash_model, load_codes, load_model, unpack_codes
 from esh.evaluation import GroundTruth, evaluate, rank_database
 from esh.optimizer import init_projection, stiefel_project
 
@@ -96,18 +96,26 @@ def test_train_trace_descends_on_blobs(tmp_path):
     assert losses[-1] <= losses[0]
 
 
-def test_encode_train_set_equals_stored_codes(tmp_path):
+def test_encode_train_set_equals_stored_codes(tmp_path, monkeypatch):
+    # the training codes that esh train builds the vote matrix from
+    built = []
+
+    def build_and_keep(*args, **kwargs):
+        model, codes = build_hash_model(*args, **kwargs)
+        built.append(codes)
+        return model, codes
+
+    monkeypatch.setattr("esh.cli.build_hash_model", build_and_keep)
     data = synth_small(tmp_path)
     run_dir = tmp_path / "run"
     assert run("train", "--features", data / "features.csv", "--bits", 6,
-               "--iters", 20, "--anchors", 20, "--seed", 2, "--out", run_dir,
-               "--retain-train") == 0
-    model = load_model(run_dir / "model.eshm")
+               "--iters", 20, "--anchors", 20, "--seed", 2, "--out", run_dir) == 0
     enc = tmp_path / "enc"
     assert run("encode", "--model", run_dir / "model.eshm",
                "--features", data / "features.csv", "--out", enc) == 0
     codes = load_codes(enc / "codes.eshb")
-    assert np.array_equal(codes.words, model.B.words)
+    assert len(built) == 1
+    assert np.array_equal(codes.words, built[0].words)
 
 
 def test_query_results_match_ranking_oracle(tmp_path):
@@ -142,7 +150,7 @@ def per_row_results_csv(q_codes, db, top):
     top = min(top, db.n)
     lines = ["query_id,rank,db_id,distance\n"]
     for qi in range(q_codes.n):
-        ranking = rank_database(q_codes.words[qi], db, query_id=qi)
+        ranking = rank_database(q_codes.words[qi], db)
         for r in range(top):
             lines.append(f"{qi},{r + 1},{ranking.ids[r]},{ranking.distances[r]}\n")
     return "".join(lines).encode()
@@ -291,8 +299,6 @@ def test_config_values_of_the_wrong_type_rejected(tmp_path, capsys):
     evals = ("eval", "--query-codes", cp, "--db-codes", cp,
              "--query-labels", labels, "--labels", labels)
     cases = (
-        (train, {"retain_train": "false"}),  # bool("false") is True
-        (train, {"retain_train": 0}),
         (train, {"bits": "8"}),
         (train, {"bits": 8.0}),
         (train, {"bits": True}),
@@ -315,6 +321,12 @@ def test_config_values_of_the_wrong_type_rejected(tmp_path, capsys):
         assert err["error"] == "TypeError"
         assert repr(next(iter(doc))) in err["message"]
         assert not out.exists() or not any(out.iterdir())
+    # retain_train is no option of esh train, so it is an unknown key
+    cfg = tmp_path / "retain.json"
+    cfg.write_text(json.dumps({"retain_train": True}))
+    assert run(*train, "--config", cfg, "--out", tmp_path / "retain") == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": "unknown config keys: ['retain_train']"}
 
 
 def test_config_values_of_the_right_type_accepted(tmp_path):
@@ -322,14 +334,14 @@ def test_config_values_of_the_right_type_accepted(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "features": str(data / "features.csv"), "bits": 4, "iters": 2, "anchors": 10,
-        "eta": 1, "alpha": 0.5, "sigma2": None, "retain_train": True,
+        "eta": 1, "alpha": 0.5, "sigma2": None, "query_mode": "linear",
     }))
     assert run("train", "--config", cfg, "--algo", "esh1", "--out", tmp_path / "t") == 0
-    assert load_model(tmp_path / "t" / "model.eshm").B is not None
-    cfg.write_text(json.dumps({"retain_train": False, "alpha": "auto"}))
+    assert load_model(tmp_path / "t" / "model.eshm").query_mode == "linear"
+    cfg.write_text(json.dumps({"alpha": "auto"}))
     assert run("train", "--config", cfg, "--features", data / "features.csv", "--bits", 4,
                "--iters", 2, "--anchors", 10, "--out", tmp_path / "f") == 0
-    assert load_model(tmp_path / "f" / "model.eshm").B is None
+    assert load_model(tmp_path / "f" / "model.eshm").query_mode == "graph"
 
     cp = write_codes(tmp_path, "codes.eshb", np.eye(4) * 2 - 1)
     labels = tmp_path / "labels.csv"
@@ -476,6 +488,24 @@ def test_train_rejects_non_finite_sigma2_flag_before_reading(tmp_path, capsys, m
     err = json.loads(line)
     assert err["error"] == "ValueError"
     assert err["message"] == f"sigma2 must be finite and positive, got {value}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--bits", 5), "--bits must be at most the 4 feature dimensions, got 5"),
+    (("--bits", 2, "--snn", 0), "--snn must be >= 1, got 0"),
+], ids=["bits", "snn"])
+def test_train_checks_bits_and_snn_before_fitting_anchors(tmp_path, capsys, monkeypatch,
+                                                          argv, message):
+    def fail(*args, **kwargs):
+        raise AssertionError("anchors fitted before the option was checked")
+
+    monkeypatch.setattr("esh.cli.fit_anchors", fail)
+    out = tmp_path / "out"
+    assert run("train", "--features", an_input_file(tmp_path), *argv, "--out", out) == 1
+    line = capsys.readouterr().err
+    assert line.count("\n") == 1
+    assert json.loads(line) == {"error": "ValueError", "message": message}
     assert not out.exists()
 
 

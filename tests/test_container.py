@@ -3,6 +3,7 @@
 Every malformed or truncated file must raise FormatError naming the file,
 never another exception and never a silently wrong object.
 """
+import dataclasses
 import struct
 import zlib
 
@@ -13,31 +14,39 @@ import reference_writers as ref
 from esh.anchor_graph import anchor_mass, build_affinity_rows, fit_anchors, similarity_matrix
 from esh.container import FormatError, Reader, Writer
 from esh.dataset import generate_synthetic, load_features, save_features, standardize
-from esh.encoder import build_hash_model, load_codes, load_model, pack_codes, save_codes, save_model
+from esh.encoder import (HashModel, build_hash_model, load_codes, load_model, pack_codes,
+                         save_codes, save_model)
 from esh.optimizer import TrainConfig, train
 
 
-def tiny_model(retain):
+def tiny_model_with_train():
+    """A small model, its training codes B and its affinity rows Z."""
     X_raw, _ = generate_synthetic(2, 4, 3, 1.0, seed=7)
     Xs, stats = standardize(X_raw)
     anchors = fit_anchors(Xs, m=4, iters=5, seed=8, s=2)
     Z = build_affinity_rows(Xs, anchors)
     lam = anchor_mass(Z)
     W, _ = train(Xs, similarity_matrix(Xs, Z, lam), TrainConfig(bits=2, iters=5, seed=9))
-    model, _ = build_hash_model(stats, W, anchors, Z, lam, X_raw, retain_train=retain)
-    return model
+    model, B = build_hash_model(stats, W, anchors, Z, lam, X_raw)
+    return model, B, Z
+
+
+def tiny_model():
+    return tiny_model_with_train()[0]
 
 
 LOADERS = {"f.eshf": load_features, "c.eshb": load_codes, "m.eshm": load_model}
 
 
 def tiny_files(tmp_path):
-    """A small file of each format, written by the reference writers."""
+    """A small file of each format, written by the reference writers; the
+    model carries the legacy B and Z sections."""
     rng = np.random.default_rng(3)
     paths = {name: tmp_path / name for name in LOADERS}
     ref.save_features(rng.standard_normal((3, 2)), paths["f.eshf"])
     ref.save_codes(pack_codes(rng.standard_normal((3, 70))), paths["c.eshb"])
-    ref.save_model(tiny_model(retain=True), paths["m.eshm"])
+    model, B, Z = tiny_model_with_train()
+    ref.save_model(model, paths["m.eshm"], B, Z)
     return paths
 
 
@@ -55,9 +64,8 @@ def test_writers_emit_the_reference_bytes(tmp_path):
     X = np.random.default_rng(1).standard_normal((5, 4))
     codes = pack_codes(np.random.default_rng(2).standard_normal((6, 130)))
     cases = [(save_features, ref.save_features, X, "x.eshf"),
-             (save_codes, ref.save_codes, codes, "x.eshb")]
-    for retain in (False, True):
-        cases.append((save_model, ref.save_model, tiny_model(retain), f"x{int(retain)}.eshm"))
+             (save_codes, ref.save_codes, codes, "x.eshb"),
+             (save_model, ref.save_model, tiny_model(), "x.eshm")]
     for save, save_ref, obj, name in cases:
         save(obj, tmp_path / name)
         save_ref(obj, tmp_path / ("ref_" + name))
@@ -73,16 +81,26 @@ def test_reference_files_load_to_equal_objects(tmp_path):
     back = load_codes(tmp_path / "x.eshb")
     assert (back.n, back.k) == (codes.n, codes.k)
     assert np.array_equal(back.words, codes.words) and back.words.flags.writeable
-    model = tiny_model(retain=True)
-    ref.save_model(model, tmp_path / "x.eshm")
+    model, B, Z = tiny_model_with_train()
+    ref.save_model(model, tmp_path / "x.eshm", B, Z)
     back = load_model(tmp_path / "x.eshm")
     for name in ("mean", "std", "W", "centers", "lam", "vote_matrix"):
         assert np.array_equal(getattr(back, name), getattr(model, name)), name
         assert getattr(back, name).dtype == getattr(model, name).dtype, name
     assert (back.sigma2, back.s, back.query_mode) == (model.sigma2, model.s, model.query_mode)
-    assert np.array_equal(back.B.words, model.B.words)
-    assert np.array_equal(back.Z.indices, model.Z.indices)
-    assert np.array_equal(back.Z.weights, model.Z.weights)
+
+
+def test_model_with_legacy_train_sections_loads_like_one_without(tmp_path):
+    model, B, Z = tiny_model_with_train()
+    ref.save_model(model, tmp_path / "legacy.eshm", B, Z)
+    save_model(model, tmp_path / "m.eshm")
+    assert (tmp_path / "legacy.eshm").read_bytes()[5] == 3  # flags: B and Z
+    assert (tmp_path / "m.eshm").read_bytes()[5] == 0
+    legacy, plain = load_model(tmp_path / "legacy.eshm"), load_model(tmp_path / "m.eshm")
+    for field in dataclasses.fields(HashModel):
+        a, b = getattr(legacy, field.name), getattr(plain, field.name)
+        assert type(a) is type(b) and np.asarray(a).dtype == np.asarray(b).dtype, field.name
+        assert np.array_equal(a, b), field.name
 
 
 def test_every_prefix_raises_format_error(tmp_path):
@@ -140,13 +158,13 @@ def test_non_finite_features_name_the_file(tmp_path):
 
 
 def _retained_sections(tmp_path):
-    """Model body and the offsets of its retained code words and anchor indices."""
-    model = tiny_model(retain=True)
-    save_model(model, tmp_path / "m.eshm")
+    """Legacy model body and the offsets of its retained code words and anchor indices."""
+    model, B, Z = tiny_model_with_train()
+    ref.save_model(model, tmp_path / "m.eshm", B, Z)
     body = bytearray((tmp_path / "m.eshm").read_bytes()[:-4])
-    z_bytes = model.Z.n * model.Z.s * 8  # indices, then weights, end the body
+    z_bytes = Z.n * Z.s * 8  # indices, then weights, end the body
     idx_off = len(body) - 2 * z_bytes
-    words_off = idx_off - 16 - model.B.words.nbytes
+    words_off = idx_off - 16 - B.words.nbytes
     return model, body, words_off, idx_off
 
 
@@ -166,11 +184,20 @@ def test_model_with_bad_retained_code_padding_rejected(tmp_path):
 
 
 def test_model_with_unknown_query_mode_byte_rejected(tmp_path):
-    save_model(tiny_model(retain=False), tmp_path / "m.eshm")
+    save_model(tiny_model(), tmp_path / "m.eshm")
     body = bytearray((tmp_path / "m.eshm").read_bytes()[:-4])
     body[6] = 2  # after magic, version and flags
     (tmp_path / "bad.eshm").write_bytes(recrc(body))
     assert_format_error(load_model, tmp_path / "bad.eshm", match="query mode")
+
+
+@pytest.mark.parametrize("flags", [0x04, 0x80, 0x07])
+def test_model_with_unknown_flag_bits_rejected(tmp_path, flags):
+    save_model(tiny_model(), tmp_path / "m.eshm")
+    body = bytearray((tmp_path / "m.eshm").read_bytes()[:-4])
+    body[5] = flags  # after magic and version
+    (tmp_path / "bad.eshm").write_bytes(recrc(body))
+    assert_format_error(load_model, tmp_path / "bad.eshm", match="unknown flag bits")
 
 
 MODEL_MATRICES = [("mean", "<f4"), ("std", "<f4"), ("W", "<f4"), ("centers", "<f4"),
@@ -180,7 +207,7 @@ MODEL_MATRICES = [("mean", "<f4"), ("std", "<f4"), ("W", "<f4"), ("centers", "<f
 @pytest.mark.parametrize("name, dtype", MODEL_MATRICES)
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_model_with_non_finite_matrix_rejected(tmp_path, name, dtype, value):
-    model = tiny_model(retain=False)
+    model = tiny_model()
     save_model(model, tmp_path / "m.eshm")
     body = bytearray((tmp_path / "m.eshm").read_bytes()[:-4])
     data = np.ascontiguousarray(getattr(model, name), dtype=dtype).tobytes()
@@ -193,7 +220,7 @@ def test_model_with_non_finite_matrix_rejected(tmp_path, name, dtype, value):
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 def test_model_with_non_finite_sigma2_rejected(tmp_path, value):
-    model = tiny_model(retain=False)
+    model = tiny_model()
     save_model(model, tmp_path / "m.eshm")
     body = bytearray((tmp_path / "m.eshm").read_bytes()[:-4])
     off = bytes(body).find(struct.pack("<d", model.sigma2))
@@ -204,7 +231,7 @@ def test_model_with_non_finite_sigma2_rejected(tmp_path, value):
 
 
 def test_model_with_zero_std_rejected(tmp_path):
-    model = tiny_model(retain=False)
+    model = tiny_model()
     save_model(model, tmp_path / "m.eshm")
     body = bytearray((tmp_path / "m.eshm").read_bytes()[:-4])
     off = bytes(body).find(model.std.astype("<f4").tobytes())

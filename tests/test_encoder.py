@@ -25,15 +25,16 @@ from esh.encoder import (
     save_model,
     unpack_codes,
 )
-from esh.optimizer import TrainConfig, init_projection, sgn, train
-from oracles import codes_to_csv, encode_train, float64_linear_codes, to_dense
+from esh.optimizer import TrainConfig, init_projection, train
+from oracles import codes_to_csv, encode_train, float64_linear_codes, sgn, to_dense
 
 
 def random_bits(rng, n, k):
     return np.where(rng.standard_normal((n, k)) > 0, 1, -1).astype(np.int8)
 
 
-def small_model(seed=0, n_per=40, clusters=4, d=8, k=6, s=3, retain=False):
+def small_pipeline(seed=0, n_per=40, clusters=4, d=8, k=6, s=3):
+    """small_model's results, then the affinity rows Z the model was built from."""
     X_raw, labels = generate_synthetic(clusters, n_per, d, 1.0, seed=seed)
     Xs, stats = standardize(X_raw)
     anchors = fit_anchors(Xs, m=12, iters=10, seed=seed + 1, s=s)
@@ -41,10 +42,13 @@ def small_model(seed=0, n_per=40, clusters=4, d=8, k=6, s=3, retain=False):
     lam = anchor_mass(Z)
     S = similarity_matrix(Xs, Z, lam)
     W, _ = train(Xs, S, TrainConfig(bits=k, iters=40, seed=seed + 2))
-    model, codes = build_hash_model(
-        stats, W, anchors, Z, lam, X_raw, retain_train=retain
-    )
-    return model, codes, X_raw, labels
+    model, codes = build_hash_model(stats, W, anchors, Z, lam, X_raw)
+    return model, codes, X_raw, labels, Z
+
+
+def small_model(**kw):
+    """A trained model, its training codes, features and labels."""
+    return small_pipeline(**kw)[:4]
 
 
 def test_pack_unpack_bijection_across_widths():
@@ -300,13 +304,13 @@ def test_graph_unanimous_neighborhood_bit():
 
 
 def test_graph_matches_exhaustive_argmax():
-    model, codes, X_raw, _ = small_model(seed=12, k=6, retain=True)
+    model, codes, X_raw, _, Z = small_pipeline(seed=12, k=6)
     rng = np.random.default_rng(13)
     queries = X_raw[rng.choice(X_raw.shape[0], 10, replace=False)]
     queries = queries + 0.05 * rng.standard_normal(queries.shape)
 
-    B = unpack_codes(model.B).astype(np.float64)  # (n, k)
-    Zd = to_dense(model.Z)  # (n, m)
+    B = unpack_codes(codes).astype(np.float64)  # (n, k)
+    Zd = to_dense(Z)  # (n, m)
     lam = model.lam
     mean = model.mean.astype(np.float64)
     std = model.std.astype(np.float64)
@@ -332,26 +336,19 @@ def test_graph_matches_exhaustive_argmax():
 
 
 def test_model_round_trip_bit_exact(tmp_path):
-    for retain in (False, True):
-        model, _, _, _ = small_model(seed=14, retain=retain)
-        p = tmp_path / f"m{int(retain)}.eshm"
-        save_model(model, p)
-        back = load_model(p)
-        assert np.array_equal(back.mean, model.mean)
-        assert np.array_equal(back.std, model.std)
-        assert np.array_equal(back.W, model.W)
-        assert np.array_equal(back.centers, model.centers)
-        assert np.array_equal(back.lam, model.lam)
-        assert np.array_equal(back.vote_matrix, model.vote_matrix)
-        assert back.sigma2 == model.sigma2
-        assert back.s == model.s
-        assert back.query_mode == model.query_mode
-        if retain:
-            assert np.array_equal(back.B.words, model.B.words)
-            assert np.array_equal(back.Z.indices, model.Z.indices)
-            assert np.array_equal(back.Z.weights, model.Z.weights)
-        else:
-            assert back.B is None and back.Z is None
+    model, _, _, _ = small_model(seed=14)
+    p = tmp_path / "m.eshm"
+    save_model(model, p)
+    back = load_model(p)
+    assert np.array_equal(back.mean, model.mean)
+    assert np.array_equal(back.std, model.std)
+    assert np.array_equal(back.W, model.W)
+    assert np.array_equal(back.centers, model.centers)
+    assert np.array_equal(back.lam, model.lam)
+    assert np.array_equal(back.vote_matrix, model.vote_matrix)
+    assert back.sigma2 == model.sigma2
+    assert back.s == model.s
+    assert back.query_mode == model.query_mode
 
 
 def test_model_replay_after_reload(tmp_path):

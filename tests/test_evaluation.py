@@ -120,10 +120,9 @@ def test_narrow_distances_are_the_smallest_unsigned_type():
 
 def test_rank_exclude_id():
     codes = pack_codes(np.ones((5, 3)))
-    r = rank_database(codes.words[0], codes, exclude_id=2, query_id=0)
+    r = rank_database(codes.words[0], codes, exclude_id=2)
     assert 2 not in r.ids
     assert len(r.ids) == 4
-    assert r.query_id == 0
 
 
 def test_rank_rejects_top_below_one():

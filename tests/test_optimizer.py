@@ -12,13 +12,12 @@ from esh.optimizer import (
     cayley_step,
     init_projection,
     orth_residual,
-    sgn,
     stiefel_project,
     tangent_gradient,
     train,
 )
 from esh.optimizer import _STEP_RULES, _Objective, _prepare, _should_stop, _TraceBuilder
-from oracles import euclidean_gradient, loss_value, objective_terms, reference_objective
+from oracles import euclidean_gradient, loss_value, objective_terms, reference_objective, sgn
 
 
 def naive_loss(W, X, S, alpha):

@@ -6,6 +6,16 @@ sum to one per row. The resulting sparse matrix Z gives a low-rank affinity
 A = Z diag(Z^T 1)^{-1} Z^T whose rows sum to one, so the graph Laplacian
 degree matrix is the identity and the similarity target for training is
 S = X^T A X, computed in factored form without ever forming A.
+
+Distances are float64 (pairwise_sq_dists), but two steps read them only
+through an order. Lloyd's assignment step takes its argmin from one
+float32 product by kernels.float32_argmin, which rechecks in float64 the
+rows whose two nearest centers its rounding bound cannot tell apart.
+anchor_weights partitions each row at the (s+1)-th distance instead of
+sorting all m, and sorts the rows where that distance ties the s-th.
+Both give the indices of the float64 path, ties to the lower index, so
+anchors, Z and S are as the float64 argmin and stable sort make them.
+Row norms are summed a block of rows at a time.
 """
 
 import warnings
@@ -15,8 +25,14 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
+from .kernels import BLOCK_VALUES, float32_argmin
+
 LAMBDA_FLOOR = 1e-12
 SIGMA_FLOOR = 1e-12
+# below this many distances (rows x anchors) a stable sort picks the s
+# nearest anchors faster than a partition: on a 2-vCPU x86-64 host, 5
+# against 35 us on one row, and even near 28 rows of 100 anchors and 6 of 300
+SELECT_MIN_VALUES = 2048
 
 
 def check_sigma2(sigma2):
@@ -47,8 +63,7 @@ class AnchorSet:
     @cached_property
     def sq_norms(self):
         """Squared row norms of the centers, summed once per anchor set."""
-        C = np.asarray(self.centers, dtype=np.float64)
-        return (C * C).sum(axis=1)
+        return sq_norms(np.asarray(self.centers, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -93,19 +108,32 @@ class SparseAffinityRows:
         )
 
 
+def sq_norms(X):
+    """Squared row norms, (X * X).sum(axis=1) a block of rows at a time:
+    each row gets the same pairwise sum, without an n x d temporary."""
+    rows = max(1, BLOCK_VALUES // max(X.shape[1], 1))
+    if X.shape[0] <= rows:
+        return (X * X).sum(axis=1)
+    out = np.empty(X.shape[0])
+    for i in range(0, X.shape[0], rows):
+        block = X[i : i + rows]
+        out[i : i + rows] = (block * block).sum(axis=1)
+    return out
+
+
 def pairwise_sq_dists(X, C, x_sq=None, c_sq=None):
     """Squared Euclidean distances between rows of X and rows of C.
 
     One GEMM plus the norm expansion; clipped at zero to kill the tiny
     negatives the expansion produces. Callers that reuse X or C pass their
-    row norms as x_sq or c_sq.
+    row norms (sq_norms) as x_sq or c_sq.
     """
     X = np.asarray(X, dtype=np.float64)
     C = np.asarray(C, dtype=np.float64)
     if x_sq is None:
-        x_sq = (X * X).sum(axis=1)
+        x_sq = sq_norms(X)
     if c_sq is None:
-        c_sq = (C * C).sum(axis=1)
+        c_sq = sq_norms(C)
     d2 = x_sq[:, None] - 2.0 * (X @ C.T) + c_sq[None, :]
     return np.maximum(d2, 0.0)
 
@@ -130,8 +158,11 @@ def _kmeans_pp_init(X, m, rng, x_sq):
 def fit_anchors(X, m, iters=10, seed=0, s=3, sigma2=None):
     """k-means anchors for X: k-means++ seeding then `iters` Lloyd rounds.
 
-    Empty clusters are reseeded to the point farthest from its nearest
-    center (deterministic argmax). When sigma2 is not given it defaults to
+    Each round assigns every row the nearest center by
+    kernels.float32_argmin on one float32 copy of X, the argmin of
+    pairwise_sq_dists. Empty clusters are reseeded to the point farthest
+    from its nearest center (deterministic argmax), which takes that
+    round's float64 distances. When sigma2 is not given it defaults to
     the mean squared distance from samples to their s-th nearest anchor.
     Either is floored to avoid a degenerate kernel.
     """
@@ -144,28 +175,54 @@ def fit_anchors(X, m, iters=10, seed=0, s=3, sigma2=None):
     if iters < 1:
         raise ValueError("iters must be >= 1")
     rng = np.random.default_rng(seed)
-    x_sq = (X * X).sum(axis=1)
+    x_sq = sq_norms(X)
     centers = _kmeans_pp_init(X, m, rng, x_sq)
+    with np.errstate(over="ignore"):  # rows past float32 range get an infinite band
+        X32 = X.astype(np.float32)
     for _ in range(iters):
-        d2 = pairwise_sq_dists(X, centers, x_sq=x_sq)
-        assign = d2.argmin(axis=1)
+        c_sq = sq_norms(centers)
+        assign = float32_argmin(
+            X32, x_sq, centers, c_sq,
+            lambda rows: pairwise_sq_dists(X[rows], centers, x_sq=x_sq[rows], c_sq=c_sq))
         counts = np.bincount(assign, minlength=m)
+        nonempty = counts > 0
+        if not nonempty.all():  # the reseed reads every row's distance to this round's centers
+            nearest = pairwise_sq_dists(X, centers, x_sq=x_sq, c_sq=c_sq).min(axis=1)
         # one-hot (m, n) CSR, columns ascending: sums rows in the order add.at would
         sums = sp.csr_matrix((np.ones(n), (assign, np.arange(n))), shape=(m, n)) @ X
-        nonempty = counts > 0
         centers[nonempty] = sums[nonempty] / counts[nonempty, None]
-        if not nonempty.all():
-            nearest = d2.min(axis=1)
-            for j in np.flatnonzero(~nonempty):
-                far = int(nearest.argmax())
-                centers[j] = X[far]
-                nearest[far] = 0.0  # don't pick the same point twice
+        for j in np.flatnonzero(~nonempty):
+            far = int(nearest.argmax())
+            centers[j] = X[far]
+            nearest[far] = 0.0  # don't pick the same point twice
     if sigma2 is None:
         d2 = pairwise_sq_dists(X, centers, x_sq=x_sq)
-        kth = np.sort(d2, axis=1)[:, min(s, m) - 1]
+        kth = np.partition(d2, min(s, m) - 1, axis=1)[:, min(s, m) - 1]
         sigma2 = float(kth.mean())
     sigma2 = max(float(sigma2), SIGMA_FLOOR)
     return AnchorSet(centers=centers, sigma2=sigma2, s=min(s, m))
+
+
+def _nearest_first(d2, s):
+    """Columns of each row's s least entries, least first and ties to the
+    lower column: np.argsort(d2, axis=1, kind="stable")[:, :s].
+
+    Blocks of SELECT_MIN_VALUES distances or more partition at the (s+1)-th
+    entry and order the s below it by (distance, column). The stable sort
+    takes rows whose s-th and (s+1)-th distances are equal, where the
+    partition chose among the ties, and s = m.
+    """
+    if s == d2.shape[1] or d2.size < SELECT_MIN_VALUES:
+        return np.argsort(d2, axis=1, kind="stable")[:, :s]
+    part = np.argpartition(d2, s, axis=1)
+    idx = np.sort(part[:, :s], axis=1)  # by column, so the stable sort below keeps ties in order
+    near = np.take_along_axis(d2, idx, axis=1)
+    idx = np.take_along_axis(idx, np.argsort(near, axis=1, kind="stable"), axis=1)
+    beyond = np.take_along_axis(d2, part[:, s : s + 1], axis=1)[:, 0]
+    tied = np.flatnonzero(~(beyond > near.max(axis=1)))  # NaN rows too
+    if tied.size:
+        idx[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :s]
+    return idx
 
 
 def anchor_weights(x_rows, anchors: AnchorSet):
@@ -173,14 +230,13 @@ def anchor_weights(x_rows, anchors: AnchorSet):
 
     Shared by graph construction and query encoding so both produce
     identical rows. Ties in distance resolve to the lower anchor index
-    (stable argsort). The exp is taken after subtracting each row's
+    (_nearest_first). The exp is taken after subtracting each row's
     minimum squared distance; the shift cancels in the normalization, so
     weights are exact but can never all underflow to zero.
     """
     x_rows = np.atleast_2d(np.asarray(x_rows, dtype=np.float64))
     d2 = pairwise_sq_dists(x_rows, anchors.centers, c_sq=anchors.sq_norms)
-    s = anchors.s
-    order = np.argsort(d2, axis=1, kind="stable")[:, :s]
+    order = _nearest_first(d2, anchors.s)
     near = np.take_along_axis(d2, order, axis=1)
     shifted = near - near[:, :1]
     w = np.exp(-shifted / anchors.sigma2)

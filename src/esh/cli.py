@@ -275,6 +275,8 @@ def cmd_train(args):
         check_sigma2(cfg["sigma2"])
     if cfg["snn"] < 1:
         raise ValueError(f"--snn must be >= 1, got {cfg['snn']}")
+    if cfg["snn"] > cfg["anchors"]:
+        raise ValueError(f"--snn must be at most --anchors ({cfg['anchors']}), got {cfg['snn']}")
     X_raw = load_features(cfg["features"])
     if cfg["bits"] > X_raw.shape[1]:
         raise ValueError(f"--bits must be at most the {X_raw.shape[1]} feature dimensions, "

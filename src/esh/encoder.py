@@ -13,13 +13,16 @@ stays float64 up to the point the model is assembled.
 Linear encoding reads the rows at their stored precision. A block of
 rows is standardized at that precision (float32 rows with the float32
 stats, others in float64) and costs one float32 product with W.
-optimizer.float32_signs bounds that product's rounding error by
+kernels.float32_signs bounds that product's rounding error by
 |xs| |w|; entries inside the bound are recomputed as
 ((x - mean) / std) . w in float64, so every sign is that of the float64
 projection, and zero still gives +1. (Where that projection is within
 float64 rounding of zero, its sign depends on the order of the sums.)
-Graph encoding standardizes in float64 from state cast once per model
-and reuses the anchors' squared norms.
+Graph encoding also goes a block of rows at a time: each block is
+standardized in float64 from state cast once per model, takes its
+float64 distances to the anchors, whose squared norms are reused, and
+votes with its s nearest, chosen as anchor_graph.anchor_weights chooses
+them for Z.
 """
 
 from dataclasses import dataclass, replace
@@ -30,7 +33,7 @@ import numpy as np
 from .anchor_graph import AnchorSet, SparseAffinityRows, anchor_weights, check_sigma2
 from .container import FormatError, Reader, Writer  # noqa: F401 - esh.encoder.FormatError
 from .dataset import STD_FLOOR, StandardizationStats, apply_standardization
-from .optimizer import float32_signs
+from .kernels import BLOCK_VALUES, float32_signs, row_norm_bounds
 
 CODE_MAGIC = b"ESHB"
 CODE_VERSION = 1
@@ -38,8 +41,6 @@ MODEL_MAGIC = b"ESHM"
 MODEL_VERSION = 1
 
 QUERY_MODES = ("graph", "linear")
-# input entries per linear-encoding block
-LINEAR_BLOCK_VALUES = 2**18
 
 
 @dataclass(frozen=True)
@@ -81,16 +82,6 @@ def unpack_codes(codes: PackedCodes):
     octets = np.ascontiguousarray(codes.words, dtype="<u8").view(np.uint8)
     on = np.unpackbits(octets, axis=1, count=codes.k, bitorder="little")
     return on.view(np.int8) * 2 - 1
-
-
-def _row_norm_bounds(X):
-    """Upper bounds on the rows' 2-norms from a sum of squares at X's own
-    precision: its rounding (gamma_d, Higham 2002, 3.1) and underflow."""
-    fi = np.finfo(X.dtype)
-    d = X.shape[1]
-    with np.errstate(over="ignore"):  # an overflowing row gets inf, which callers check
-        sq = np.einsum("ij,ij->i", X, X).astype(np.float64)
-    return np.sqrt((sq + d * float(fi.smallest_subnormal)) / (1 - d * float(fi.eps)))
 
 
 @dataclass(frozen=True)
@@ -192,7 +183,7 @@ class HashModel:
     def encode_linear(self, X_raw):
         """sgn of the standardized projection; ties at zero become +1.
 
-        Rows go through in blocks of LINEAR_BLOCK_VALUES entries,
+        Rows go through in blocks of BLOCK_VALUES entries,
         standardized in float32 if they are float32 and in float64
         otherwise. A block costs one float32 product with W; rows that
         float32_signs rechecks are standardized again in float64.
@@ -200,7 +191,7 @@ class HashModel:
         X = np.atleast_2d(X_raw)
         if X.shape[-1] != self.d:
             raise ValueError(f"dimension mismatch: got {X.shape[-1]}, stats have {self.d}")
-        rows = max(1, LINEAR_BLOCK_VALUES // self.d)
+        rows = max(1, BLOCK_VALUES // self.d)
         on = np.empty((X.shape[0], self.k), dtype=bool)
         for i in range(0, X.shape[0], rows):
             block, stats = X[i : i + rows], self
@@ -209,7 +200,7 @@ class HashModel:
             with np.errstate(over="ignore"):  # a row that overflows gets inf, checked below
                 xs = block - stats.mean
                 xs /= stats.std
-            x_norms = _row_norm_bounds(xs)
+            x_norms = row_norm_bounds(xs)
             bad = ~np.isfinite(x_norms)
             if bad.any():
                 # raises on rows that are not finite; the rest are huge and rechecked whole
@@ -223,12 +214,16 @@ class HashModel:
 
         z is the same kernel row Z would hold for this point, so a training
         sample gets (numerically) the code its neighbors voted for. Ties at
-        zero become +1.
+        zero become +1. Rows go through in blocks of about BLOCK_VALUES
+        standardized values and distances, each standardized in float64.
         """
-        Xs = self._standardized(X_raw)
-        idx, w = anchor_weights(Xs, self._anchors64)
-        scores = np.einsum("kqs,qs->qk", self._vote64[:, idx], w)
-        return pack_codes(scores >= 0)
+        X = np.atleast_2d(X_raw)
+        rows = max(1, BLOCK_VALUES // (self.d + self.m))
+        on = []
+        for i in range(0, max(X.shape[0], 1), rows):  # an empty input is one empty block
+            idx, w = anchor_weights(self._standardized(X[i : i + rows]), self._anchors64)
+            on.append(np.einsum("kqs,qs->qk", self._vote64[:, idx], w) >= 0)
+        return pack_codes(on[0] if len(on) == 1 else np.concatenate(on))
 
     def encode(self, X_raw, mode=None):
         mode = self.query_mode if mode is None else mode

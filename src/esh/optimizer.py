@@ -15,7 +15,7 @@ Cost: the Gram term X^T X is formed once, in O(n d^2) time, and folded
 with S into one d x d matrix. After that an iteration costs one n x d x k
 product in float32, whose result is used only for the signs of XW, one
 d x d x k product, and a sparse update where signs flipped. The signs come
-from float32_signs, which linear encoding shares: it bounds the float32
+from kernels.float32_signs, which linear encoding shares: it bounds the float32
 product's rounding error and recomputes in float64 every entry within
 that bound of zero, so they are the float64 signs. Memory beyond X is a
 float32 copy of X, d x d and n x k int8 signs.
@@ -28,58 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .kernels import float32_signs
+
 TAU_MIN = 1e-10
 TAU_MAX = 1e3
 AUTO_ALPHA_FLOOR = 1e-12
 PROJECT_RANK_FLOOR = 1e-12
-SIGN_BAND_SLACK = 1.01  # gamma_m = m u / (1 - m u) <= 1.01 m u while m u <= 0.0099
-F32_UNIT = 2.0**-24  # unit roundoff u of float32
-F64_UNIT = 2.0**-53
-# g32 s >= 2^-149 sqrt(d) and g32 s^2 >= 2^-149 d for s = NORM_PAD: padding both
-# norms by s adds at least 2^-149 (d + sqrt(d)(|x| + |w|)), the float32 underflow
-NORM_PAD = 2.0**-60
-F32_SAFE = 2.0**126  # while |x| |w| stays below this, no float32 product or sum overflows
 
 TRACE_COLUMNS = ("iteration", "loss", "orth_residual", "step_size", "elapsed_ms")
-
-
-def float32_signs(X, W32, x_norms, w_norm, recheck):
-    """sgn(z) as int8, sgn(0) = 0, for z_ij = x_i . w_j, from one float32
-    product.
-
-    X holds the rows x_i in float32 or float64 and W32 the float32
-    rounding of float64 columns w_j; x_norms (n,) or a scalar bounds the
-    rows' 2-norms from above and w_norm the columns'. Y = X W32, in
-    float32, then lies within
-
-        band_i = (gamma32_{d+2} + gamma64_{d+4}) |x_i| |w|
-
-    of z (Higham 2002, 3.1), with NORM_PAD added to |x_i| and |w| so that
-    float32 underflow is covered too. The float32 part is the dot product
-    and two float32 roundings in the factors of each of its terms (one
-    each of x and w in training; two of x, its centering and scaling, in
-    encoding); the float64 part any float64 rounding of order |x||w| in
-    the caller's x, w or z. Entries with |Y| > band have z's sign. The
-    rest take the sign of recheck(rows, cols): z, or a positive multiple
-    of it, at those entries in float64. Rows whose norms could overflow
-    float32 get an infinite band, so they are rechecked whole and their
-    float32 product is never read.
-    """
-    d = X.shape[1]
-    gamma = SIGN_BAND_SLACK * ((d + 2) * F32_UNIT + (d + 4) * F64_UNIT)
-    w_norm = float(w_norm) + NORM_PAD
-    x_norms = np.asarray(x_norms, dtype=np.float64) + NORM_PAD
-    x_norms = np.where(np.maximum(x_norms, 1.0) * max(1.0, w_norm) < F32_SAFE, x_norms, np.inf)
-    # rounded up to float32, so that the comparisons run in float32; one value per row
-    band = np.nextafter((gamma * w_norm * x_norms).astype(np.float32), np.float32(np.inf))[..., None]
-    with np.errstate(over="ignore", invalid="ignore"):  # only in rows of infinite band
-        Y = X.astype(np.float32, copy=False) @ W32
-    B = (Y > band).view(np.int8) - (Y < -band).view(np.int8)
-    near = np.flatnonzero(B == 0)  # few as a rule; 2-D nonzero or a mask would cost ~10x more
-    if near.size:
-        rows, cols = np.divmod(near, B.shape[1])
-        B.flat[near] = np.sign(recheck(rows, cols))
-    return B
 
 
 def init_projection(d, k, seed):

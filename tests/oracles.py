@@ -3,10 +3,11 @@ factored form, and helpers that only tests use."""
 
 import numpy as np
 
-from esh.anchor_graph import SparseAffinityRows
+from esh.anchor_graph import SparseAffinityRows, pairwise_sq_dists
 from esh.dataset import STD_FLOOR, StandardizationStats, apply_standardization
-from esh.encoder import LINEAR_BLOCK_VALUES, PackedCodes, pack_codes, unpack_codes
-from esh.optimizer import F64_UNIT, SIGN_BAND_SLACK, _Objective
+from esh.encoder import PackedCodes, pack_codes, unpack_codes
+from esh.kernels import BAND_SLACK, BLOCK_VALUES, F64_UNIT
+from esh.optimizer import _Objective
 
 DENSE_ORACLE_MAX_N = 1000
 # the least float32 std that a model's float64 stats accept
@@ -95,7 +96,7 @@ def float64_linear_projection(model, X_raw):
     stats = StandardizationStats(mean=model.mean.astype(np.float64),
                                  std=model.std.astype(np.float64))
     W = model.W.astype(np.float64)
-    rows = max(1, LINEAR_BLOCK_VALUES // model.d)
+    rows = max(1, BLOCK_VALUES // model.d)
     Z, xs_norms = np.empty((X.shape[0], model.k)), np.empty(X.shape[0])
     for i in range(0, X.shape[0], rows):
         Xs = apply_standardization(X[i : i + rows], stats)
@@ -103,7 +104,7 @@ def float64_linear_projection(model, X_raw):
             raise ValueError("query contains non-finite values after standardization")
         Z[i : i + rows] = Xs @ W
         xs_norms[i : i + rows] = np.hypot.reduce(Xs, axis=1)  # no overflow in the squares
-    gamma = 2 * SIGN_BAND_SLACK * model.d * F64_UNIT
+    gamma = 2 * BAND_SLACK * model.d * F64_UNIT
     slack = gamma * np.outer(xs_norms, np.linalg.norm(W, axis=0)) + model.d * 2.0**-1074
     return Z, slack
 
@@ -111,6 +112,24 @@ def float64_linear_projection(model, X_raw):
 def float64_linear_codes(model, X_raw):
     """model.encode_linear by the float64 block encoder; ties at zero become +1."""
     return pack_codes(float64_linear_projection(model, X_raw)[0] >= 0)
+
+
+def float64_sq_dists(X, C):
+    """pairwise_sq_dists(X, C) in one product over all rows, and for each
+    entry the most another order of the sums could move it:
+    BAND_SLACK u64 (2 (d+3) |x_i| |c_j| + 2 |x_i|^2 + |c_j|^2) plus underflow."""
+    X = np.asarray(X, dtype=np.float64)
+    C = np.asarray(C, dtype=np.float64)
+    d = X.shape[1]
+    a = np.hypot.reduce(X, axis=1)[:, None]  # no overflow in the squares
+    b = np.hypot.reduce(C, axis=1)[None, :]
+    slack = BAND_SLACK * F64_UNIT * (2 * (d + 3) * a * b + 2 * a * a + b * b) + d * 2.0**-1070
+    return pairwise_sq_dists(X, C), slack
+
+
+def stable_nearest(d2, s):
+    """Columns of each row's s least entries, least first, ties to the lower column."""
+    return np.argsort(d2, axis=1, kind="stable")[:, :s]
 
 
 def shift_and_sum_pack(bits):

@@ -10,8 +10,10 @@ from esh.anchor_graph import (
     pairwise_sq_dists,
     prune_dead_anchors,
     similarity_matrix,
+    sq_norms,
 )
 from esh.dataset import generate_synthetic
+from esh.kernels import BLOCK_VALUES
 from oracles import dense_affinity, to_dense
 
 
@@ -72,11 +74,28 @@ def test_kmeans_bit_identical_to_add_at_oracle():
         assert anchors.sigma2 == sigma2
 
 
+def test_kmeans_beyond_float32_range_matches_the_oracle():
+    # rows past float32 range: their float32 copies are inf, so every row whose
+    # band they reach is assigned from its float64 distances
+    rng = np.random.default_rng(18)
+    X = rng.standard_normal((60, 5))
+    X[3, 1], X[40] = 1e39, -1e100
+    anchors = fit_anchors(X, m=6, iters=4, seed=19, s=2)
+    centers, sigma2, _ = kmeans_oracle(X, 6, iters=4, seed=19, s=2)
+    assert np.array_equal(anchors.centers, centers)
+    assert anchors.sigma2 == sigma2
+
+
 def test_pairwise_sq_dists_matches_loops():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((17, 4))
     C = rng.standard_normal((5, 4))
     assert np.allclose(pairwise_sq_dists(X, C), brute_sq_dists(X, C), atol=1e-10)
+
+
+def test_sq_norms_by_blocks_equal_the_whole_array_sums():
+    X = np.random.default_rng(1).standard_normal((3 * BLOCK_VALUES // 1024 + 5, 1024))
+    assert np.array_equal(sq_norms(X), (X * X).sum(axis=1))
 
 
 def test_pairwise_with_given_center_norms_is_bit_identical():

@@ -491,6 +491,22 @@ def test_train_rejects_non_finite_sigma2_flag_before_reading(tmp_path, capsys, m
     assert not out.exists()
 
 
+def test_train_rejects_more_neighbours_than_anchors_before_reading(tmp_path, capsys,
+                                                                  monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("input read before --snn was checked against --anchors")
+
+    monkeypatch.setattr("esh.cli.load_features", fail)
+    out = tmp_path / "out"
+    assert run("train", "--features", an_input_file(tmp_path), "--snn", 40, "--anchors", 30,
+               "--out", out) == 1
+    line = capsys.readouterr().err
+    assert line.count("\n") == 1
+    assert json.loads(line) == {"error": "ValueError",
+                                "message": "--snn must be at most --anchors (30), got 40"}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (("--bits", 5), "--bits must be at most the 4 feature dimensions, got 5"),
     (("--bits", 2, "--snn", 0), "--snn must be >= 1, got 0"),

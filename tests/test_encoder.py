@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from esh import dataset
-from esh.anchor_graph import anchor_mass, build_affinity_rows, fit_anchors, similarity_matrix
+from esh.anchor_graph import (
+    anchor_mass,
+    build_affinity_rows,
+    fit_anchors,
+    pairwise_sq_dists,
+    similarity_matrix,
+)
 from esh.dataset import (
     StandardizationStats,
     apply_standardization,
@@ -13,7 +19,6 @@ from esh.dataset import (
     standardize,
 )
 from esh.encoder import (
-    LINEAR_BLOCK_VALUES,
     FormatError,
     HashModel,
     PackedCodes,
@@ -25,6 +30,7 @@ from esh.encoder import (
     save_model,
     unpack_codes,
 )
+from esh.kernels import BLOCK_VALUES
 from esh.optimizer import TrainConfig, init_projection, train
 from oracles import codes_to_csv, encode_train, float64_linear_codes, sgn, to_dense
 
@@ -192,7 +198,7 @@ def linear_oracle(model, X):
 
 
 def blocks_of(model):
-    return LINEAR_BLOCK_VALUES // model.d
+    return BLOCK_VALUES // model.d
 
 
 def test_linear_encoding_across_blocks_matches_the_oracle():
@@ -205,6 +211,34 @@ def test_linear_encoding_across_blocks_matches_the_oracle():
     B = unpack_codes(model.encode_linear(X))
     assert np.array_equal(B, linear_oracle(model, X))
     assert np.all(B[2 * rows + 5] == 1)
+
+
+def graph_oracle(model, X):
+    """Graph codes from one standardization, one distance product and one
+    stable sort over all rows at once."""
+    stats = StandardizationStats(mean=model.mean.astype(np.float64),
+                                 std=model.std.astype(np.float64))
+    d2 = pairwise_sq_dists(apply_standardization(np.atleast_2d(X), stats),
+                           model.centers.astype(np.float64))
+    idx = np.argsort(d2, axis=1, kind="stable")[:, : model.s]
+    near = np.take_along_axis(d2, idx, axis=1)
+    w = np.exp(-(near - near[:, :1]) / model.sigma2)
+    w /= w.sum(axis=1, keepdims=True)
+    scores = np.einsum("kqs,qs->qk", model.vote_matrix.astype(np.float64)[:, idx], w)
+    return np.where(scores >= 0, 1, -1).astype(np.int8)
+
+
+def test_graph_encoding_across_blocks_matches_the_whole_array_oracle():
+    rng = np.random.default_rng(21)
+    model = replace(random_model(d=512, k=70, m=40, seed=20), s=3, sigma2=50.0,
+                    vote_matrix=rng.standard_normal((70, 40)).astype(np.float32))
+    rows = BLOCK_VALUES // (model.d + model.m)
+    X = rng.standard_normal((3 * rows + 77, model.d))  # three whole blocks and a remainder
+    X[2 * rows + 5] = X[2 * rows + 4]  # equal rows in different blocks
+    B = unpack_codes(model.encode_graph(X))
+    assert np.array_equal(B, graph_oracle(model, X))
+    assert np.array_equal(B[2 * rows + 5], B[2 * rows + 4])
+    assert np.array_equal(unpack_codes(model.encode_graph(X[7])), B[7:8])
 
 
 def test_linear_encoding_rejects_non_finite_in_the_last_block():

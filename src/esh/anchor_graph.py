@@ -15,7 +15,15 @@ anchor_weights partitions each row at the (s+1)-th distance instead of
 sorting all m, and sorts the rows where that distance ties the s-th.
 Both give the indices of the float64 path, ties to the lower index, so
 anchors, Z and S are as the float64 argmin and stable sort make them.
-Row norms are summed a block of rows at a time.
+
+What is held: the rows X at their own precision (training passes its one
+float32 standardized copy), the float64 centers, and n x s indices and
+weights. Everything float64 that reads the rows goes a block of rows at
+a time (kernels.row_blocks): row norms, Lloyd's center sums, the
+reseeding and nearest-anchor distances, and C = Z^T X for S. k-means++
+seeding reads the rows as they are, and so does Lloyd's float32 product
+when the rows are float32 (float64 rows get one float32 copy).
+fit_anchor_graph takes the default sigma2 and Z from one such pass.
 """
 
 import warnings
@@ -25,7 +33,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .kernels import BLOCK_VALUES, float32_argmin
+from .kernels import float32_argmin, row_blocks
 
 LAMBDA_FLOOR = 1e-12
 SIGMA_FLOOR = 1e-12
@@ -109,15 +117,16 @@ class SparseAffinityRows:
 
 
 def sq_norms(X):
-    """Squared row norms, (X * X).sum(axis=1) a block of rows at a time:
-    each row gets the same pairwise sum, without an n x d temporary."""
-    rows = max(1, BLOCK_VALUES // max(X.shape[1], 1))
-    if X.shape[0] <= rows:
+    """Squared row norms in float64, (X * X).sum(axis=1) on float64 copies
+    of a block of rows at a time: each row gets the same pairwise sum as
+    over the whole array, without an n x d temporary."""
+    blocks = row_blocks(*X.shape)
+    if len(blocks) == 1:
+        X = np.asarray(X, dtype=np.float64)
         return (X * X).sum(axis=1)
     out = np.empty(X.shape[0])
-    for i in range(0, X.shape[0], rows):
-        block = X[i : i + rows]
-        out[i : i + rows] = (block * block).sum(axis=1)
+    for b in blocks:
+        out[b] = sq_norms(X[b])
     return out
 
 
@@ -139,11 +148,18 @@ def pairwise_sq_dists(X, C, x_sq=None, c_sq=None):
 
 
 def _kmeans_pp_init(X, m, rng, x_sq):
-    # classic D^2 seeding
+    # classic D^2 seeding; each step is one matrix-vector product at the
+    # rows' own precision, the rest of the distance in float64
     n = X.shape[0]
     centers = np.empty((m, X.shape[1]))
+
+    def dists(j):
+        c = centers[j : j + 1]
+        d2 = x_sq - 2.0 * (X @ c.T.astype(X.dtype, copy=False)).ravel() + sq_norms(c)
+        return np.maximum(d2, 0.0)
+
     centers[0] = X[rng.integers(n)]
-    d2 = pairwise_sq_dists(X, centers[:1], x_sq=x_sq).ravel()
+    d2 = dists(0)
     for j in range(1, m):
         total = d2.sum()
         if total <= 0:
@@ -151,56 +167,91 @@ def _kmeans_pp_init(X, m, rng, x_sq):
             centers[j] = X[rng.integers(n)]
         else:
             centers[j] = X[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, pairwise_sq_dists(X, centers[j : j + 1], x_sq=x_sq).ravel())
+        d2 = np.minimum(d2, dists(j))
     return centers
 
 
-def fit_anchors(X, m, iters=10, seed=0, s=3, sigma2=None):
-    """k-means anchors for X: k-means++ seeding then `iters` Lloyd rounds.
+def _center_sums(X, assign, m):
+    """Per center, the float64 sum of its rows in np.add.at order: row by
+    row, ascending. One one-hot CSR matrix, columns ascending, multiplies
+    float64 copies of a slab of columns at a time; within a slab each sum
+    runs over all of its rows in that order."""
+    n, d = X.shape
+    one_hot = sp.csr_matrix((np.ones(n), (assign, np.arange(n))), shape=(m, n))
+    sums = np.empty((m, d))
+    for cols in row_blocks(d, n):  # slabs of columns, n values each
+        sums[:, cols] = one_hot @ np.asarray(X[:, cols], dtype=np.float64)
+    return sums
 
-    Each round assigns every row the nearest center by
-    kernels.float32_argmin on one float32 copy of X, the argmin of
-    pairwise_sq_dists. Empty clusters are reseeded to the point farthest
-    from its nearest center (deterministic argmax), which takes that
-    round's float64 distances. When sigma2 is not given it defaults to
-    the mean squared distance from samples to their s-th nearest anchor.
-    Either is floored to avoid a degenerate kernel.
-    """
-    if sigma2 is not None:
-        check_sigma2(sigma2)
-    X = np.asarray(X, dtype=np.float64)
-    n = X.shape[0]
-    if not 1 <= m <= n:
-        raise ValueError(f"anchor count must be in [1, n={n}], got {m}")
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
+
+def _kmeans(X, m, iters, seed):
+    """k-means++ seeding, then `iters` Lloyd rounds; float64 centers."""
     rng = np.random.default_rng(seed)
     x_sq = sq_norms(X)
     centers = _kmeans_pp_init(X, m, rng, x_sq)
     with np.errstate(over="ignore"):  # rows past float32 range get an infinite band
-        X32 = X.astype(np.float32)
+        X32 = X.astype(np.float32, copy=False)
     for _ in range(iters):
         c_sq = sq_norms(centers)
-        assign = float32_argmin(
-            X32, x_sq, centers, c_sq,
-            lambda rows: pairwise_sq_dists(X[rows], centers, x_sq=x_sq[rows], c_sq=c_sq))
+        assign = np.empty(X.shape[0], dtype=np.int64)
+        for b in row_blocks(X.shape[0], max(X.shape[1], m)):
+            rows_b, sq_b = X[b], x_sq[b]
+            assign[b] = float32_argmin(
+                X32[b], sq_b, centers, c_sq,
+                lambda rows: pairwise_sq_dists(rows_b[rows], centers, x_sq=sq_b[rows], c_sq=c_sq))
         counts = np.bincount(assign, minlength=m)
         nonempty = counts > 0
         if not nonempty.all():  # the reseed reads every row's distance to this round's centers
-            nearest = pairwise_sq_dists(X, centers, x_sq=x_sq, c_sq=c_sq).min(axis=1)
-        # one-hot (m, n) CSR, columns ascending: sums rows in the order add.at would
-        sums = sp.csr_matrix((np.ones(n), (assign, np.arange(n))), shape=(m, n)) @ X
+            nearest = np.concatenate([
+                pairwise_sq_dists(X[b], centers, x_sq=x_sq[b], c_sq=c_sq).min(axis=1)
+                for b in row_blocks(X.shape[0], max(X.shape[1], m))])
+        sums = _center_sums(X, assign, m)
         centers[nonempty] = sums[nonempty] / counts[nonempty, None]
         for j in np.flatnonzero(~nonempty):
             far = int(nearest.argmax())
             centers[j] = X[far]
             nearest[far] = 0.0  # don't pick the same point twice
+    return centers
+
+
+def fit_anchor_graph(X, m, iters=10, seed=0, s=3, sigma2=None):
+    """k-means anchors for the rows X and the affinity rows Z they give X.
+
+    k-means++ seeding takes one matrix-vector product per center at the
+    rows' precision. Each of the `iters` Lloyd rounds assigns every row
+    the nearest center by kernels.float32_argmin, from one float32
+    product on the rows (or a float32 copy of float64 rows), the argmin
+    of pairwise_sq_dists. Empty clusters are reseeded to the point
+    farthest from its nearest center (deterministic argmax), which takes
+    that round's float64 distances. Then one pass over the rows, a block
+    at a time, finds each row's s nearest anchors: their distances give
+    the default sigma2, the mean squared distance from samples to their
+    s-th nearest anchor, and with sigma2 the weights of Z. Either sigma2
+    is floored to avoid a degenerate kernel. Returns (AnchorSet, Z), equal
+    to fit_anchors and build_affinity_rows on the same arguments.
+    """
+    if sigma2 is not None:
+        check_sigma2(sigma2)
+    X = np.asarray(X)
+    n = X.shape[0]
+    if not 1 <= m <= n:
+        raise ValueError(f"anchor count must be in [1, n={n}], got {m}")
+    if iters < 1:
+        raise ValueError("iters must be >= 1")
+    if not 1 <= s <= m:
+        raise ValueError(f"s must be in [1, m={m}], got {s}")
+    centers = _kmeans(X, m, iters, seed)
+    idx, near = _nearest_anchors(X, centers, sq_norms(centers), s)
     if sigma2 is None:
-        d2 = pairwise_sq_dists(X, centers, x_sq=x_sq)
-        kth = np.partition(d2, min(s, m) - 1, axis=1)[:, min(s, m) - 1]
-        sigma2 = float(kth.mean())
+        sigma2 = float(near[:, s - 1].mean())
     sigma2 = max(float(sigma2), SIGMA_FLOOR)
-    return AnchorSet(centers=centers, sigma2=sigma2, s=min(s, m))
+    anchors = AnchorSet(centers=centers, sigma2=sigma2, s=s)
+    return anchors, SparseAffinityRows(indices=idx, weights=_kernel_weights(near, sigma2), m=m)
+
+
+def fit_anchors(X, m, iters=10, seed=0, s=3, sigma2=None):
+    """The anchor set of fit_anchor_graph, for callers that build Z later."""
+    return fit_anchor_graph(X, m, iters=iters, seed=seed, s=s, sigma2=sigma2)[0]
 
 
 def _nearest_first(d2, s):
@@ -225,29 +276,52 @@ def _nearest_first(d2, s):
     return idx
 
 
-def anchor_weights(x_rows, anchors: AnchorSet):
-    """Indices and normalized kernel weights of the s nearest anchors.
+def _nearest(X, centers, c_sq, s):
+    """Per row of X, the columns (_nearest_first) and float64 squared
+    distances (pairwise_sq_dists) of its s nearest centers."""
+    d2 = pairwise_sq_dists(X, centers, c_sq=c_sq)
+    idx = _nearest_first(d2, s)
+    return idx, np.take_along_axis(d2, idx, axis=1)
 
-    Shared by graph construction and query encoding so both produce
-    identical rows. Ties in distance resolve to the lower anchor index
-    (_nearest_first). The exp is taken after subtracting each row's
-    minimum squared distance; the shift cancels in the normalization, so
-    weights are exact but can never all underflow to zero.
-    """
-    x_rows = np.atleast_2d(np.asarray(x_rows, dtype=np.float64))
-    d2 = pairwise_sq_dists(x_rows, anchors.centers, c_sq=anchors.sq_norms)
-    order = _nearest_first(d2, anchors.s)
-    near = np.take_along_axis(d2, order, axis=1)
-    shifted = near - near[:, :1]
-    w = np.exp(-shifted / anchors.sigma2)
+
+def _nearest_anchors(X, centers, c_sq, s):
+    """_nearest a block of rows at a time."""
+    n = X.shape[0]
+    idx = np.empty((n, s), dtype=np.int64)
+    near = np.empty((n, s))
+    for b in row_blocks(n, max(X.shape[1], centers.shape[0])):
+        idx[b], near[b] = _nearest(X[b], centers, c_sq, s)
+    return idx, near
+
+
+def _kernel_weights(near, sigma2):
+    """Gaussian weights of the nearest squared distances, normalized per
+    row. The exp is taken after subtracting each row's minimum; the shift
+    cancels in the normalization, so weights are exact but can never all
+    underflow to zero."""
+    w = np.exp(-(near - near[:, :1]) / sigma2)
     w /= w.sum(axis=1, keepdims=True)
-    return order, w
+    return w
+
+
+def anchor_weights(x_rows, anchors: AnchorSet):
+    """Indices and normalized kernel weights of the s nearest anchors, for
+    one block of rows (graph encoding passes its blocks).
+
+    Graph construction computes its rows the same way, so both produce
+    identical rows. Ties in distance resolve to the lower anchor index
+    (_nearest_first).
+    """
+    idx, near = _nearest(np.atleast_2d(x_rows), anchors.centers, anchors.sq_norms, anchors.s)
+    return idx, _kernel_weights(near, anchors.sigma2)
 
 
 def build_affinity_rows(X, anchors: AnchorSet):
-    """Sparse Z for the dataset: s nearest anchors per row, rows sum to 1."""
-    idx, w = anchor_weights(X, anchors)
-    return SparseAffinityRows(indices=idx, weights=w, m=anchors.m)
+    """Sparse Z for the dataset: s nearest anchors per row, rows sum to 1,
+    a block of rows at a time."""
+    idx, near = _nearest_anchors(X, anchors.centers, anchors.sq_norms, anchors.s)
+    return SparseAffinityRows(indices=idx, weights=_kernel_weights(near, anchors.sigma2),
+                              m=anchors.m)
 
 
 def anchor_mass(Z: SparseAffinityRows):
@@ -280,16 +354,20 @@ def prune_dead_anchors(X, anchors: AnchorSet, Z: SparseAffinityRows):
 
 
 def similarity_matrix(X, Z: SparseAffinityRows, lam):
-    """S = X^T Z diag(lam)^{-1} Z^T X, symmetrized, without forming A.
+    """S = X^T Z diag(lam)^{-1} Z^T X, without forming A.
 
-    Cost is O(n d s) through the sparse product C = Z^T X; the n x n
-    affinity never materializes.
+    Cost is O(n d s) through the sparse product C = Z^T X, summed over
+    float64 copies of a block of rows at a time; the n x n affinity never
+    materializes. S is formed as K^T K with K = diag(lam)^{-1/2} C, which
+    numpy takes by syrk, so it is symmetric without a d x d temporary.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X)
     lam = np.asarray(lam, dtype=np.float64)
     if np.any(lam < LAMBDA_FLOOR):
         raise ValueError("anchor mass below floor; prune dead anchors first")
-    C = Z.to_csr().T @ X  # (m, d)
-    S = C.T @ (C / lam[:, None])
-    return 0.5 * (S + S.T)
-
+    Zr = Z.to_csr()
+    C = np.zeros((Z.m, X.shape[1]))
+    for b in row_blocks(X.shape[0], X.shape[1]):
+        C += Zr[b].T @ np.asarray(X[b], dtype=np.float64)  # (m, d)
+    C /= np.sqrt(lam)[:, None]
+    return C.T @ C

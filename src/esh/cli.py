@@ -19,9 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .anchor_graph import (
-    build_affinity_rows,
     check_sigma2,
-    fit_anchors,
+    fit_anchor_graph,
     prune_dead_anchors,
     similarity_matrix,
 )
@@ -283,8 +282,9 @@ def cmd_train(args):
                          f"got {cfg['bits']}")
     out = _out_dir(args)
 
+    # the one copy of the rows that training holds, at the input's precision
     Xs, stats = standardize(X_raw)
-    anchors = fit_anchors(
+    anchors, Z = fit_anchor_graph(
         Xs,
         cfg["anchors"],
         iters=cfg["kmeans_iters"],
@@ -292,7 +292,6 @@ def cmd_train(args):
         s=cfg["snn"],
         sigma2=cfg["sigma2"],
     )
-    Z = build_affinity_rows(Xs, anchors)
     anchors, Z, lam = prune_dead_anchors(Xs, anchors, Z)
     S = similarity_matrix(Xs, Z, lam)
 

@@ -3,9 +3,12 @@
 Features are (n, d) arrays held at their stored precision. Two on-disk
 formats are supported: headerless CSV (one sample per row), loaded as
 float64, and a binary container with magic "ESHF", whose float32 rows are
-loaded as they are, without a float64 copy. Standardization and training
-work in float64; linear encoding takes either precision. Labels are
-integer ids, one line per sample, semicolons separating multiple ids.
+loaded as they are, without a float64 copy. standardize keeps that
+precision: it computes in float64 a block of rows at a time (BLOCK_VALUES
+values) and returns float32 rows for float32 input, which training then
+holds as its one copy of the rows. Linear encoding takes either
+precision. Labels are integer ids, one line per sample, semicolons
+separating multiple ids.
 """
 
 from dataclasses import dataclass
@@ -13,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import FormatError, Reader, Writer
+from .kernels import row_blocks
 
 STD_FLOOR = 1e-12
 
@@ -147,29 +151,44 @@ def save_labels(labels, path):
 def standardize(X):
     """Center each column and scale it to unit population variance.
 
-    Returns the transformed matrix and the stats needed to apply the same
-    transform to queries later. Constant columns map to zero (std floored
-    at STD_FLOOR). Requires n >= 2.
+    Returns the transformed rows at the input's precision (float32 for
+    float32 input, float64 otherwise) and the float64 stats needed to
+    apply the same transform to queries later. The column sums, the
+    squared deviations from the mean and the rows are taken in float64 a
+    block of rows at a time, so float32 input never has a float64 copy.
+    Constant columns map to zero (std floored at STD_FLOOR). Requires
+    n >= 2.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X)
     if X.ndim != 2:
         raise ValueError("expected a 2-D matrix")
-    if X.shape[0] < 2:
+    n = X.shape[0]
+    if n < 2:
         raise ValueError("standardization needs at least 2 samples")
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)  # population convention (divide by n)
-    std = np.maximum(std, STD_FLOOR)
+    blocks = row_blocks(n, X.shape[1])
+    mean = X.sum(axis=0, dtype=np.float64) / n  # buffered casts, no n x d temporary
+    sq_dev = np.zeros_like(mean)
+    for b in blocks:
+        dev = X[b] - mean
+        dev *= dev
+        sq_dev += dev.sum(axis=0)
+    std = np.maximum(np.sqrt(sq_dev / n), STD_FLOOR)  # population convention (divide by n)
     stats = StandardizationStats(mean=mean, std=std)
-    return apply_standardization(X, stats), stats
+    Xs = np.empty(X.shape, dtype=np.float32 if X.dtype == np.float32 else np.float64)
+    for b in blocks:
+        Xs[b] = apply_standardization(X[b], stats)
+    return Xs, stats
 
 
 def apply_standardization(x, stats):
-    """(x - mean) / std elementwise; accepts one row or a matrix."""
-    x = np.asarray(x, dtype=np.float64)
+    """(x - mean) / std elementwise in float64; accepts one row or a matrix."""
+    x = np.asarray(x)
     if x.shape[-1] != stats.mean.shape[0]:
         raise ValueError(f"dimension mismatch: got {x.shape[-1]}, stats have {stats.mean.shape[0]}")
-    out = x - stats.mean
-    out /= stats.std  # in place: one n x d temporary instead of two
+    # x is cast as the subtraction reads it, and divided in place: one
+    # float64 result is the only temporary
+    out = np.subtract(x, stats.mean, dtype=np.float64)
+    out /= stats.std
     return out
 
 

@@ -7,8 +7,8 @@ Padding bits in the last word stay zero.
 A HashModel bundles everything needed to hash a new vector: the
 standardization stats, the projection W, and the anchor machinery for
 graph-based out-of-sample extension. Matrices are held as float32 (the
-on-disk precision) so a save/load round trip is bit-exact; training math
-stays float64 up to the point the model is assembled.
+on-disk precision) so a save/load round trip is bit-exact; training's
+W, centers and stats stay float64 up to the point the model is assembled.
 
 Linear encoding reads the rows at their stored precision. A block of
 rows is standardized at that precision (float32 rows with the float32

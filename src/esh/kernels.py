@@ -27,6 +27,13 @@ F32_SAFE = 2.0**126  # while |x| |w| stays below this, no float32 product or sum
 BLOCK_VALUES = 2**18
 
 
+def row_blocks(n, width):
+    """Slices of consecutive rows, each of about BLOCK_VALUES values for
+    rows `width` values wide, that together cover rows 0 to n."""
+    rows = max(1, BLOCK_VALUES // max(width, 1))
+    return [slice(i, i + rows) for i in range(0, n, rows)]
+
+
 def norm_bounds(sq, d, dtype):
     """Upper bounds on 2-norms from sums of d squares taken at dtype's
     precision: their rounding (gamma_d) and underflow."""
@@ -90,11 +97,12 @@ def float32_argmin(X32, x_sq, C, c_sq, recheck):
 
     as anchor_graph.pairwise_sq_dists computes it, from one float32 product.
 
-    X32 is the float32 rounding of float64 rows x_i whose squared norms
-    x_sq were summed in float64; C holds float64 centers c_j and c_sq
-    their squared norms, summed the same way. x_sq_i cancels within a
-    row, so the kernel compares E_ij = float32(c_sq_j) + X32 (-2 C)^T in
-    float32. With a = |x_i| and b = max_j |c_j|, both padded, E_ij lies within
+    X32 is the float32 rounding of float64 rows x_i, or the float32 rows
+    themselves, whose squared norms x_sq were summed in float64; C holds
+    float64 centers c_j and c_sq their squared norms, summed the same way.
+    x_sq_i cancels within a row, so the kernel compares E_ij =
+    float32(c_sq_j) + X32 (-2 C)^T in float32. With a = |x_i| and
+    b = max_j |c_j|, both padded, E_ij lies within
 
         band_i = (gamma32_{d+4} + gamma64_{d+3}) 2ab + (2 u32 + u64) max_j c_sq_j
                  + 2 u64 x_sq_i

@@ -17,8 +17,16 @@ product in float32, whose result is used only for the signs of XW, one
 d x d x k product, and a sparse update where signs flipped. The signs come
 from kernels.float32_signs, which linear encoding shares: it bounds the float32
 product's rounding error and recomputes in float64 every entry within
-that bound of zero, so they are the float64 signs. Memory beyond X is a
-float32 copy of X, d x d and n x k int8 signs.
+that bound of zero, so they are the float64 signs.
+
+Memory: training holds the rows X once, at their own precision (esh
+train passes float32 standardized rows), plus two d x d float64 matrices
+(S and H), per-row norm bounds and n x k int8 signs. Float64 rows are
+never formed whole: the first X^T sgn(XW), auto_alpha's XW, the sign
+rechecks and the flip updates each read float64 copies of a block of
+rows (kernels.row_blocks) or of just the rows they need, and X^T X reads
+blocks of BLOCK_VALUES values or of d rows, whichever is larger. Float64
+rows given to train get one float32 copy for the sign product.
 """
 
 import csv
@@ -28,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .kernels import float32_signs
+from .kernels import BLOCK_VALUES, float32_signs, row_blocks, row_norm_bounds
 
 TAU_MIN = 1e-10
 TAU_MAX = 1e3
@@ -60,6 +68,24 @@ def stiefel_project(M):
     return U @ Vt
 
 
+def _gram(X):
+    """X^T X in float64, from float64 copies of blocks of at least d rows.
+    numpy takes each block's b^T b by syrk, exactly symmetric; with d rows
+    or more a block costs more to multiply than its d x d sum costs to add
+    (on 5000 x 1024 rows, a 2-vCPU x86-64 host and one BLAS thread,
+    256-row blocks took twice as long as one syrk over all rows)."""
+    n, d = X.shape
+    rows = min(n, max(d, BLOCK_VALUES // d))
+    block = np.empty((rows, d))
+    G = np.zeros((d, d))
+    T = np.empty((d, d))
+    for i in range(0, n, rows):
+        b = block[: min(rows, n - i)]
+        b[...] = X[i : i + rows]
+        G += np.matmul(b.T, b, out=T)
+    return G
+
+
 class _Objective:
     """Loss and Euclidean gradient of one training problem, one W at a time.
 
@@ -68,49 +94,70 @@ class _Objective:
         G = H W - (alpha/n) P,  with P = X^T sgn(XW),
         L = tr(W^T H W)/2 - (alpha/n) tr(W^T P) + (alpha/2n) nnz(sgn(XW)).
 
-    XW enters only through its signs, taken by float32_signs from one
-    float32 product on unit-norm copies of the rows, with the entries
-    inside its rounding band recomputed in float64 from X. P is kept from
-    call to call and updated only where a sign changed: a flip adds a
-    multiple of x_i to one column. A call is therefore one n x d x k
-    product in float32, one d x d x k product in float64 and the sparse
-    update; set-up is the O(n d^2) Gram matrix.
+    X holds the rows at their own precision: float32 rows are used as they
+    are, float64 rows get one float32 copy for the sign product. XW enters
+    only through its signs, taken by float32_signs from one float32 product
+    with per-row norm bounds, with the entries inside its rounding band
+    recomputed in float64 from X. P is kept from call to call and updated
+    only where a sign changed: a flip adds a multiple of x_i to one column.
+    Every float64 product with the rows (X^T X, the first P and the flip
+    updates) reads float64 copies of a block of rows, or of flipped rows,
+    at a time. A call is therefore one n x d x k product in float32, one
+    d x d x k product in float64 and the sparse update; set-up is the
+    O(n d^2) Gram matrix.
     """
 
     def __init__(self, X, S, alpha):
         n, d = X.shape
         self.X = X
+        with np.errstate(over="ignore"):  # rows past float32 range get an infinite band
+            self.X32 = X.astype(np.float32, copy=False)
+        self.x_norms = row_norm_bounds(X)
         self.scale = alpha / n
-        H = X.T @ X
-        H *= alpha
-        H -= 2.0 * S
+        # (alpha X^T X - 2S)/n in place: the halving and doubling are exact
+        H = _gram(X)
+        H *= 0.5 * alpha
+        H -= S
+        H *= 2.0
         H /= n
         self.H = H
-        norms = np.sqrt(np.einsum("ij,ij->i", X, X))
-        self.X_unit = np.empty((n, d), dtype=np.float32)
-        np.divide(X, np.where(norms > 0, norms, 1.0)[:, None], out=self.X_unit)
         self.B = None  # int8 sgn(XW) at the last call
         self.Pt = None  # P^T = B^T X, (k, d)
+
+    def _rows64(self, rows):
+        return np.asarray(self.X[rows], dtype=np.float64)
 
     def signs(self, W):
         """sgn(XW) as int8, equal to the sign of the float64 product."""
         def recheck(rows, cols):
-            return np.einsum("ij,ij->i", self.X[rows], W.T[cols])
+            z = np.empty(rows.size)
+            for b in row_blocks(rows.size, W.shape[0]):
+                z[b] = np.einsum("ij,ij->i", self._rows64(rows[b]), W.T[cols[b]])
+            return z
         w_norm = np.sqrt(np.einsum("ij,ij->j", W, W).max())
-        return float32_signs(self.X_unit, W.astype(np.float32), 1.0, w_norm, recheck)
+        return float32_signs(self.X32, W.astype(np.float32), self.x_norms, w_norm, recheck)
+
+    def _add_flips(self, B):
+        """P^T += (B - B_old)^T X over the rows where a sign flipped, a
+        block of those rows at a time."""
+        flips = np.flatnonzero(B != self.B)
+        rows, cols = np.divmod(flips, B.shape[1])  # by row, then by column
+        first = np.flatnonzero(np.diff(rows, prepend=-1))  # each flipped row's first flip
+        hit = rows[first]
+        # (k, flipped rows): entry (j, i) is the change in sgn(x_i . w_j)
+        D = sp.csc_matrix((B.flat[flips] - self.B.flat[flips], cols, np.append(first, flips.size)),
+                          shape=(B.shape[1], hit.size), dtype=np.float64)
+        for b in row_blocks(hit.size, self.X.shape[1]):
+            self.Pt += D[:, b] @ self._rows64(hit[b])
 
     def __call__(self, W):
         B = self.signs(W)
         if self.B is None:
-            self.Pt = B.T.astype(np.float64) @ self.X
+            self.Pt = np.zeros((W.shape[1], self.X.shape[1]))
+            for b in row_blocks(*self.X.shape):
+                self.Pt += B[b].T.astype(np.float64) @ self._rows64(b)
         else:
-            flips = np.flatnonzero(B != self.B)
-            if flips.size:
-                rows, cols = np.divmod(flips, B.shape[1])
-                # (k, n): entry (j, i) is the change in sgn(x_i . w_j)
-                D = sp.csr_matrix((B.flat[flips] - self.B.flat[flips], (cols, rows)),
-                                  shape=B.shape[::-1], dtype=np.float64)
-                self.Pt += D @ self.X
+            self._add_flips(B)
         self.B = B
         HW = self.H @ W
         G = HW - self.scale * self.Pt.T
@@ -123,15 +170,19 @@ def auto_alpha(W0, X, S):
     """Balance the two loss terms at the starting point.
 
     alpha = |2 T1 / T2| with T1 the similarity term and T2 the unscaled
-    quantization term at W0. Errors out when the quantization term is
+    quantization term at W0, which is summed over float64 copies of a
+    block of rows at a time. Errors out when the quantization term is
     numerically zero (all projections already at +-1), since the ratio is
     then meaningless.
     """
     n = X.shape[0]
-    XW = X @ W0
     t1 = -np.einsum("ij,ij->", W0, S @ W0) / n
-    R = XW - np.sign(XW)
-    t2 = np.einsum("ij,ij->", R, R) / n
+    t2 = 0.0
+    for b in row_blocks(n, X.shape[1]):
+        XW = np.asarray(X[b], dtype=np.float64) @ W0
+        R = XW - np.sign(XW)
+        t2 += np.einsum("ij,ij->", R, R)
+    t2 /= n
     if t2 < AUTO_ALPHA_FLOOR:
         raise ValueError("quantization term vanishes at W0; cannot balance terms")
     alpha = abs(2.0 * t1 / t2)
@@ -268,7 +319,9 @@ class _TraceBuilder:
 
 
 def _prepare(X, S, cfg):
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X)
+    if X.dtype != np.float32:
+        X = np.asarray(X, dtype=np.float64)
     S = np.asarray(S, dtype=np.float64)
     d = X.shape[1]
     if S.shape != (d, d):

@@ -6,6 +6,7 @@ from esh.anchor_graph import (
     SparseAffinityRows,
     anchor_mass,
     build_affinity_rows,
+    fit_anchor_graph,
     fit_anchors,
     pairwise_sq_dists,
     prune_dead_anchors,
@@ -14,7 +15,7 @@ from esh.anchor_graph import (
 )
 from esh.dataset import generate_synthetic
 from esh.kernels import BLOCK_VALUES
-from oracles import dense_affinity, to_dense
+from oracles import dense_affinity, float64_sq_dists, to_dense
 
 
 def brute_sq_dists(X, C):
@@ -26,38 +27,49 @@ def brute_sq_dists(X, C):
 
 
 def kmeans_oracle(X, m, iters, seed, s=3):
-    """fit_anchors with per-call norms and np.add.at sums; also counts reseeds."""
+    """fit_anchors with per-call norms and np.add.at sums; also counts
+    reseeds and the rounds with an assignment whose two nearest centers lie
+    within the rounding of another order of the sums, where the argmin
+    depends on the BLAS call (as in test_kernels_props.py). Seeding takes
+    its products at X's precision; all else reads X in float64."""
+    X64 = np.asarray(X, dtype=np.float64)
 
-    def dists(C):
-        d2 = (X * X).sum(axis=1)[:, None] - 2.0 * (X @ C.T) + (C * C).sum(axis=1)[None, :]
+    def dists(C, rows=X64):
+        P = rows @ C.T.astype(rows.dtype)
+        d2 = (X64 * X64).sum(axis=1)[:, None] - 2.0 * P + (C * C).sum(axis=1)[None, :]
         return np.maximum(d2, 0.0)
 
     n = X.shape[0]
     rng = np.random.default_rng(seed)
     centers = np.empty((m, X.shape[1]))
-    centers[0] = X[rng.integers(n)]
-    d2 = dists(centers[:1]).ravel()
+    centers[0] = X64[rng.integers(n)]
+    d2 = dists(centers[:1], X).ravel()
     for j in range(1, m):
         total = d2.sum()
-        centers[j] = X[rng.integers(n) if total <= 0 else rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, dists(centers[j : j + 1]).ravel())
-    reseeds = 0
+        centers[j] = X64[rng.integers(n) if total <= 0 else rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, dists(centers[j : j + 1], X).ravel())
+    reseeds = near_ties = 0
     for _ in range(iters):
         d2 = dists(centers)
         assign = d2.argmin(axis=1)
+        _, slack = float64_sq_dists(X64, centers)
+        r = np.arange(n)
+        gap = d2 - d2[r, assign][:, None]
+        gap[r, assign] = np.inf
+        near_ties += int(np.any(gap <= 2 * (slack + slack[r, assign][:, None])))
         counts = np.bincount(assign, minlength=m)
         sums = np.zeros_like(centers)
-        np.add.at(sums, assign, X)
+        np.add.at(sums, assign, X64)
         nonempty = counts > 0
         centers[nonempty] = sums[nonempty] / counts[nonempty, None]
         nearest = d2.min(axis=1)
         for j in np.flatnonzero(~nonempty):
             far = int(nearest.argmax())
-            centers[j] = X[far]
+            centers[j] = X64[far]
             nearest[far] = 0.0
             reseeds += 1
     sigma2 = max(float(np.sort(dists(centers), axis=1)[:, min(s, m) - 1].mean()), 1e-12)
-    return centers, sigma2, reseeds
+    return centers, sigma2, reseeds, near_ties
 
 
 def test_kmeans_bit_identical_to_add_at_oracle():
@@ -68,10 +80,32 @@ def test_kmeans_bit_identical_to_add_at_oracle():
     dup = np.repeat(rng.standard_normal((12, 5)), 4, axis=0)
     for X, m, want_reseed in ((blobs, 40, False), (dup, 16, True)):
         anchors = fit_anchors(X, m=m, iters=10, seed=17, s=3)
-        centers, sigma2, reseeds = kmeans_oracle(X, m, iters=10, seed=17)
+        centers, sigma2, reseeds, _ = kmeans_oracle(X, m, iters=10, seed=17)
         assert (reseeds > 0) == want_reseed
         assert np.array_equal(anchors.centers, centers)
         assert anchors.sigma2 == sigma2
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_kmeans_by_many_blocks_bit_identical_to_add_at_oracle(dtype, monkeypatch):
+    # blocks of 2048 entries: the Lloyd assignment, the center sums, the
+    # reseeding distances and the nearest-anchor pass all go in many pieces
+    monkeypatch.setattr("esh.kernels.BLOCK_VALUES", 2048)
+    rng = np.random.default_rng(20)
+    blobs, _ = generate_synthetic(6, 150, 64, 1.5, seed=16)
+    # 120 distinct integer points, 4 copies each: duplicate centers leave
+    # clusters empty, and every distance and mean is exact in any order
+    dup = np.repeat(rng.integers(-8, 9, (120, 5)).astype(np.float64), 4, axis=0)
+    for X, m, want_reseed in ((blobs, 40, False), (dup, 160, True)):
+        X = X.astype(dtype)
+        anchors = fit_anchors(X, m=m, iters=10, seed=17, s=3)
+        centers, sigma2, reseeds, near_ties = kmeans_oracle(X, m, iters=10, seed=17)
+        assert (reseeds > 0) == want_reseed
+        if not want_reseed:
+            assert near_ties == 0  # no argmin here depends on how BLAS orders its sums
+        assert np.array_equal(anchors.centers, centers)
+        # the same distances, summed from one product per block of rows
+        assert abs(anchors.sigma2 - sigma2) <= 1e-12 * sigma2
 
 
 def test_kmeans_beyond_float32_range_matches_the_oracle():
@@ -81,7 +115,7 @@ def test_kmeans_beyond_float32_range_matches_the_oracle():
     X = rng.standard_normal((60, 5))
     X[3, 1], X[40] = 1e39, -1e100
     anchors = fit_anchors(X, m=6, iters=4, seed=19, s=2)
-    centers, sigma2, _ = kmeans_oracle(X, 6, iters=4, seed=19, s=2)
+    centers, sigma2, _, _ = kmeans_oracle(X, 6, iters=4, seed=19, s=2)
     assert np.array_equal(anchors.centers, centers)
     assert anchors.sigma2 == sigma2
 
@@ -127,7 +161,7 @@ def test_kmeans_two_blobs_recovers_means():
     a = rng.standard_normal((200, 2)) * 0.1 + [0, 0]
     b = rng.standard_normal((200, 2)) * 0.1 + [50, 50]
     X = np.vstack([a, b])
-    anchors = fit_anchors(X, m=2, iters=20, seed=1)
+    anchors = fit_anchors(X, m=2, iters=20, seed=1, s=2)
     centers = anchors.centers[np.argsort(anchors.centers[:, 0])]
     assert np.allclose(centers[0], a.mean(axis=0), atol=1e-6)
     assert np.allclose(centers[1], b.mean(axis=0), atol=1e-6)
@@ -148,6 +182,29 @@ def test_kmeans_rejects_bad_args():
         fit_anchors(X, m=6, iters=10, seed=0)
     with pytest.raises(ValueError):
         fit_anchors(X, m=2, iters=0, seed=0)
+
+
+@pytest.mark.parametrize("s", [0, 6, 9])
+def test_s_outside_one_to_m_rejected(s):
+    X = np.random.default_rng(21).standard_normal((40, 3))
+    for fit in (fit_anchors, fit_anchor_graph):
+        with pytest.raises(ValueError, match=r"s must be in \[1, m=5\]"):
+            fit(X, m=5, s=s)
+
+
+@pytest.mark.parametrize("sigma2", [None, 0.7])
+def test_one_pass_gives_the_two_pass_sigma2_and_Z(sigma2):
+    rng = np.random.default_rng(22)
+    X = rng.standard_normal((300, 6)).astype(np.float32)
+    anchors, Z = fit_anchor_graph(X, 12, iters=5, seed=23, s=3, sigma2=sigma2)
+    # the two passes: the s-th distances of all rows for sigma2, then Z
+    kth = np.sort(pairwise_sq_dists(X, anchors.centers), axis=1)[:, 2]
+    assert anchors.sigma2 == (kth.mean() if sigma2 is None else sigma2)
+    two_pass = build_affinity_rows(X, anchors)
+    assert np.array_equal(Z.indices, two_pass.indices)
+    assert np.array_equal(Z.weights, two_pass.weights)
+    again = fit_anchors(X, 12, iters=5, seed=23, s=3, sigma2=sigma2)
+    assert np.array_equal(again.centers, anchors.centers) and again.sigma2 == anchors.sigma2
 
 
 @pytest.mark.parametrize("sigma2", [np.inf, -np.inf, np.nan])
@@ -316,6 +373,22 @@ def test_similarity_matches_dense_oracle():
         assert np.abs(S - S.T).max() < 1e-10
         ev = np.linalg.eigvalsh(S)
         assert ev.min() >= -1e-8 * max(ev.max(), 1.0)
+
+
+def test_similarity_of_float32_rows_matches_dense_oracle_of_their_float64_values(monkeypatch):
+    # criterion 4's tolerances, with C = Z^T X summed over many blocks of rows
+    monkeypatch.setattr("esh.kernels.BLOCK_VALUES", 256)
+    rng = np.random.default_rng(24)
+    for n, d, m in ((50, 4, 5), (200, 16, 8), (150, 5, 15)):
+        X = rng.standard_normal((n, d)).astype(np.float32)
+        anchors = fit_anchors(X, m, iters=5, seed=n + d, s=3)
+        Z = build_affinity_rows(X, anchors)
+        anchors, Z, lam = prune_dead_anchors(X, anchors, Z)
+        S = similarity_matrix(X, Z, lam)
+        X64 = X.astype(np.float64)
+        Sd = X64.T @ dense_affinity(Z, lam) @ X64
+        assert np.linalg.norm(S - 0.5 * (Sd + Sd.T)) < 1e-8
+        assert np.array_equal(S, S.T)
 
 
 def test_similarity_rejects_dead_lambda():

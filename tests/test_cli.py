@@ -1,5 +1,6 @@
 import json
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -446,7 +447,7 @@ def assert_config_rejected_before_reading(tmp_path, capsys, monkeypatch, argv, b
         raise AssertionError("work started before the config was checked")
 
     for name in ("generate_synthetic", "load_features", "load_model", "load_codes",
-                 "fit_anchors"):
+                 "fit_anchor_graph"):
         monkeypatch.setattr(f"esh.cli.{name}", fail)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(bad))
@@ -516,7 +517,7 @@ def test_train_checks_bits_and_snn_before_fitting_anchors(tmp_path, capsys, monk
     def fail(*args, **kwargs):
         raise AssertionError("anchors fitted before the option was checked")
 
-    monkeypatch.setattr("esh.cli.fit_anchors", fail)
+    monkeypatch.setattr("esh.cli.fit_anchor_graph", fail)
     out = tmp_path / "out"
     assert run("train", "--features", an_input_file(tmp_path), *argv, "--out", out) == 1
     line = capsys.readouterr().err
@@ -667,3 +668,21 @@ def test_train_on_a_constant_column_and_encode_without_it(tmp_path):
     moved = X.copy()
     moved[:, 2] = np.linspace(-50.0, 50.0, X.shape[0])
     assert np.array_equal(model.encode(moved, mode="linear").words, codes.words)
+
+
+def test_train_holds_its_rows_once(tmp_path):
+    # n >> d: a float64 copy of the rows, whole, would dwarf what training
+    # holds besides them (Z, n x k signs, blocks of BLOCK_VALUES entries)
+    n, d = 60_000, 64
+    rng = np.random.default_rng(11)
+    features = tmp_path / "rows.eshf"
+    save_features(rng.standard_normal((n, d)) * 3.0 + 1.0, features)
+    tracemalloc.start()
+    try:
+        assert run("train", "--features", features, "--bits", 8, "--iters", 5,
+                   "--anchors", 16, "--kmeans-iters", 3, "--out", tmp_path / "run") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    loaded = n * d * 4  # the float32 rows as load_features returns them
+    assert peak - loaded < n * d * 8, f"peak {peak / 2**20:.1f} MiB"

@@ -133,6 +133,22 @@ def test_standardize_is_idempotent():
     assert np.all(np.abs(stats2.std - 1.0) < 1e-9)
 
 
+def test_standardize_keeps_float32_rows_in_float32(monkeypatch):
+    monkeypatch.setattr("esh.kernels.BLOCK_VALUES", 64)  # many blocks of rows
+    rng = np.random.default_rng(7)
+    X = (rng.standard_normal((300, 9)) * 5.0 + 40.0).astype(np.float32)
+    X[:, 4] = 0.1  # a constant column that is not float32-exact
+    Y, stats = standardize(X)
+    assert Y.dtype == np.float32 and stats.mean.dtype == stats.std.dtype == np.float64
+    Y64, stats64 = standardize(X.astype(np.float64))
+    assert Y64.dtype == np.float64
+    assert np.allclose(stats.mean, stats64.mean, rtol=1e-14, atol=0)
+    assert np.allclose(stats.std, stats64.std, rtol=1e-12, atol=0)
+    assert stats.std[4] == 1e-12 and not Y[:, 4].any()
+    # the float32 rounding of the float64 transform, row for row
+    assert np.array_equal(Y, apply_standardization(X, stats).astype(np.float32))
+
+
 def test_standardize_needs_two_rows():
     with pytest.raises(ValueError, match="2 samples"):
         standardize(np.ones((1, 3)))

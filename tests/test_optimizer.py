@@ -164,25 +164,40 @@ def assert_matches_reference(objective, W, X, S, alpha, rtol=1e-12):
     return G
 
 
-@pytest.mark.parametrize("n, d, k", [(40, 6, 2), (300, 32, 8), (500, 64, 64), (2000, 128, 16)])
-def test_objective_matches_reference_over_shapes(n, d, k):
+def check_objective_over_shapes(n, d, k, dtype):
+    """_Objective on rows of dtype against the reference on their float64 values."""
     rng = np.random.default_rng(n + d + k)
     X, S, W = random_instance(rng, n, d, k)
+    X = X.astype(dtype)
     alpha = float(rng.uniform(0.1, 5.0))
     objective = _Objective(X, S, alpha)
+    X = X.astype(np.float64)
     assert_matches_reference(objective, W, X, S, alpha)
     # a second, unrelated W flips about half the signs at once
     assert_matches_reference(objective, init_projection(d, k, seed=n), X, S, alpha)
 
 
-@pytest.mark.parametrize("algorithm", ["esh1", "esh2"])
-def test_objective_matches_reference_along_300_iterations(algorithm):
+SHAPES = [(40, 6, 2), (300, 32, 8), (500, 64, 64), (2000, 128, 16)]
+
+
+@pytest.mark.parametrize("n, d, k", SHAPES)
+def test_objective_matches_reference_over_shapes(n, d, k):
+    check_objective_over_shapes(n, d, k, np.float64)
+
+
+@pytest.mark.parametrize("n, d, k", SHAPES)
+def test_objective_on_float32_rows_matches_reference_over_shapes(n, d, k):
+    check_objective_over_shapes(n, d, k, np.float32)
+
+
+def check_objective_along_300_iterations(algorithm, dtype):
     # P = X^T sgn(XW) is updated where signs flip; drift would show here
     X, S = blob_problem(150, 8, 32, seed=41)
     cfg = TrainConfig(bits=16, iters=300, algorithm=algorithm, eta=0.05, seed=42)
-    X, S, W, alpha = _prepare(X, S, cfg)
+    X, S, W, alpha = _prepare(X.astype(dtype), S, cfg)
     step = _STEP_RULES[algorithm](cfg)
     objective = _Objective(X, S, alpha)
+    X = X.astype(np.float64)
     flips, G = 0, objective(W)[1]
     for _ in range(cfg.iters):
         W, _ = step(W, G)
@@ -192,6 +207,19 @@ def test_objective_matches_reference_along_300_iterations(algorithm):
     assert flips > 100
     fresh = objective.B.T.astype(np.float64) @ X
     assert np.linalg.norm(objective.Pt - fresh) <= 1e-12 * np.linalg.norm(fresh)
+
+
+@pytest.mark.parametrize("algorithm", ["esh1", "esh2"])
+def test_objective_matches_reference_along_300_iterations(algorithm):
+    check_objective_along_300_iterations(algorithm, np.float64)
+
+
+@pytest.mark.parametrize("algorithm", ["esh1", "esh2"])
+def test_objective_on_float32_rows_by_blocks_along_300_iterations(algorithm, monkeypatch):
+    # blocks of 256 entries: X^T X, the first P, each flip update and the
+    # sign rechecks go over many blocks of rows
+    monkeypatch.setattr("esh.kernels.BLOCK_VALUES", 256)
+    check_objective_along_300_iterations(algorithm, np.float32)
 
 
 def test_objective_keeps_zero_rows_and_exact_zeros_of_XW():
@@ -217,9 +245,10 @@ def test_objective_keeps_zero_rows_and_exact_zeros_of_XW():
     assert_matches_reference(objective, W, X, S, 2.0)
 
 
-def test_objective_corrects_float32_signs_inside_the_error_band():
-    # rows moved to within 1e-10 of the hyperplane of w_j: the float32
-    # product gets some of their signs wrong, the evaluator must not
+def check_float32_signs_inside_the_error_band(dtype):
+    # rows moved to within 1e-10 of the hyperplane of w_j (float32 rows: to
+    # within their rounding of it): the float32 product gets some of their
+    # signs wrong, the evaluator must not
     rng = np.random.default_rng(47)
     n, d, k = 400, 64, 4
     X, S, W = random_instance(rng, n, d, k)
@@ -227,12 +256,21 @@ def test_objective_corrects_float32_signs_inside_the_error_band():
     t = rng.choice([-1.0, 1.0], n) * 1e-10 * rng.uniform(1.0, 2.0, n)
     Wj = W[:, j].T
     X -= ((np.einsum("ij,ij->i", X, Wj) - t) / np.einsum("ij,ij->i", Wj, Wj))[:, None] * Wj
-    objective = _Objective(X, S, 0.7)
+    objective = _Objective(X.astype(dtype), S, 0.7)
+    X = X.astype(dtype).astype(np.float64)
     exact = np.sign(X @ W)
-    float32 = np.sign(objective.X_unit @ W.astype(np.float32))
+    float32 = np.sign(objective.X32 @ W.astype(np.float32))
     assert np.count_nonzero(float32 != exact) >= 10
     assert np.array_equal(objective.signs(W), exact)
     assert_matches_reference(objective, W, X, S, 0.7)
+
+
+def test_objective_corrects_float32_signs_inside_the_error_band():
+    check_float32_signs_inside_the_error_band(np.float64)
+
+
+def test_objective_of_float32_rows_corrects_signs_inside_the_error_band():
+    check_float32_signs_inside_the_error_band(np.float32)
 
 
 def test_gradient_identity_similarity():
@@ -298,6 +336,18 @@ def test_auto_alpha_balances_terms():
         t2 = 0.5 * alpha / n * ((np.abs(X @ W) - 1.0) ** 2).sum()
         assert abs(abs(t1) - t2) < 1e-9 * max(abs(t1), 1e-30)
         assert alpha > 0
+
+
+def test_auto_alpha_of_float32_rows_is_that_of_their_float64_values(monkeypatch):
+    monkeypatch.setattr("esh.kernels.BLOCK_VALUES", 64)  # XW over many blocks of rows
+    rng = np.random.default_rng(43)
+    X, S, W = random_instance(rng, 200, 7, 3)
+    X = X.astype(np.float32)
+    alpha = auto_alpha(W, X, S)
+    assert alpha == auto_alpha(W, X.astype(np.float64), S)
+    t1 = -np.trace(W.T @ S @ W) / 200
+    t2 = 0.5 * alpha / 200 * ((np.abs(X.astype(np.float64) @ W) - 1.0) ** 2).sum()
+    assert abs(abs(t1) - t2) < 1e-9 * abs(t1)
 
 
 def test_auto_alpha_rejects_vanishing_quantization():
@@ -496,6 +546,23 @@ def test_train_matches_the_two_reference_loops_bit_for_bit():
             if len(got.iteration) < cfg.iters:
                 stopped_early.add((algo, over.get("stop_patience")))
     assert stopped_early == {(a, p) for a in reference for p in (3, 5)}
+
+
+@pytest.mark.parametrize("algo", ["esh1", "esh2"])
+def test_train_on_float32_rows_is_train_on_their_float64_values(algo, monkeypatch):
+    # both read float64 copies of the same blocks, and both get the float64
+    # signs, so they agree bit for bit, and with the reference loops
+    monkeypatch.setattr("esh.kernels.BLOCK_VALUES", 256)
+    X, S = blob_problem(60, 4, 8, seed=39)
+    X32 = X.astype(np.float32)
+    cfg = TrainConfig(bits=4, iters=40, algorithm=algo, seed=40)
+    W, got = train(X32, S, cfg)
+    for W_ref, ref in (train(X32.astype(np.float64), S, cfg),
+                       {"esh1": esh1_train, "esh2": esh2_train}[algo](X32, S, cfg)):
+        assert np.array_equal(W, W_ref)
+        for col in ("iteration", "loss", "orth_residual", "step_size"):
+            assert np.array_equal(getattr(got, col), getattr(ref, col)), col
+        assert got.alpha == ref.alpha and got.initial_loss == ref.initial_loss
 
 
 def test_training_deterministic():

@@ -248,7 +248,7 @@ def cmd_synth(args):
     )
     feat_path = out / ("features.eshf" if cfg["format"] == "binary" else "features.csv")
     label_path = out / "labels.csv"
-    save_features(X, feat_path, fmt=cfg["format"])
+    save_features(X, feat_path)
     save_labels(labels, label_path)
     _write_manifest(feat_path, "synth", cfg)
     _write_manifest(label_path, "synth", cfg)

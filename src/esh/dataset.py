@@ -1,14 +1,14 @@
 """Feature datasets: loading, standardization, synthesis and labels.
 
-Features are (n, d) arrays held at their stored precision. Two on-disk
-formats are supported: headerless CSV (one sample per row), loaded as
-float64, and a binary container with magic "ESHF", whose float32 rows are
-loaded as they are, without a float64 copy. standardize keeps that
-precision: it computes in float64 a block of rows at a time (BLOCK_VALUES
-values) and returns float32 rows for float32 input, which training then
-holds as its one copy of the rows. Linear encoding takes either
-precision. Labels are integer ids, one line per sample, semicolons
-separating multiple ids.
+Features are (n, d) arrays held at their stored precision. The extension
+picks the on-disk format: .eshf is a binary container with magic "ESHF",
+whose float32 rows load as they are, without a float64 copy; anything
+else is headerless CSV (one sample per row), loaded as float64.
+standardize keeps that precision: it computes in float64 a block of
+rows at a time (BLOCK_VALUES values) and returns float32 rows for float32
+input, which training then holds as its one copy of the rows. Linear
+encoding takes either precision. Labels are integer ids, one line per
+sample, semicolons separating multiple ids.
 """
 
 from dataclasses import dataclass
@@ -19,6 +19,7 @@ from .container import FormatError, Reader, Writer
 from .kernels import row_blocks
 
 STD_FLOOR = 1e-12
+CENTER_SCALE = 10.0  # radius of the sphere generate_synthetic puts its centers on
 
 FEATURE_MAGIC = b"ESHF"
 FEATURE_VERSION = 1
@@ -85,46 +86,40 @@ def _validate_matrix(X, where=""):
     return X
 
 
-def load_features(path, fmt="infer"):
-    """Load a feature matrix from `path`.
-
-    fmt is 'csv', 'binary', or 'infer' (by extension: .eshf is binary,
-    anything else CSV). CSV gives float64, binary its writable float32
-    payload. Rejects empty matrices and non-finite entries.
+def load_features(path):
+    """Load a feature matrix from `path`: .eshf files are binary, giving
+    their writable float32 payload, anything else CSV, giving float64.
+    Rejects empty matrices and non-finite entries.
     """
     path = str(path)
-    if fmt == "infer":
-        fmt = "binary" if path.endswith(".eshf") else "csv"
-    if fmt == "csv":
+    if path.endswith(".eshf"):
+        with Reader(path, FEATURE_MAGIC, FEATURE_VERSION, "feature") as r:
+            X = r.array("<f4", r.shape(2), writable=True)
+    else:
         try:
             X = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
         except ValueError as e:
             raise FormatError(f"CSV parse failure in {path}: {e}") from None
-        return _validate_matrix(X, f"{path}: ")
-    if fmt == "binary":
-        with Reader(path, FEATURE_MAGIC, FEATURE_VERSION, "feature") as r:
-            X = r.array("<f4", r.shape(2), writable=True)
-        return _validate_matrix(X, f"{path}: ")
-    raise ValueError(f"unknown feature format {fmt!r}")
+    return _validate_matrix(X, f"{path}: ")
 
 
-def save_features(X, path, fmt="infer"):
-    """Write a feature matrix; binary stores little-endian float32."""
+def save_features(X, path):
+    """Write a feature matrix: .eshf as little-endian float32, refusing values
+    beyond float32 range before anything is written; anything else as CSV."""
     X = np.asarray(X, dtype=np.float64)
     _validate_matrix(X)
     path = str(path)
-    if fmt == "infer":
-        fmt = "binary" if path.endswith(".eshf") else "csv"
-    if fmt == "csv":
+    if not path.endswith(".eshf"):
         np.savetxt(path, X, delimiter=",", fmt="%.17g")
-    elif fmt == "binary":
-        Writer(FEATURE_MAGIC, FEATURE_VERSION).fields("QQ", *X.shape).array(X, "<f4").save(path)
-    else:
-        raise ValueError(f"unknown feature format {fmt!r}")
+        return
+    with np.errstate(over="ignore"):  # what overflows is inf, rejected next
+        X32 = X.astype(np.float32)
+    _check_finite(X32, f"{path}: beyond float32 range: ")
+    Writer(FEATURE_MAGIC, FEATURE_VERSION).fields("QQ", *X32.shape).array(X32, "<f4").save(path)
 
 
-def load_labels(path, kind=None):
-    """Load a label file; kind is inferred unless given."""
+def load_labels(path):
+    """Load a label file; the kind is 'single' if every row holds one id."""
     rows = []
     with open(path) as f:
         for i, line in enumerate(f):
@@ -137,8 +132,7 @@ def load_labels(path, kind=None):
                 raise FormatError(f"label row {i} is not semicolon-separated integers") from None
     if not rows:
         raise FormatError(f"{path}: no labels")
-    if kind is None:
-        kind = "single" if all(len(r) == 1 for r in rows) else "multi"
+    kind = "single" if all(len(r) == 1 for r in rows) else "multi"
     return LabelSet(kind, tuple(rows))
 
 
@@ -192,12 +186,12 @@ def apply_standardization(x, stats):
     return out
 
 
-def generate_synthetic(clusters, per_cluster, dims, spread, seed, center_scale=10.0):
+def generate_synthetic(clusters, per_cluster, dims, spread, seed):
     """Isotropic Gaussian blobs around well-separated random centers.
 
-    Centers are drawn on the radius-`center_scale` sphere and redrawn until
-    their pairwise distances are at least 0.7 * center_scale, so separation
-    is controlled by the spread / center_scale ratio. Labels are blob ids.
+    Centers are drawn on the radius-CENTER_SCALE sphere and redrawn until
+    their pairwise distances are at least 0.7 * CENTER_SCALE, so separation
+    is controlled by the spread / CENTER_SCALE ratio. Labels are blob ids.
     Bit-deterministic for a fixed seed.
     """
     if clusters < 2:
@@ -214,11 +208,11 @@ def generate_synthetic(clusters, per_cluster, dims, spread, seed, center_scale=1
         norms = np.linalg.norm(centers, axis=1, keepdims=True)
         if np.any(norms == 0):
             continue
-        centers *= center_scale / norms
+        centers *= CENTER_SCALE / norms
         diff = centers[:, None, :] - centers[None, :, :]
         d = np.sqrt((diff * diff).sum(-1))
         np.fill_diagonal(d, np.inf)
-        if d.min() >= 0.7 * center_scale:
+        if d.min() >= 0.7 * CENTER_SCALE:
             break
     else:
         raise RuntimeError("could not place well-separated centers; too many clusters for dims")

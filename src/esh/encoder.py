@@ -33,7 +33,7 @@ import numpy as np
 from .anchor_graph import AnchorSet, SparseAffinityRows, anchor_weights, check_sigma2
 from .container import FormatError, Reader, Writer  # noqa: F401 - esh.encoder.FormatError
 from .dataset import STD_FLOOR, StandardizationStats, apply_standardization
-from .kernels import BLOCK_VALUES, float32_signs, row_norm_bounds
+from .kernels import float32_signs, row_blocks, row_norm_bounds
 
 CODE_MAGIC = b"ESHB"
 CODE_VERSION = 1
@@ -165,6 +165,13 @@ class HashModel:
         """The largest column norm of W, for the sign band."""
         return float(np.sqrt(np.einsum("ij,ij->j", self._W64, self._W64).max()))
 
+    def _rows(self, X_raw):
+        """X_raw as rows; both encoders reject rows not d wide, even none."""
+        X = np.atleast_2d(X_raw)
+        if X.shape[-1] != self.d:
+            raise ValueError(f"dimension mismatch: got {X.shape[-1]}, stats have {self.d}")
+        return X
+
     def _standardized(self, X_raw):
         """Standardized rows; both encoders reject what is not finite."""
         Xs = apply_standardization(np.atleast_2d(X_raw), self._stats64)
@@ -188,13 +195,10 @@ class HashModel:
         otherwise. A block costs one float32 product with W; rows that
         float32_signs rechecks are standardized again in float64.
         """
-        X = np.atleast_2d(X_raw)
-        if X.shape[-1] != self.d:
-            raise ValueError(f"dimension mismatch: got {X.shape[-1]}, stats have {self.d}")
-        rows = max(1, BLOCK_VALUES // self.d)
+        X = self._rows(X_raw)
         on = np.empty((X.shape[0], self.k), dtype=bool)
-        for i in range(0, X.shape[0], rows):
-            block, stats = X[i : i + rows], self
+        for b in row_blocks(*X.shape):
+            block, stats = X[b], self
             if block.dtype != np.float32:
                 block, stats = np.asarray(block, dtype=np.float64), self._stats64
             with np.errstate(over="ignore"):  # a row that overflows gets inf, checked below
@@ -206,7 +210,7 @@ class HashModel:
                 # raises on rows that are not finite; the rest are huge and rechecked whole
                 self._standardized(block[bad])
             B = float32_signs(xs, self.W, x_norms, self._w_norm, partial(self._projected, block))
-            on[i : i + rows] = B >= 0
+            on[b] = B >= 0
         return pack_codes(on)
 
     def encode_graph(self, X_raw):
@@ -217,13 +221,12 @@ class HashModel:
         zero become +1. Rows go through in blocks of about BLOCK_VALUES
         standardized values and distances, each standardized in float64.
         """
-        X = np.atleast_2d(X_raw)
-        rows = max(1, BLOCK_VALUES // (self.d + self.m))
-        on = []
-        for i in range(0, max(X.shape[0], 1), rows):  # an empty input is one empty block
-            idx, w = anchor_weights(self._standardized(X[i : i + rows]), self._anchors64)
-            on.append(np.einsum("kqs,qs->qk", self._vote64[:, idx], w) >= 0)
-        return pack_codes(on[0] if len(on) == 1 else np.concatenate(on))
+        X = self._rows(X_raw)
+        on = np.empty((X.shape[0], self.k), dtype=bool)
+        for b in row_blocks(X.shape[0], self.d + self.m):
+            idx, w = anchor_weights(self._standardized(X[b]), self._anchors64)
+            on[b] = np.einsum("kqs,qs->qk", self._vote64[:, idx], w) >= 0
+        return pack_codes(on)
 
     def encode(self, X_raw, mode=None):
         mode = self.query_mode if mode is None else mode

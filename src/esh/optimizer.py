@@ -210,20 +210,18 @@ def cayley_step(W, G, tau):
     return W - tau * (U @ np.linalg.solve(np.eye(2 * k) + 0.5 * tau * VtU, VtU[:, k:]))
 
 
-def bb_step(step_diff, grad_diff, fallback=None, tau_min=TAU_MIN, tau_max=TAU_MAX):
+def bb_step(step_diff, grad_diff, fallback):
     """Barzilai-Borwein step from successive iterate and gradient changes.
 
     tau = |tr(step_diff^T grad_diff)| / tr(grad_diff^T grad_diff), clamped
-    to [tau_min, tau_max]. A vanishing denominator means the gradient has
-    stopped moving; return the fallback then (or raise when none given).
+    to [TAU_MIN, TAU_MAX]. A vanishing denominator means the gradient has
+    stopped moving; return the fallback then.
     """
     den = float(np.einsum("ij,ij->", grad_diff, grad_diff))
     if den <= 1e-30:
-        if fallback is None:
-            raise ValueError("degenerate step: gradient difference is zero")
         return fallback
     num = abs(float(np.einsum("ij,ij->", step_diff, grad_diff)))
-    return float(np.clip(num / den, tau_min, tau_max))
+    return float(np.clip(num / den, TAU_MIN, TAU_MAX))
 
 
 @dataclass
@@ -237,8 +235,6 @@ class TrainConfig:
     alpha: object = "auto"
     tau0: float = 0.01
     seed: int = 0
-    stop_tol: float = 0.0  # 0 disables early stopping
-    stop_patience: int = 10
 
     def __post_init__(self):
         if self.bits < 1:
@@ -249,14 +245,12 @@ class TrainConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if isinstance(self.alpha, str) and self.alpha != "auto":
             raise ValueError(f"alpha must be a number or 'auto', got {self.alpha!r}")
-        numbers = ("eta", "tau0", "stop_tol") + (() if self.alpha == "auto" else ("alpha",))
+        numbers = ("eta", "tau0") + (() if self.alpha == "auto" else ("alpha",))
         for name in numbers:
             value = getattr(self, name)
             # NaN fails both comparisons, so it is caught here too
             if not 0 <= float(value) < np.inf:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-        if self.stop_patience < 1:
-            raise ValueError("stop_patience must be >= 1")
 
 
 @dataclass
@@ -331,17 +325,6 @@ def _prepare(X, S, cfg):
     return X, S, W0, alpha
 
 
-def _should_stop(losses, cfg):
-    # relative improvement below stop_tol for stop_patience consecutive iters
-    if cfg.stop_tol <= 0 or len(losses) <= cfg.stop_patience:
-        return False
-    for i in range(-cfg.stop_patience, 0):
-        prev, cur = losses[i - 1], losses[i]
-        if abs(prev - cur) > cfg.stop_tol * max(1.0, abs(prev)):
-            return False
-    return True
-
-
 def _projected_gradient(cfg):
     """esh1: a Euclidean step of size eta, then the SVD projection."""
     def step(W, G):
@@ -375,19 +358,16 @@ def train(X, S, cfg: TrainConfig):
     """Train W from the seeded start with cfg.algorithm's step rule.
 
     Each iteration takes one step (W, G) -> (W_new, step size), then
-    records loss, orth residual and step size, and checks early stop.
+    records loss, orth residual and step size, for exactly cfg.iters
+    iterations.
     """
     X, S, W, alpha = _prepare(X, S, cfg)
     step = _STEP_RULES[cfg.algorithm](cfg)
     objective = _Objective(X, S, alpha)
     loss, G = objective(W)
     tr = _TraceBuilder(alpha, loss)
-    losses = [loss]
     for it in range(1, cfg.iters + 1):
         W, step_size = step(W, G)
         loss, G = objective(W)
         tr.add(it, loss, orth_residual(W), step_size)
-        losses.append(loss)
-        if _should_stop(losses, cfg):
-            break
     return W, tr.build()

@@ -10,8 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from esh.anchor_graph import (AnchorSet, anchor_weights, build_affinity_rows,
-                              fit_anchors, prune_dead_anchors, similarity_matrix)
+from esh.anchor_graph import (AnchorSet, anchor_weights, fit_anchor_graph, prune_dead_anchors,
+                              similarity_matrix)
 from esh.cli import main
 from esh.dataset import LabelSet, generate_synthetic, standardize
 from esh.encoder import build_hash_model, pack_codes, unpack_codes
@@ -31,8 +31,7 @@ def _report(num, ok, detail):
 
 
 def _graph_similarity(X, m, seed, iters=5):
-    anchors = fit_anchors(X, m, iters=iters, seed=seed, s=3)
-    Z = build_affinity_rows(X, anchors)
+    anchors, Z = fit_anchor_graph(X, m, iters=iters, seed=seed, s=3)
     anchors, Z, lam = prune_dead_anchors(X, anchors, Z)
     return similarity_matrix(X, Z, lam)
 
@@ -116,8 +115,7 @@ def test_criterion_4_factored_similarity_matches_dense():
     cases = [(50, 4, 5), (120, 9, 12), (200, 6, 20), (200, 16, 8), (80, 3, 6), (150, 5, 15)]
     for n, d, m in cases:
         X = rng.standard_normal((n, d))
-        anchors = fit_anchors(X, m, iters=5, seed=n + d, s=3)
-        Z = build_affinity_rows(X, anchors)
+        anchors, Z = fit_anchor_graph(X, m, iters=5, seed=n + d, s=3)
         anchors, Z, lam = prune_dead_anchors(X, anchors, Z)
         S = similarity_matrix(X, Z, lam)
         A = dense_affinity(Z, lam)
@@ -134,8 +132,7 @@ def _blob_pipeline(Xdb, Xq, gt, algo, alpha, seed):
     t0 = time.perf_counter()
     kmeans_seed, w_seed = (int(v) for v in np.random.SeedSequence(seed).generate_state(2))
     Xs, stats = standardize(Xdb)
-    anchors = fit_anchors(Xs, 300, iters=10, seed=kmeans_seed, s=3)
-    Z = build_affinity_rows(Xs, anchors)
+    anchors, Z = fit_anchor_graph(Xs, 300, iters=10, seed=kmeans_seed, s=3)
     anchors, Z, lam = prune_dead_anchors(Xs, anchors, Z)
     S = similarity_matrix(Xs, Z, lam)
     cfg = TrainConfig(bits=16, iters=300, algorithm=algo, alpha=alpha, seed=w_seed)
@@ -325,8 +322,7 @@ def test_criterion_9_graph_encoding_is_exhaustive_argmax():
     n, d, k, m = 600, 16, 12, 40
     X = rng.standard_normal((n, d)) * 2.0 + rng.standard_normal(d)
     Xs, stats = standardize(X)
-    anchors = fit_anchors(Xs, m, iters=10, seed=5, s=3)
-    Z = build_affinity_rows(Xs, anchors)
+    anchors, Z = fit_anchor_graph(Xs, m, iters=10, seed=5, s=3)
     anchors, Z, lam = prune_dead_anchors(Xs, anchors, Z)
     S = similarity_matrix(Xs, Z, lam)
     W, _ = train(Xs, S, TrainConfig(bits=k, iters=40, seed=5))

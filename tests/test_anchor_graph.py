@@ -7,7 +7,6 @@ from esh.anchor_graph import (
     anchor_mass,
     build_affinity_rows,
     fit_anchor_graph,
-    fit_anchors,
     pairwise_sq_dists,
     prune_dead_anchors,
     similarity_matrix,
@@ -27,7 +26,7 @@ def brute_sq_dists(X, C):
 
 
 def kmeans_oracle(X, m, iters, seed, s=3):
-    """fit_anchors with per-call norms and np.add.at sums; also counts
+    """fit_anchor_graph's anchors with per-call norms and np.add.at sums; also counts
     reseeds and the rounds with an assignment whose two nearest centers lie
     within the rounding of another order of the sums, where the argmin
     depends on the BLAS call (as in test_kernels_props.py). Seeding takes
@@ -79,7 +78,7 @@ def test_kmeans_bit_identical_to_add_at_oracle():
     # at m=16, so duplicate centers leave clusters empty and get reseeded
     dup = np.repeat(rng.standard_normal((12, 5)), 4, axis=0)
     for X, m, want_reseed in ((blobs, 40, False), (dup, 16, True)):
-        anchors = fit_anchors(X, m=m, iters=10, seed=17, s=3)
+        anchors, _ = fit_anchor_graph(X, m=m, iters=10, seed=17, s=3)
         centers, sigma2, reseeds, _ = kmeans_oracle(X, m, iters=10, seed=17)
         assert (reseeds > 0) == want_reseed
         assert np.array_equal(anchors.centers, centers)
@@ -98,7 +97,7 @@ def test_kmeans_by_many_blocks_bit_identical_to_add_at_oracle(dtype, monkeypatch
     dup = np.repeat(rng.integers(-8, 9, (120, 5)).astype(np.float64), 4, axis=0)
     for X, m, want_reseed in ((blobs, 40, False), (dup, 160, True)):
         X = X.astype(dtype)
-        anchors = fit_anchors(X, m=m, iters=10, seed=17, s=3)
+        anchors, _ = fit_anchor_graph(X, m=m, iters=10, seed=17, s=3)
         centers, sigma2, reseeds, near_ties = kmeans_oracle(X, m, iters=10, seed=17)
         assert (reseeds > 0) == want_reseed
         if not want_reseed:
@@ -114,7 +113,7 @@ def test_kmeans_beyond_float32_range_matches_the_oracle():
     rng = np.random.default_rng(18)
     X = rng.standard_normal((60, 5))
     X[3, 1], X[40] = 1e39, -1e100
-    anchors = fit_anchors(X, m=6, iters=4, seed=19, s=2)
+    anchors, _ = fit_anchor_graph(X, m=6, iters=4, seed=19, s=2)
     centers, sigma2, _, _ = kmeans_oracle(X, 6, iters=4, seed=19, s=2)
     assert np.array_equal(anchors.centers, centers)
     assert anchors.sigma2 == sigma2
@@ -150,7 +149,7 @@ def test_pairwise_never_negative():
 def test_kmeans_m_equals_n_fixed_point():
     rng = np.random.default_rng(2)
     X = rng.standard_normal((12, 3))
-    anchors = fit_anchors(X, m=12, iters=10, seed=0)
+    anchors, _ = fit_anchor_graph(X, m=12, iters=10, seed=0)
     got = anchors.centers[np.lexsort(anchors.centers.T)]
     want = X[np.lexsort(X.T)]
     assert np.allclose(got, want, atol=1e-12)
@@ -161,7 +160,7 @@ def test_kmeans_two_blobs_recovers_means():
     a = rng.standard_normal((200, 2)) * 0.1 + [0, 0]
     b = rng.standard_normal((200, 2)) * 0.1 + [50, 50]
     X = np.vstack([a, b])
-    anchors = fit_anchors(X, m=2, iters=20, seed=1, s=2)
+    anchors, _ = fit_anchor_graph(X, m=2, iters=20, seed=1, s=2)
     centers = anchors.centers[np.argsort(anchors.centers[:, 0])]
     assert np.allclose(centers[0], a.mean(axis=0), atol=1e-6)
     assert np.allclose(centers[1], b.mean(axis=0), atol=1e-6)
@@ -170,8 +169,8 @@ def test_kmeans_two_blobs_recovers_means():
 def test_kmeans_deterministic():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((60, 5))
-    a1 = fit_anchors(X, m=8, iters=10, seed=9)
-    a2 = fit_anchors(X, m=8, iters=10, seed=9)
+    a1, _ = fit_anchor_graph(X, m=8, iters=10, seed=9)
+    a2, _ = fit_anchor_graph(X, m=8, iters=10, seed=9)
     assert np.array_equal(a1.centers, a2.centers)
     assert a1.sigma2 == a2.sigma2
 
@@ -179,17 +178,16 @@ def test_kmeans_deterministic():
 def test_kmeans_rejects_bad_args():
     X = np.ones((5, 2))
     with pytest.raises(ValueError):
-        fit_anchors(X, m=6, iters=10, seed=0)
+        fit_anchor_graph(X, m=6, iters=10, seed=0)
     with pytest.raises(ValueError):
-        fit_anchors(X, m=2, iters=0, seed=0)
+        fit_anchor_graph(X, m=2, iters=0, seed=0)
 
 
 @pytest.mark.parametrize("s", [0, 6, 9])
 def test_s_outside_one_to_m_rejected(s):
     X = np.random.default_rng(21).standard_normal((40, 3))
-    for fit in (fit_anchors, fit_anchor_graph):
-        with pytest.raises(ValueError, match=r"s must be in \[1, m=5\]"):
-            fit(X, m=5, s=s)
+    with pytest.raises(ValueError, match=r"s must be in \[1, m=5\]"):
+        fit_anchor_graph(X, m=5, s=s)
 
 
 @pytest.mark.parametrize("sigma2", [None, 0.7])
@@ -203,8 +201,6 @@ def test_one_pass_gives_the_two_pass_sigma2_and_Z(sigma2):
     two_pass = build_affinity_rows(X, anchors)
     assert np.array_equal(Z.indices, two_pass.indices)
     assert np.array_equal(Z.weights, two_pass.weights)
-    again = fit_anchors(X, 12, iters=5, seed=23, s=3, sigma2=sigma2)
-    assert np.array_equal(again.centers, anchors.centers) and again.sigma2 == anchors.sigma2
 
 
 @pytest.mark.parametrize("sigma2", [np.inf, -np.inf, np.nan])
@@ -214,7 +210,7 @@ def test_non_finite_sigma2_rejected(sigma2, monkeypatch):
 
     monkeypatch.setattr("esh.anchor_graph._kmeans_pp_init", fail)
     with pytest.raises(ValueError, match="sigma2 must be finite"):
-        fit_anchors(np.ones((5, 2)), m=2, seed=0, sigma2=sigma2)
+        fit_anchor_graph(np.ones((5, 2)), m=2, seed=0, sigma2=sigma2)
     with pytest.raises(ValueError, match="sigma2 must be finite"):
         AnchorSet(centers=np.zeros((2, 2)), sigma2=sigma2, s=1)
 
@@ -222,7 +218,7 @@ def test_non_finite_sigma2_rejected(sigma2, monkeypatch):
 def test_default_sigma2_is_mean_sth_distance():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((40, 3))
-    anchors = fit_anchors(X, m=10, iters=10, seed=2, s=3)
+    anchors, _ = fit_anchor_graph(X, m=10, iters=10, seed=2, s=3)
     d2 = np.sort(brute_sq_dists(X, anchors.centers), axis=1)
     assert np.isclose(anchors.sigma2, d2[:, 2].mean(), rtol=1e-12)
 
@@ -230,8 +226,7 @@ def test_default_sigma2_is_mean_sth_distance():
 def test_build_Z_single_anchor_rows():
     rng = np.random.default_rng(6)
     X = rng.standard_normal((30, 4))
-    anchors = fit_anchors(X, m=6, iters=5, seed=3, s=1)
-    Z = build_affinity_rows(X, anchors)
+    anchors, Z = fit_anchor_graph(X, m=6, iters=5, seed=3, s=1)
     assert Z.s == 1
     assert np.all(Z.weights == 1.0)
     d2 = brute_sq_dists(X, anchors.centers)
@@ -249,8 +244,7 @@ def test_build_Z_equidistant_uniform_weights():
 def test_build_Z_rows_sum_to_one_and_pick_true_neighbors():
     rng = np.random.default_rng(7)
     X = rng.standard_normal((80, 6))
-    anchors = fit_anchors(X, m=15, iters=8, seed=4, s=4)
-    Z = build_affinity_rows(X, anchors)
+    anchors, Z = fit_anchor_graph(X, m=15, iters=8, seed=4, s=4)
     assert np.all(np.abs(Z.weights.sum(axis=1) - 1.0) < 1e-12)
     d2 = brute_sq_dists(X, anchors.centers)
     for i in range(X.shape[0]):
@@ -261,8 +255,7 @@ def test_build_Z_rows_sum_to_one_and_pick_true_neighbors():
 def test_build_Z_weights_match_kernel_formula():
     rng = np.random.default_rng(8)
     X = rng.standard_normal((25, 3))
-    anchors = fit_anchors(X, m=7, iters=6, seed=5, s=3)
-    Z = build_affinity_rows(X, anchors)
+    anchors, Z = fit_anchor_graph(X, m=7, iters=6, seed=5, s=3)
     d2 = brute_sq_dists(X, anchors.centers)
     for i in range(X.shape[0]):
         raw = np.exp(-d2[i, Z.indices[i]] / anchors.sigma2)
@@ -273,8 +266,7 @@ def test_build_Z_survives_tiny_bandwidth():
     # raw kernel underflows; normalized weights must stay finite
     rng = np.random.default_rng(9)
     X = rng.standard_normal((20, 3))
-    anchors = fit_anchors(X, m=5, iters=5, seed=6, s=2, sigma2=1e-8)
-    Z = build_affinity_rows(X, anchors)
+    anchors, Z = fit_anchor_graph(X, m=5, iters=5, seed=6, s=2, sigma2=1e-8)
     assert np.all(np.isfinite(Z.weights))
     assert np.all(np.abs(Z.weights.sum(axis=1) - 1.0) < 1e-12)
 
@@ -311,8 +303,7 @@ def test_lambda_hand_case():
 def test_lambda_matches_dense_column_sums():
     rng = np.random.default_rng(10)
     X = rng.standard_normal((50, 4))
-    anchors = fit_anchors(X, m=9, iters=6, seed=7, s=3)
-    Z = build_affinity_rows(X, anchors)
+    anchors, Z = fit_anchor_graph(X, m=9, iters=6, seed=7, s=3)
     lam = anchor_mass(Z)
     assert np.allclose(lam, to_dense(Z).sum(axis=0), atol=1e-12)
     assert abs(lam.sum() - X.shape[0]) < 1e-9
@@ -334,8 +325,7 @@ def test_prune_drops_anchor_nobody_uses():
 def test_prune_no_op_when_all_alive():
     rng = np.random.default_rng(11)
     X = rng.standard_normal((40, 3))
-    anchors = fit_anchors(X, m=5, iters=8, seed=8, s=3)
-    Z = build_affinity_rows(X, anchors)
+    anchors, Z = fit_anchor_graph(X, m=5, iters=8, seed=8, s=3)
     anchors2, Z2, _ = prune_dead_anchors(X, anchors, Z)
     assert anchors2 is anchors
     assert Z2 is Z
@@ -364,8 +354,7 @@ def test_similarity_matches_dense_oracle():
     for trial in range(5):
         n = int(rng.integers(20, 200))
         X = rng.standard_normal((n, 5))
-        anchors = fit_anchors(X, m=min(12, n), iters=5, seed=trial, s=3)
-        Z = build_affinity_rows(X, anchors)
+        anchors, Z = fit_anchor_graph(X, m=min(12, n), iters=5, seed=trial, s=3)
         lam = anchor_mass(Z)
         S = similarity_matrix(X, Z, lam)
         A = dense_affinity(Z, lam)
@@ -381,8 +370,7 @@ def test_similarity_of_float32_rows_matches_dense_oracle_of_their_float64_values
     rng = np.random.default_rng(24)
     for n, d, m in ((50, 4, 5), (200, 16, 8), (150, 5, 15)):
         X = rng.standard_normal((n, d)).astype(np.float32)
-        anchors = fit_anchors(X, m, iters=5, seed=n + d, s=3)
-        Z = build_affinity_rows(X, anchors)
+        anchors, Z = fit_anchor_graph(X, m, iters=5, seed=n + d, s=3)
         anchors, Z, lam = prune_dead_anchors(X, anchors, Z)
         S = similarity_matrix(X, Z, lam)
         X64 = X.astype(np.float64)
@@ -410,8 +398,7 @@ def test_dense_affinity_single_anchor_uniform():
 def test_dense_affinity_row_sums_symmetry_psd():
     rng = np.random.default_rng(13)
     X = rng.standard_normal((50, 4))
-    anchors = fit_anchors(X, m=8, iters=6, seed=14, s=3)
-    Z = build_affinity_rows(X, anchors)
+    anchors, Z = fit_anchor_graph(X, m=8, iters=6, seed=14, s=3)
     lam = anchor_mass(Z)
     A = dense_affinity(Z, lam)
     assert np.all(np.abs(A.sum(axis=1) - 1.0) < 1e-10)
@@ -430,8 +417,7 @@ def test_dense_affinity_cap():
 
 def test_pipeline_on_blobs_keeps_everything_finite():
     X, _ = generate_synthetic(4, 50, 8, 1.0, seed=3)
-    anchors = fit_anchors(X, m=20, iters=10, seed=0, s=3)
-    Z = build_affinity_rows(X, anchors)
+    anchors, Z = fit_anchor_graph(X, m=20, iters=10, seed=0, s=3)
     anchors, Z, lam = prune_dead_anchors(X, anchors, Z)
     S = similarity_matrix(X, Z, lam)
     assert np.all(np.isfinite(S))

@@ -55,6 +55,18 @@ def test_synth_binary_format(tmp_path):
     assert X.shape == (6, 4)
 
 
+def test_synth_binary_rejects_values_beyond_float32_range(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert run("synth", "--clusters", 2, "--per-cluster", 3, "--dims", 4, "--spread", 1e39,
+               "--format", "binary", "--out", out) == 1
+    line = capsys.readouterr().err
+    assert line.count("\n") == 1
+    err = json.loads(line)
+    assert err["error"] == "FormatError"
+    assert "beyond float32 range" in err["message"]
+    assert list(out.iterdir()) == []  # no .eshf file that train would reject later
+
+
 def test_train_zero_step_single_iteration(tmp_path):
     data = synth_small(tmp_path)
     out = tmp_path / "run"

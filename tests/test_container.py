@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import reference_writers as ref
-from esh.anchor_graph import anchor_mass, build_affinity_rows, fit_anchors, similarity_matrix
+from esh.anchor_graph import anchor_mass, fit_anchor_graph, similarity_matrix
 from esh.container import FormatError, Reader, Writer
 from esh.dataset import generate_synthetic, load_features, save_features, standardize
 from esh.encoder import (HashModel, build_hash_model, load_codes, load_model, pack_codes,
@@ -23,8 +23,7 @@ def tiny_model_with_train():
     """A small model, its training codes B and its affinity rows Z."""
     X_raw, _ = generate_synthetic(2, 4, 3, 1.0, seed=7)
     Xs, stats = standardize(X_raw)
-    anchors = fit_anchors(Xs, m=4, iters=5, seed=8, s=2)
-    Z = build_affinity_rows(Xs, anchors)
+    anchors, Z = fit_anchor_graph(Xs, m=4, iters=5, seed=8, s=2)
     lam = anchor_mass(Z)
     W, _ = train(Xs, similarity_matrix(Xs, Z, lam), TrainConfig(bits=2, iters=5, seed=9))
     model, B = build_hash_model(stats, W, anchors, Z, lam, X_raw)

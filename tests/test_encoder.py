@@ -7,8 +7,7 @@ import pytest
 from esh import dataset
 from esh.anchor_graph import (
     anchor_mass,
-    build_affinity_rows,
-    fit_anchors,
+    fit_anchor_graph,
     pairwise_sq_dists,
     similarity_matrix,
 )
@@ -43,8 +42,7 @@ def small_pipeline(seed=0, n_per=40, clusters=4, d=8, k=6, s=3):
     """small_model's results, then the affinity rows Z the model was built from."""
     X_raw, labels = generate_synthetic(clusters, n_per, d, 1.0, seed=seed)
     Xs, stats = standardize(X_raw)
-    anchors = fit_anchors(Xs, m=12, iters=10, seed=seed + 1, s=s)
-    Z = build_affinity_rows(Xs, anchors)
+    anchors, Z = fit_anchor_graph(Xs, m=12, iters=10, seed=seed + 1, s=s)
     lam = anchor_mass(Z)
     S = similarity_matrix(Xs, Z, lam)
     W, _ = train(Xs, S, TrainConfig(bits=k, iters=40, seed=seed + 2))
@@ -163,12 +161,22 @@ def random_model(d, k, m=5, seed=0):
     )
 
 
+@pytest.mark.parametrize("mode", ["linear", "graph"])
+@pytest.mark.parametrize("n", [0, 1])
+def test_encode_rejects_a_wrong_width_in_both_modes_even_on_few_rows(mode, n):
+    model = random_model(6, 4)
+    for d in (5, 7):
+        with pytest.raises(ValueError, match=f"dimension mismatch: got {d}, stats have 6"):
+            model.encode(np.zeros((n, d)), mode=mode)
+    codes = model.encode(np.zeros((n, 6)), mode=mode)
+    assert (codes.n, codes.k) == (n, 4)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_build_hash_model_rejects_non_finite_projection(bad):
     X_raw, _ = generate_synthetic(4, 40, 8, 1.0, seed=11)
     Xs, stats = standardize(X_raw)
-    anchors = fit_anchors(Xs, m=12, iters=10, seed=12, s=3)
-    Z = build_affinity_rows(Xs, anchors)
+    anchors, Z = fit_anchor_graph(Xs, m=12, iters=10, seed=12, s=3)
     W = init_projection(8, 6, seed=13)
     W[2, 1] = bad
     with pytest.raises(ValueError, match="W has non-finite"):

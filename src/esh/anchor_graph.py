@@ -224,8 +224,8 @@ def fit_anchor_graph(X, m, iters=10, seed=0, s=3, sigma2=None):
     at a time, finds each row's s nearest anchors: their distances give
     the default sigma2, the mean squared distance from samples to their
     s-th nearest anchor, and with sigma2 the weights of Z. Either sigma2
-    is floored to avoid a degenerate kernel. Returns (anchors, Z), with Z
-    equal to build_affinity_rows(X, anchors).
+    is floored to avoid a degenerate kernel. Returns (AnchorSet, Z), equal
+    to fit_anchors and build_affinity_rows on the same arguments.
     """
     if sigma2 is not None:
         check_sigma2(sigma2)
@@ -244,6 +244,11 @@ def fit_anchor_graph(X, m, iters=10, seed=0, s=3, sigma2=None):
     sigma2 = max(float(sigma2), SIGMA_FLOOR)
     anchors = AnchorSet(centers=centers, sigma2=sigma2, s=s)
     return anchors, SparseAffinityRows(indices=idx, weights=_kernel_weights(near, sigma2), m=m)
+
+
+def fit_anchors(X, m, iters=10, seed=0, s=3, sigma2=None):
+    """The anchor set of fit_anchor_graph, for callers that build Z later."""
+    return fit_anchor_graph(X, m, iters=iters, seed=seed, s=s, sigma2=sigma2)[0]
 
 
 def _nearest_first(d2, s):

@@ -7,6 +7,7 @@ from esh.anchor_graph import (
     anchor_mass,
     build_affinity_rows,
     fit_anchor_graph,
+    fit_anchors,
     pairwise_sq_dists,
     prune_dead_anchors,
     similarity_matrix,
@@ -186,8 +187,9 @@ def test_kmeans_rejects_bad_args():
 @pytest.mark.parametrize("s", [0, 6, 9])
 def test_s_outside_one_to_m_rejected(s):
     X = np.random.default_rng(21).standard_normal((40, 3))
-    with pytest.raises(ValueError, match=r"s must be in \[1, m=5\]"):
-        fit_anchor_graph(X, m=5, s=s)
+    for fit in (fit_anchors, fit_anchor_graph):
+        with pytest.raises(ValueError, match=r"s must be in \[1, m=5\]"):
+            fit(X, m=5, s=s)
 
 
 @pytest.mark.parametrize("sigma2", [None, 0.7])
@@ -201,6 +203,8 @@ def test_one_pass_gives_the_two_pass_sigma2_and_Z(sigma2):
     two_pass = build_affinity_rows(X, anchors)
     assert np.array_equal(Z.indices, two_pass.indices)
     assert np.array_equal(Z.weights, two_pass.weights)
+    again = fit_anchors(X, 12, iters=5, seed=23, s=3, sigma2=sigma2)
+    assert np.array_equal(again.centers, anchors.centers) and again.sigma2 == anchors.sigma2
 
 
 @pytest.mark.parametrize("sigma2", [np.inf, -np.inf, np.nan])

@@ -119,21 +119,33 @@ def save_features(X, path):
 
 
 def load_labels(path):
-    """Load a label file; the kind is 'single' if every row holds one id."""
-    rows = []
+    """Load a label file; the kind is 'single' if every row holds one id.
+
+    One int64 id per line parses in one streaming pass; other files are read
+    again row by row, parsing multi-label rows and naming any bad row."""
     with open(path) as f:
-        for i, line in enumerate(f):
-            line = line.strip()
-            if not line:
-                raise FormatError(f"label row {i} is empty")
-            try:
-                rows.append(tuple(int(tok) for tok in line.split(";")))
-            except ValueError:
-                raise FormatError(f"label row {i} is not semicolon-separated integers") from None
+        try:
+            # int() takes the newline and surrounding blanks, as strip() did
+            rows = tuple(zip(np.fromiter(map(int, f), dtype=np.int64).tolist()))
+        except (ValueError, OverflowError):
+            f.seek(0)
+            rows = tuple(_label_row(line, i, path) for i, line in enumerate(f))
     if not rows:
         raise FormatError(f"{path}: no labels")
-    kind = "single" if all(len(r) == 1 for r in rows) else "multi"
-    return LabelSet(kind, tuple(rows))
+    return LabelSet("single" if all(len(r) == 1 for r in rows) else "multi", rows)
+
+
+def _label_row(line, i, path):
+    line = line.strip()
+    if not line:
+        raise FormatError(f"{path}: label row {i} is empty")
+    try:
+        row = tuple(map(int, line.split(";")))
+    except ValueError:
+        raise FormatError(f"{path}: label row {i} is not semicolon-separated integers") from None
+    if min(row) < -(2**63) or max(row) >= 2**63:
+        raise FormatError(f"{path}: label row {i} holds an id outside int64")
+    return row
 
 
 def save_labels(labels, path):

@@ -4,11 +4,11 @@ Everything rests on one ranking primitive: XOR + popcount distances, then
 a stable sort so equal distances break toward the lower database id. The
 distances are sorted as uint8 (one code word) or uint16 (up to 65535 bits),
 for which numpy's stable sort is a radix sort, linear in the database size;
-wider codes fall back to int64. A caller that needs only the first t ids
-(`esh query --top t`) gets them from one partition of packed
-(distance, id) keys instead. On top of that sit average precision,
-precision at a depth, precision within a Hamming ball, and per-query
-precision/recall curves, aggregated into a report.
+wider codes fall back to int64. `rank_database` serves `esh query` and the
+API; its first t ids (`--top t`) come from one partition of packed
+(distance, id) keys instead. `evaluate` orders the database once per query
+and reads every metric from the ranks of the query's positives: AP,
+precision at depths and within a Hamming ball, and the PR curve.
 """
 
 import json
@@ -85,6 +85,11 @@ def _nearest(dist, k, top=None):
     return np.argsort(dist, kind="stable")[:top]
 
 
+def _check_min(name, value, low):
+    if value is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 def rank_database(query_words, db: PackedCodes, exclude_id=None, top=None):
     """Rank the database codes by Hamming distance to one query.
 
@@ -93,8 +98,7 @@ def rank_database(query_words, db: PackedCodes, exclude_id=None, top=None):
     one partition of packed (distance, id) keys, without sorting the rest.
     `exclude_id` leaves one database id out before the cut.
     """
-    if top is not None and top < 1:
-        raise ValueError(f"top must be >= 1, got {top}")
+    _check_min("top", top, 1)
     dist = hamming_distances(query_words, db, narrow=True)
     # one entry more, for the excluded id to leave
     depth = top if top is None or exclude_id is None else top + 1
@@ -155,54 +159,46 @@ def _hit_precision(hits):
     return np.arange(1, hits.size + 1) / (hits + 1.0)
 
 
-def _precision_at(rel, depth):
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    depth = min(depth, rel.size)
-    return float(rel[:depth].sum() / depth)
+def _average_precision(precision, n_pos):
+    """AP from the precision at each retrieved hit, in rank order; 0 if none."""
+    # add.accumulate sums strictly left to right, so AP equals a naive
+    # per-rank loop term for term; np.sum adds pairwise and does not
+    return float(np.add.accumulate(precision)[-1]) / n_pos if precision.size else 0.0
 
 
-def _within(ranking: Ranking, radius):
-    """How many ranked codes lie within Hamming distance `radius`."""
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    return int(np.searchsorted(ranking.distances, radius, side="right"))
+def _precision_at(hits, depth):
+    """Fraction of the first `depth` ranks that hold a hit; depth >= 1."""
+    return float(np.searchsorted(hits, depth) / depth)
 
 
-def average_precision(ranking: Ranking, positives_mask, cutoff=None, relevance=None):
+def _hits(ranking: Ranking, positives_mask, depth=None):
+    """0-based ranks of the relevant items among the first `depth` ranked."""
+    return np.flatnonzero(np.asarray(positives_mask)[ranking.ids[:depth]])
+
+
+def average_precision(ranking: Ranking, positives_mask, cutoff=None):
     """Mean of precision-at-hit over all relevant items.
 
     The denominator is the total relevant count even under a cutoff, so a
     truncated list is penalized for what it failed to retrieve. No
-    relevant items at all gives 0. A caller that already holds
-    positives_mask[ranking.ids] passes it as `relevance`.
+    relevant items at all gives 0.
     """
-    if cutoff is not None and cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
-    mask = np.asarray(positives_mask)
-    n_pos = int(mask.sum())
-    if n_pos == 0:
-        return 0.0
-    rel = mask[ranking.ids[:cutoff]] if relevance is None else relevance[:cutoff]
-    hits = np.flatnonzero(rel)
-    if hits.size == 0:
-        return 0.0
-    # add.accumulate sums strictly left to right, so AP equals a naive
-    # per-rank loop term for term; np.sum adds pairwise and does not
-    return float(np.add.accumulate(_hit_precision(hits))[-1]) / n_pos
+    _check_min("cutoff", cutoff, 1)
+    hits = _hits(ranking, positives_mask, cutoff)
+    return _average_precision(_hit_precision(hits), int(np.count_nonzero(positives_mask)))
 
 
 def precision_at(ranking: Ranking, positives_mask, depth):
     """Fraction of the top `depth` that is relevant; depth caps at db size."""
-    return _precision_at(np.asarray(positives_mask)[ranking.ids[:depth]], depth)
+    _check_min("depth", depth, 1)
+    return _precision_at(_hits(ranking, positives_mask), min(depth, ranking.ids.size))
 
 
 def precision_within_radius(ranking: Ranking, positives_mask, radius=2):
     """Precision over codes within Hamming distance `radius`; 0 if none."""
-    within = _within(ranking, radius)
-    if within == 0:
-        return 0.0
-    return _precision_at(np.asarray(positives_mask)[ranking.ids[:within]], within)
+    _check_min("radius", radius, 0)
+    within = int(np.searchsorted(ranking.distances, radius, side="right"))
+    return _precision_at(_hits(ranking, positives_mask), within) if within else 0.0
 
 
 def pr_curve(ranking: Ranking, positives_mask):
@@ -210,11 +206,10 @@ def pr_curve(ranking: Ranking, positives_mask):
 
     Returns (recall, precision) arrays of length |positives retrieved|.
     """
-    mask = np.asarray(positives_mask)
-    n_pos = int(mask.sum())
+    n_pos = int(np.count_nonzero(positives_mask))
     if n_pos == 0:
         return np.empty(0), np.empty(0)
-    hits = np.flatnonzero(mask[ranking.ids])
+    hits = _hits(ranking, positives_mask)
     return np.arange(1, hits.size + 1) / n_pos, _hit_precision(hits)
 
 
@@ -267,20 +262,25 @@ class EvalReport:
 
 
 def _eval_one(qi, q_words, db, gt, depths, radius, exclude, cutoff):
+    """One query's metrics, all read from the ranks of its positives."""
     mask = gt.positives_mask(qi)
+    dist = hamming_distances(q_words, db, narrow=True)
+    order = _nearest(dist, db.k)
+    within = int(np.count_nonzero(dist <= radius))
     if exclude:
         # the query's own row leaves both the ranking and the positive set
         mask = mask.copy()
         mask[qi] = False
-    ranking = rank_database(q_words, db, exclude_id=qi if exclude else None)
-    # one gather per query; every metric below reads this relevance vector
-    rel = mask[ranking.ids]
-    n_pos = int(mask.sum())
-    ap = average_precision(ranking, mask, cutoff, relevance=rel)
-    pn = [_precision_at(rel, n) for n in depths]
-    within = _within(ranking, radius)
-    pr = _precision_at(rel, within) if within else 0.0
-    grid_prec = _grid_precision(_hit_precision(np.flatnonzero(rel)), n_pos) if n_pos else None
+        order = order[order != qi]
+        within -= int(dist[qi] <= radius)
+    hits = np.flatnonzero(mask[order])
+    n_pos = hits.size  # the ranking holds every positive
+    precision = _hit_precision(hits)
+    retrieved = precision if cutoff is None else precision[:np.searchsorted(hits, cutoff)]
+    ap = _average_precision(retrieved, n_pos)
+    pn = [_precision_at(hits, min(n, order.size)) for n in depths]
+    pr = _precision_at(hits, within) if within else 0.0
+    grid_prec = _grid_precision(precision, n_pos) if n_pos else None
     return ap, pn, pr, grid_prec, n_pos
 
 
@@ -306,6 +306,9 @@ def evaluate(query_codes: PackedCodes, db_codes: PackedCodes, gt: GroundTruth,
     if exclude_self and query_codes.n != db_codes.n:
         raise ValueError("exclude_self requires query set == database")
     depths = tuple(int(n) for n in depths)
+    _check_min("depth", min(depths, default=1), 1)
+    _check_min("radius", radius, 0)
+    _check_min("cutoff", cutoff, 1)
     results = [_eval_one(qi, query_codes.words[qi], db_codes, gt, depths, radius,
                          exclude_self, cutoff)
                for qi in range(query_codes.n)]

@@ -6,6 +6,14 @@ import numpy as np
 from esh.anchor_graph import SparseAffinityRows, pairwise_sq_dists
 from esh.dataset import STD_FLOOR, StandardizationStats, apply_standardization
 from esh.encoder import PackedCodes, pack_codes, unpack_codes
+from esh.evaluation import (
+    _grid_precision,
+    average_precision,
+    pr_curve,
+    precision_at,
+    precision_within_radius,
+    rank_database,
+)
 from esh.kernels import BAND_SLACK, BLOCK_VALUES, F64_UNIT
 from esh.optimizer import _Objective
 
@@ -157,3 +165,20 @@ def hamming_distance(a_words, b_words):
     if a.shape != b.shape:
         raise ValueError("codes have different word counts")
     return int(np.bitwise_count(np.bitwise_xor(a, b)).sum())
+
+
+def eval_one(qi, q_words, db, gt, depths, radius, exclude, cutoff):
+    """evaluate's per-query step composed from the public metrics: one
+    Ranking with its int64 distances, each metric slicing it again. Same
+    signature and result as evaluation._eval_one."""
+    mask = gt.positives_mask(qi)
+    if exclude:
+        mask = mask.copy()
+        mask[qi] = False
+    ranking = rank_database(q_words, db, exclude_id=qi if exclude else None)
+    n_pos = int(mask.sum())
+    ap = average_precision(ranking, mask, cutoff)
+    pn = [precision_at(ranking, mask, n) for n in depths]
+    pr = precision_within_radius(ranking, mask, radius)
+    grid_prec = _grid_precision(pr_curve(ranking, mask)[1], n_pos) if n_pos else None
+    return ap, pn, pr, grid_prec, n_pos

@@ -428,6 +428,48 @@ def test_eval_rejects_cutoff_below_one(tmp_path, capsys):
         assert not (out / "report.json").exists()
 
 
+def one_line_error(capsys):
+    line = capsys.readouterr().err
+    assert line.count("\n") == 1
+    return json.loads(line)
+
+
+@pytest.mark.parametrize("rows, bad_row", [
+    ("0\n1\n\n1\n0\n1\n", 2),  # a blank row
+    ("0\n1\n0\n1\n0\n99999999999999999999999\n", 5),  # an id beyond int64
+    ("0;1\n1\n0\n-99999999999999999999999;1\n0\n1\n", 3),  # the same in a multi-label file
+])
+def test_eval_label_errors_name_the_file_and_the_row(tmp_path, capsys, rows, bad_row):
+    cp = write_codes(tmp_path, "codes.eshb", np.eye(6) * 2 - 1)
+    good = tmp_path / "good.csv"
+    good.write_text("".join(f"{i % 3}\n" for i in range(6)))
+    bad = tmp_path / "bad.csv"
+    bad.write_text(rows)
+    for flag, other in (("--labels", "--query-labels"), ("--query-labels", "--labels")):
+        out = tmp_path / f"ev{flag}"
+        assert run("eval", "--query-codes", cp, "--db-codes", cp, flag, bad, other, good,
+                   "--out", out) == 1
+        err = one_line_error(capsys)
+        assert err["error"] == "FormatError"
+        assert str(bad) in err["message"]
+        assert f"row {bad_row}" in err["message"]
+        assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("depths, bad", [("0,5", "0"), ("-3", "-3"), ("5,0", "0")])
+def test_eval_rejects_depths_below_one(tmp_path, capsys, depths, bad):
+    cp = write_codes(tmp_path, "codes.eshb", np.eye(6) * 2 - 1)
+    labels = tmp_path / "labels.csv"
+    labels.write_text("".join(f"{i % 3}\n" for i in range(6)))
+    out = tmp_path / "ev"
+    assert run("eval", "--query-codes", cp, "--db-codes", cp, "--query-labels", labels,
+               "--labels", labels, "--precision-at", depths, "--out", out) == 1
+    err = one_line_error(capsys)
+    assert err["error"] == "ValueError"
+    assert f"depth must be >= 1, got {bad}" in err["message"]
+    assert not (out / "report.json").exists()
+
+
 def test_synth_rejects_unknown_format_from_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"format": "bogus", "clusters": 2, "per_cluster": 3, "dims": 4}))

@@ -160,16 +160,6 @@ def test_ap_sums_left_to_right_like_a_rank_loop():
         assert average_precision(r, mask, cutoff=cut) == total / mask.sum()
 
 
-def test_ap_from_a_gathered_relevance_vector():
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        mask = rng.random(50) < 0.3
-        r = make_ranking(rng.integers(0, 5, size=50))
-        for cutoff in (None, 1, 10, 50):
-            assert (average_precision(r, mask, cutoff, relevance=mask[r.ids])
-                    == average_precision(r, mask, cutoff))
-
-
 def test_ap_cutoff_zero_when_nothing_retrieved():
     mask = np.array([False, False, False, True])
     r = make_ranking([0, 1, 2, 3])
@@ -197,6 +187,22 @@ def test_negative_radius_rejected():
     q, db = pack_codes(np.eye(4)[:2] * 2 - 1), pack_codes(np.eye(4) * 2 - 1)
     with pytest.raises(ValueError, match="radius"):
         evaluate(q, db, gt, depths=(1,), radius=-1)
+
+
+def test_evaluate_checks_its_arguments_before_ranking(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a query was ranked before the arguments were checked")
+
+    monkeypatch.setattr("esh.evaluation.hamming_distances", fail)
+    monkeypatch.setattr(GroundTruth, "positives_mask", fail)
+    gt = GroundTruth(LabelSet.from_array([0, 1]), LabelSet.from_array([0, 1, 0, 1]))
+    q, db = pack_codes(np.eye(4)[:2] * 2 - 1), pack_codes(np.eye(4) * 2 - 1)
+    for kw, match in ((dict(depths=(0,)), "depth must be >= 1, got 0"),
+                      (dict(depths=(5, -3)), "depth must be >= 1, got -3"),
+                      (dict(radius=-1), "radius must be >= 0, got -1"),
+                      (dict(cutoff=0), "cutoff must be >= 1, got 0")):
+        with pytest.raises(ValueError, match=match):
+            evaluate(q, db, gt, **kw)
 
 
 def test_ap_no_positives_is_zero():

@@ -7,6 +7,13 @@ it. Each artifact gets a sidecar manifest carrying the resolved config
 and its hash. Manifests are provenance records only: no subcommand reads
 them, so nothing checks that the codes and model given to a command come
 from the same run. All randomness flows from the single --seed value.
+
+Commands hold only the rows their algorithm needs at once. `esh encode`
+and `esh query` encode their feature file as it is read, a block of rows
+at a time, and write nothing if a block fails its checks. `esh train`
+standardizes the rows it loads in place, so that one copy is all it
+holds through anchors and training; it then reads the file a second
+time, a block at a time, for the training codes the vote matrix needs.
 """
 
 import argparse
@@ -25,6 +32,7 @@ from .anchor_graph import (
     similarity_matrix,
 )
 from .dataset import (
+    FeatureFile,
     generate_synthetic,
     load_features,
     load_labels,
@@ -276,14 +284,14 @@ def cmd_train(args):
         raise ValueError(f"--snn must be >= 1, got {cfg['snn']}")
     if cfg["snn"] > cfg["anchors"]:
         raise ValueError(f"--snn must be at most --anchors ({cfg['anchors']}), got {cfg['snn']}")
-    X_raw = load_features(cfg["features"])
-    if cfg["bits"] > X_raw.shape[1]:
-        raise ValueError(f"--bits must be at most the {X_raw.shape[1]} feature dimensions, "
+    X = load_features(cfg["features"])
+    if cfg["bits"] > X.shape[1]:
+        raise ValueError(f"--bits must be at most the {X.shape[1]} feature dimensions, "
                          f"got {cfg['bits']}")
     out = _out_dir(args)
 
     # the one copy of the rows that training holds, at the input's precision
-    Xs, stats = standardize(X_raw)
+    Xs, stats = standardize(X, out=X)
     anchors, Z = fit_anchor_graph(
         Xs,
         cfg["anchors"],
@@ -296,7 +304,9 @@ def cmd_train(args):
     S = similarity_matrix(Xs, Z, lam)
 
     W, trace = train(Xs, S, tc)
-    model, _codes = build_hash_model(stats, W, anchors, Z, lam, X_raw,
+    # the training codes take the raw rows, read again a block at a time
+    del X, Xs, S
+    model, _codes = build_hash_model(stats, W, anchors, Z, lam, FeatureFile(cfg["features"]),
                                      query_mode=cfg["query_mode"])
 
     model_path = out / "model.eshm"
@@ -316,8 +326,7 @@ def cmd_encode(args):
     cfg = _resolve(args, ENCODE)
     out = _out_dir(args)
     model = load_model(cfg["model"])
-    X = load_features(cfg["features"])
-    codes = model.encode(X, mode=cfg["query_mode"])
+    codes = model.encode(FeatureFile(cfg["features"]), mode=cfg["query_mode"])
     codes_path = out / "codes.eshb"
     save_codes(codes, codes_path)
     _write_manifest(codes_path, "encode", cfg)
@@ -334,9 +343,8 @@ def cmd_query(args):
     db = load_codes(cfg["db_codes"])
     if db.k != model.k:
         raise ValueError(f"database codes have {db.k} bits, model produces {model.k}")
-    X = load_features(cfg["features"])
     mode = cfg["query_mode"] if cfg["query_mode"] is not None else model.query_mode
-    codes = model.encode(X, mode=mode)
+    codes = model.encode(FeatureFile(cfg["features"]), mode=mode)
     top = min(cfg["top"], db.n)
     results_path = out / "results.csv"
     # rows of query_id, rank, db_id, distance; one formatted write per block

@@ -3,18 +3,19 @@
 A file is a 4-byte magic, a version byte, then little-endian fields and
 arrays in the order its format lists them, and for a checksummed format a
 CRC32 of every byte before it. Only this module reads or writes those
-bytes; the loaders list their fields through Writer and Reader.
+bytes; the loaders list their fields through Writer and Reader. A file
+whose last array is its payload (.eshf) can also be opened for its header
+alone: the size is checked then, and the payload is read later, a block
+of rows at a time, through StoredArray.
 """
 
 import math
 import os
 import struct
 import zlib
+from typing import NamedTuple
 
 import numpy as np
-
-ALIGN = 64  # the reader's buffer puts the end of the file on this boundary
-
 
 class FormatError(ValueError):
     """A file does not conform to its declared format."""
@@ -35,14 +36,38 @@ class Writer:
         return self
 
     def save(self, path, crc=False):
-        """Write the parts (arrays without a bytes copy), then the CRC32 if asked."""
+        """Write the parts (arrays without a bytes copy), then their CRC32 if asked."""
         checksum = 0
         with open(path, "wb") as f:
             for part in self.parts:
                 f.write(part)
-                checksum = zlib.crc32(part, checksum)
+                if crc:
+                    checksum = zlib.crc32(part, checksum)
             if crc:
                 f.write(struct.pack("<I", checksum))
+
+
+class StoredArray(NamedTuple):
+    """An array left in its file at byte `offset`, read a block of rows at a time."""
+
+    path: str
+    offset: int
+    dtype: np.dtype
+    shape: tuple
+
+    def blocks(self, rows, out=None):
+        """Consecutive blocks of `rows` rows, each a new writable array, or
+        with `out` (an array of this shape) the block's rows of `out`, read
+        into place."""
+        n = self.shape[0]
+        with open(self.path, "rb") as f:
+            f.seek(self.offset)
+            for i in range(0, n, rows):
+                shape = (min(rows, n - i),) + tuple(self.shape[1:])
+                a = np.empty(shape, self.dtype) if out is None else out[i : i + shape[0]]
+                if f.readinto(memoryview(a).cast("B")) != a.nbytes:
+                    raise FormatError(f"{self.path}: file shrank while its payload was read")
+                yield a
 
 
 class Reader:
@@ -53,20 +78,18 @@ class Reader:
     rejects unread trailing bytes; a ValueError from the object's own
     validation leaves as a FormatError naming the file.
 
-    The file is read once into a buffer that ends on an ALIGN-byte
-    boundary, so the array that ends a file (the payload of .eshf and
-    .eshb) is aligned for its dtype.
+    The file is read once. With `head`, only its first `head` bytes are
+    read: fields and shapes come from them, and `stream` takes the array
+    that follows, checked against the file's size, in place of `array`.
     """
 
-    def __init__(self, path, magic, version, kind, crc=False):
+    def __init__(self, path, magic, version, kind, crc=False, head=None):
         self.path, self.kind = path, kind
         with open(path, "rb") as f:
             size = os.fstat(f.fileno()).st_size
-            buf = np.empty(size + ALIGN, dtype=np.uint8)
-            start = -(buf.ctypes.data + size) % ALIGN
-            self.data = memoryview(buf)[start : start + size]
-            self.data = self.data[: f.readinto(self.data)]
-        self.off, self.end = len(magic), len(self.data)
+            self.data = f.read() if head is None else f.read(head)
+        self.off = len(magic)
+        self.end = len(self.data) if head is None else size
         if self.data[: self.off] != magic:
             raise self.error(f"not a {kind} file (bad magic)")
         if crc:
@@ -98,15 +121,19 @@ class Reader:
             raise self.error(f"invalid shape {dims}")
         return dims
 
-    def array(self, dtype, shape, writable=False):
-        """A view of the next array's bytes, read-only unless writable is
-        set; the buffer belongs to this reader alone, so a caller that
-        keeps the array may write to it."""
+    def array(self, dtype, shape):
+        """A read-only view of the next array's bytes."""
         dtype, count = np.dtype(dtype), math.prod(shape)
         off = self._advance(count * dtype.itemsize, "payload")
         a = np.frombuffer(self.data, dtype, count, off).reshape(shape)
-        a.flags.writeable = writable
+        a.flags.writeable = False
         return a
+
+    def stream(self, dtype, shape):
+        """The next array as a StoredArray, left in the file."""
+        dtype = np.dtype(dtype)
+        off = self._advance(math.prod(shape) * dtype.itemsize, "payload")
+        return StoredArray(self.path, off, dtype, tuple(shape))
 
     def __enter__(self):
         return self

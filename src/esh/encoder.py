@@ -32,7 +32,7 @@ import numpy as np
 
 from .anchor_graph import AnchorSet, SparseAffinityRows, anchor_weights, check_sigma2
 from .container import FormatError, Reader, Writer  # noqa: F401 - esh.encoder.FormatError
-from .dataset import STD_FLOOR, StandardizationStats, apply_standardization
+from .dataset import STD_FLOOR, FeatureFile, StandardizationStats, apply_standardization
 from .kernels import float32_signs, row_blocks, row_norm_bounds
 
 CODE_MAGIC = b"ESHB"
@@ -229,12 +229,22 @@ class HashModel:
         return pack_codes(on)
 
     def encode(self, X_raw, mode=None):
+        """Codes of X_raw's rows in `mode` (default: the model's query mode).
+
+        X_raw is an array of rows, or a FeatureFile, encoded as it is read
+        in the blocks that the mode's encoder cuts from the whole array,
+        so the codes are the same either way.
+        """
         mode = self.query_mode if mode is None else mode
-        if mode == "linear":
-            return self.encode_linear(X_raw)
-        if mode == "graph":
-            return self.encode_graph(X_raw)
-        raise ValueError(f"unknown query mode {mode!r}")
+        if mode not in QUERY_MODES:
+            raise ValueError(f"unknown query mode {mode!r}")
+        encode = self.encode_linear if mode == "linear" else self.encode_graph
+        if not isinstance(X_raw, FeatureFile):
+            return encode(X_raw)
+        # the values per row, besides the row itself, that the encoder's blocks hold
+        extra = self.m if mode == "graph" else 0
+        words = [encode(X).words for X in X_raw.blocks(extra)]
+        return PackedCodes(n=sum(map(len, words)), k=self.k, words=np.concatenate(words))
 
 
 def build_hash_model(stats, W, anchors: AnchorSet, Z: SparseAffinityRows, lam,
@@ -242,8 +252,9 @@ def build_hash_model(stats, W, anchors: AnchorSet, Z: SparseAffinityRows, lam,
     """Assemble a HashModel from trained pieces.
 
     Database codes B are the model's own linear encoding of the training
-    set, computed after the float32 cast so that what the model stores and
-    what it would re-encode agree exactly. The vote matrix is accumulated
+    set X_raw (an array, or a FeatureFile read a block at a time), computed
+    after the float32 cast so that what the model stores and what it would
+    re-encode agree exactly. The vote matrix is accumulated
     in float64 and cast last. The model keeps neither B nor Z, as a query
     needs only the vote matrix; B is returned beside it.
 
@@ -264,7 +275,7 @@ def build_hash_model(stats, W, anchors: AnchorSet, Z: SparseAffinityRows, lam,
         vote_matrix=np.zeros((W.shape[1], anchors.m), dtype=np.float32),
         query_mode=query_mode,
     )
-    codes = model.encode_linear(X_raw)
+    codes = model.encode(X_raw, mode="linear")
     B = unpack_codes(codes).astype(np.float64)  # (n, k) of +-1
     vote = (Z.to_csr().T @ B).T / np.asarray(lam, dtype=np.float64)[None, :]  # (k, m)
     return replace(model, vote_matrix=vote.astype(np.float32)), codes

@@ -167,8 +167,9 @@ def _average_precision(precision, n_pos):
 
 
 def _precision_at(hits, depth):
-    """Fraction of the first `depth` ranks that hold a hit; depth >= 1."""
-    return float(np.searchsorted(hits, depth) / depth)
+    """Fraction of the first `depth` ranks that hold a hit; 0 for depth 0,
+    as for an empty ranking."""
+    return float(np.searchsorted(hits, depth) / depth) if depth else 0.0
 
 
 def _hits(ranking: Ranking, positives_mask, depth=None):
@@ -189,7 +190,8 @@ def average_precision(ranking: Ranking, positives_mask, cutoff=None):
 
 
 def precision_at(ranking: Ranking, positives_mask, depth):
-    """Fraction of the top `depth` that is relevant; depth caps at db size."""
+    """Fraction of the top `depth` that is relevant; depth caps at the
+    ranking's size, and an empty ranking gives 0."""
     _check_min("depth", depth, 1)
     return _precision_at(_hits(ranking, positives_mask), min(depth, ranking.ids.size))
 
@@ -198,7 +200,7 @@ def precision_within_radius(ranking: Ranking, positives_mask, radius=2):
     """Precision over codes within Hamming distance `radius`; 0 if none."""
     _check_min("radius", radius, 0)
     within = int(np.searchsorted(ranking.distances, radius, side="right"))
-    return _precision_at(_hits(ranking, positives_mask), within) if within else 0.0
+    return _precision_at(_hits(ranking, positives_mask), within)
 
 
 def pr_curve(ranking: Ranking, positives_mask):
@@ -251,7 +253,7 @@ class EvalReport:
             "per_class_ap": {str(c): v for c, v in self.per_class_ap.items()},
         }
         with open(path, "w") as f:
-            json.dump(doc, f, indent=2, sort_keys=True)
+            json.dump(doc, f, indent=2, sort_keys=True, allow_nan=False)
             f.write("\n")
 
     def pr_to_csv(self, path):
@@ -279,7 +281,7 @@ def _eval_one(qi, q_words, db, gt, depths, radius, exclude, cutoff):
     retrieved = precision if cutoff is None else precision[:np.searchsorted(hits, cutoff)]
     ap = _average_precision(retrieved, n_pos)
     pn = [_precision_at(hits, min(n, order.size)) for n in depths]
-    pr = _precision_at(hits, within) if within else 0.0
+    pr = _precision_at(hits, within)
     grid_prec = _grid_precision(precision, n_pos) if n_pos else None
     return ap, pn, pr, grid_prec, n_pos
 

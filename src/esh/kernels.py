@@ -27,10 +27,15 @@ F32_SAFE = 2.0**126  # while |x| |w| stays below this, no float32 product or sum
 BLOCK_VALUES = 2**18
 
 
+def block_rows(width):
+    """Rows per block: about BLOCK_VALUES values of rows `width` values wide."""
+    return max(1, BLOCK_VALUES // max(width, 1))
+
+
 def row_blocks(n, width):
-    """Slices of consecutive rows, each of about BLOCK_VALUES values for
-    rows `width` values wide, that together cover rows 0 to n."""
-    rows = max(1, BLOCK_VALUES // max(width, 1))
+    """Slices of consecutive rows, block_rows(width) each, that together
+    cover rows 0 to n."""
+    rows = block_rows(width)
     return [slice(i, i + rows) for i in range(0, n, rows)]
 
 

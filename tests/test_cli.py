@@ -109,7 +109,7 @@ def test_train_trace_descends_on_blobs(tmp_path):
     assert losses[-1] <= losses[0]
 
 
-def test_encode_train_set_equals_stored_codes(tmp_path, monkeypatch):
+def assert_encode_of_train_set_equals_stored_codes(tmp_path, monkeypatch, features):
     # the training codes that esh train builds the vote matrix from
     built = []
 
@@ -119,16 +119,29 @@ def test_encode_train_set_equals_stored_codes(tmp_path, monkeypatch):
         return model, codes
 
     monkeypatch.setattr("esh.cli.build_hash_model", build_and_keep)
-    data = synth_small(tmp_path)
     run_dir = tmp_path / "run"
-    assert run("train", "--features", data / "features.csv", "--bits", 6,
+    assert run("train", "--features", features, "--bits", 6,
                "--iters", 20, "--anchors", 20, "--seed", 2, "--out", run_dir) == 0
     enc = tmp_path / "enc"
     assert run("encode", "--model", run_dir / "model.eshm",
-               "--features", data / "features.csv", "--out", enc) == 0
+               "--features", features, "--out", enc) == 0
     codes = load_codes(enc / "codes.eshb")
     assert len(built) == 1
     assert np.array_equal(codes.words, built[0].words)
+
+
+def test_encode_train_set_equals_stored_codes(tmp_path, monkeypatch):
+    data = synth_small(tmp_path)
+    assert_encode_of_train_set_equals_stored_codes(tmp_path, monkeypatch, data / "features.csv")
+
+
+def test_encode_binary_train_set_equals_stored_codes(tmp_path, monkeypatch):
+    # 1200 rows of 300 values: the training codes and esh encode both read
+    # the file in two blocks of rows
+    data = tmp_path / "data"
+    assert run("synth", "--clusters", 3, "--per-cluster", 400, "--dims", 300,
+               "--format", "binary", "--out", data) == 0
+    assert_encode_of_train_set_equals_stored_codes(tmp_path, monkeypatch, data / "features.eshf")
 
 
 def test_query_results_match_ranking_oracle(tmp_path):
@@ -222,8 +235,8 @@ def test_encode_of_no_rows_is_a_json_error_not_an_unreadable_file(tmp_path, caps
     run_dir = tmp_path / "run"
     assert run("train", "--features", data / "features.csv", "--bits", 4,
                "--iters", 2, "--anchors", 10, "--seed", 1, "--out", run_dir) == 0
-    # the feature loaders refuse empty files, so feed esh encode no rows directly
-    monkeypatch.setattr("esh.cli.load_features", lambda path: np.zeros((0, 8)))
+    # the feature readers refuse empty files, so feed esh encode no rows directly
+    monkeypatch.setattr("esh.cli.FeatureFile", lambda path: np.zeros((0, 8)))
     enc = tmp_path / "enc"
     assert run("encode", "--model", run_dir / "model.eshm", "--features", data / "features.csv",
                "--query-mode", "linear", "--out", enc) == 1
@@ -253,6 +266,25 @@ def test_eval_identity_database_map_one(tmp_path):
     doc = json.loads((out / "report.json").read_text())
     assert doc["map"] == 1.0
     assert doc["precision_at"]["1"] == 1.0
+
+
+def test_eval_of_one_code_against_itself_writes_valid_json(tmp_path):
+    # with its own row excluded, each query's ranking is empty: P@n is 0,
+    # as P@radius is for an empty ball
+    codes = write_codes(tmp_path, "one.eshb", [[1, -1, 1]])
+    labels = tmp_path / "labels.csv"
+    labels.write_text("0\n")
+    out = tmp_path / "ev"
+    assert run("eval", "--query-codes", codes, "--db-codes", codes, "--query-labels", labels,
+               "--labels", labels, "--exclude-self", "--out", out) == 0
+
+    def refuse(token):
+        raise AssertionError(f"report.json holds {token}")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+    assert report["precision_at"] == {"300": 0.0}
+    assert report["precision_at_radius"] == 0.0
+    assert report["map"] == 0.0
 
 
 def test_eval_matches_library_oracle(tmp_path):
@@ -500,8 +532,8 @@ def assert_config_rejected_before_reading(tmp_path, capsys, monkeypatch, argv, b
     def fail(*args, **kwargs):
         raise AssertionError("work started before the config was checked")
 
-    for name in ("generate_synthetic", "load_features", "load_model", "load_codes",
-                 "fit_anchor_graph"):
+    for name in ("generate_synthetic", "load_features", "FeatureFile", "load_model",
+                 "load_codes", "fit_anchor_graph"):
         monkeypatch.setattr(f"esh.cli.{name}", fail)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(bad))
@@ -740,3 +772,136 @@ def test_train_holds_its_rows_once(tmp_path):
         tracemalloc.stop()
     loaded = n * d * 4  # the float32 rows as load_features returns them
     assert peak - loaded < n * d * 8, f"peak {peak / 2**20:.1f} MiB"
+
+
+def multi_block_files(tmp_path):
+    """A model on 300 dims and 1200 rows of 300 values, as .eshf and as CSV.
+
+    A block holds 2**18 values: 873 rows in linear mode and, with the model's
+    20 anchors, 819 rows in graph mode, so each file is read in two blocks."""
+    data = tmp_path / "data"
+    assert run("synth", "--clusters", 3, "--per-cluster", 400, "--dims", 300,
+               "--format", "binary", "--seed", 4, "--out", data) == 0
+    binary, text = data / "features.eshf", data / "features.csv"
+    save_features(load_features(binary), text)
+    run_dir = tmp_path / "run"
+    assert run("train", "--features", binary, "--bits", 16, "--iters", 5,
+               "--anchors", 20, "--seed", 1, "--out", run_dir) == 0
+    return run_dir / "model.eshm", binary, text
+
+
+@pytest.mark.parametrize("fmt", ["eshf", "csv"])
+def test_encode_and_query_of_a_file_equal_the_api_on_its_rows(tmp_path, fmt):
+    model_path, binary, text = multi_block_files(tmp_path)
+    features = binary if fmt == "eshf" else text
+    model = load_model(model_path)
+    X = load_features(features)
+    db_dir = tmp_path / "db"
+    assert run("encode", "--model", model_path, "--features", binary, "--out", db_dir) == 0
+    db = load_codes(db_dir / "codes.eshb")
+    for mode in ("linear", "graph"):
+        want = model.encode(X, mode)
+        enc, q = tmp_path / f"enc_{mode}", tmp_path / f"q_{mode}"
+        assert run("encode", "--model", model_path, "--features", features,
+                   "--query-mode", mode, "--out", enc) == 0
+        got = load_codes(enc / "codes.eshb")
+        assert (got.n, got.k) == (want.n, want.k)
+        assert np.array_equal(got.words, want.words)
+        assert run("query", "--model", model_path, "--features", features,
+                   "--db-codes", db_dir / "codes.eshb", "--top", 5,
+                   "--query-mode", mode, "--out", q) == 0
+        assert (q / "results.csv").read_bytes() == per_row_results_csv(want, db, 5)
+
+
+def test_bad_rows_in_a_late_block_fail_before_anything_is_written(tmp_path, capsys):
+    model_path, binary, text = multi_block_files(tmp_path)
+    payload_bytes = 1200 * 300 * 4
+    data = binary.read_bytes()
+    cases = []
+    truncated = tmp_path / "truncated.eshf"
+    truncated.write_bytes(data[:-5])
+    cases.append((truncated, f"{truncated}: truncated payload: needs {payload_bytes} bytes, "
+                             f"{payload_bytes - 5} left"))
+    trailing = tmp_path / "trailing.eshf"
+    trailing.write_bytes(data + b"\0\0")
+    cases.append((trailing, f"{trailing}: 2 unexpected trailing bytes"))
+    # row 1100 lies in the second block in either mode
+    late = tmp_path / "late.eshf"
+    body = bytearray(data)
+    at = len(data) - payload_bytes + (1100 * 300 + 7) * 4
+    body[at : at + 4] = np.array([np.nan], "<f4").tobytes()
+    late.write_bytes(bytes(body))
+    cases.append((late, f"{late}: non-finite value at row 1100, column 7"))
+    lines = text.read_text().splitlines(keepends=True)
+    for name, value, message in (
+        ("late_inf.csv", "inf", "{path}: non-finite value at row 1100, column 7"),
+        ("late_token.csv", "x", "CSV parse failure in {path}: could not convert string 'x' "
+                                "to float64 at row 1100, column 8."),
+    ):
+        path = tmp_path / name
+        row = lines[1100].split(",")
+        row[7] = value
+        path.write_text("".join(lines[:1100] + [",".join(row)] + lines[1101:]))
+        cases.append((path, message.format(path=path)))
+    enc = tmp_path / "enc"
+    assert run("encode", "--model", model_path, "--features", binary, "--out", enc) == 0
+    for path, message in cases:
+        for mode in ("linear", "graph"):
+            for argv in (("encode", "--model", model_path, "--features", path),
+                         ("query", "--model", model_path, "--features", path,
+                          "--db-codes", enc / "codes.eshb")):
+                out = tmp_path / f"{path.stem}_{argv[0]}_{mode}"
+                assert run(*argv, "--query-mode", mode, "--out", out) == 1
+                assert json.loads(capsys.readouterr().err) == {"error": "FormatError",
+                                                               "message": message}
+                assert not any(out.iterdir())
+
+
+def test_encode_and_query_hold_one_block_of_rows(tmp_path):
+    # 16 000 rows of 256 float32 values: a 16.4 MB payload, read in blocks of
+    # 1024 rows (1 MiB) in linear mode and 936 rows in graph mode (16 anchors).
+    # A command that held the whole file would peak above the payload.
+    n, d = 16_000, 256
+    rng = np.random.default_rng(12)
+    train_file, features = tmp_path / "train.eshf", tmp_path / "rows.eshf"
+    save_features(rng.standard_normal((400, d)), train_file)
+    save_features(rng.standard_normal((n, d), dtype=np.float32), features)
+    run_dir = tmp_path / "run"
+    assert run("train", "--features", train_file, "--bits", 16, "--iters", 3,
+               "--anchors", 16, "--out", run_dir) == 0
+    model = run_dir / "model.eshm"
+    assert run("encode", "--model", model, "--features", train_file, "--out", tmp_path / "db") == 0
+    payload = n * d * 4
+    for mode in ("linear", "graph"):
+        for argv in (("encode", "--model", model, "--features", features),
+                     ("query", "--model", model, "--features", features,
+                      "--db-codes", tmp_path / "db" / "codes.eshb", "--top", 1)):
+            tracemalloc.start()
+            try:
+                assert run(*argv, "--query-mode", mode, "--out", tmp_path / f"{argv[0]}_{mode}") == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < payload / 2, f"{argv[0]} {mode}: peak {peak / 2**20:.1f} MiB"
+
+
+def test_train_holds_one_standardized_copy_of_its_rows(tmp_path):
+    # n x d float32 rows, R = 20.5 MB. Besides them training holds a few
+    # float64 blocks of BLOCK_VALUES values (2 MiB each), Z (n x 3 int64 and
+    # float64, 1 MB), n x 8 signs and projections, and d x d matrices
+    # (0.5 MiB each): well under R / 2. So one copy of the rows peaks below
+    # 1.5 R, and a second copy (raw and standardized rows, say) alone
+    # makes 2 R.
+    n, d = 20_000, 256
+    features = tmp_path / "rows.eshf"
+    save_features(np.random.default_rng(13).standard_normal((n, d), dtype=np.float32) * 3.0 + 1.0,
+                  features)
+    tracemalloc.start()
+    try:
+        assert run("train", "--features", features, "--bits", 8, "--iters", 3,
+                   "--anchors", 8, "--kmeans-iters", 2, "--out", tmp_path / "run") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = n * d * 4
+    assert peak < 1.5 * rows, f"peak {peak / rows:.2f} R"

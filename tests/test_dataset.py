@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from esh.dataset import (
+    CENTER_SCALE,
     FormatError,
     LabelSet,
     apply_standardization,
@@ -41,6 +44,24 @@ def test_csv_inf_rejected(tmp_path):
     p.write_text("1,inf\n")
     with pytest.raises(FormatError):
         load_features(p)
+
+
+def test_csv_load_holds_its_rows_about_once(tmp_path, monkeypatch):
+    # 4000 x 64 float64 rows (2 MB), parsed in 63 blocks of 64 rows: the
+    # array grows by each block, so the blocks and a concatenation of them
+    # (2 x the rows) are never held together
+    monkeypatch.setattr("esh.kernels.BLOCK_VALUES", 4096)
+    X = np.random.default_rng(9).standard_normal((4000, 64))
+    p = tmp_path / "f.csv"
+    save_features(X, p)
+    tracemalloc.start()
+    try:
+        Y = load_features(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(Y, X)
+    assert peak < 1.25 * X.nbytes, f"peak {peak / X.nbytes:.2f} x the rows"
 
 
 def test_binary_round_trip(tmp_path):
@@ -181,6 +202,47 @@ def test_synthetic_deterministic():
     Xb, lb = generate_synthetic(2, 1, 2, 0.5, seed=7)
     assert np.array_equal(Xa, Xb)
     assert la == lb
+
+
+def synthetic_by_repeat(clusters, per_cluster, dims, spread, seed):
+    """generate_synthetic's rows as first written: the centers repeated row
+    by row, plus the scaled noise."""
+    rng = np.random.default_rng(seed)
+    while True:
+        centers = rng.standard_normal((clusters, dims))
+        norms = np.linalg.norm(centers, axis=1, keepdims=True)
+        if np.any(norms == 0):
+            continue
+        centers *= CENTER_SCALE / norms
+        diff = centers[:, None, :] - centers[None, :, :]
+        d = np.sqrt((diff * diff).sum(-1))
+        np.fill_diagonal(d, np.inf)
+        if d.min() >= 0.7 * CENTER_SCALE:
+            break
+    noise = rng.standard_normal((clusters * per_cluster, dims))
+    return np.repeat(centers, per_cluster, axis=0) + spread * noise
+
+
+@pytest.mark.parametrize("shape, spread, seed", [((3, 10, 8), 0.3, 0), ((50, 62, 128), 2.0, 1),
+                                                 ((20, 65, 1024), 1.5, 3), ((2, 1, 1), 1e-3, 5)])
+def test_synthetic_rows_equal_the_repeat_formula(shape, spread, seed):
+    X, _ = generate_synthetic(*shape, spread, seed)
+    assert X.tobytes() == synthetic_by_repeat(*shape, spread, seed).tobytes()
+
+
+def test_standardize_in_place_equals_a_new_array(monkeypatch):
+    monkeypatch.setattr("esh.kernels.BLOCK_VALUES", 64)  # many blocks of rows
+    rng = np.random.default_rng(8)
+    for dtype in (np.float32, np.float64):
+        X = (rng.standard_normal((300, 9)) * 5.0 + 40.0).astype(dtype)
+        want, want_stats = standardize(X)
+        Y, stats = standardize(X, out=X)
+        assert Y is X
+        assert Y.tobytes() == want.tobytes()
+        assert np.array_equal(stats.mean, want_stats.mean)
+        assert np.array_equal(stats.std, want_stats.std)
+    with pytest.raises(ValueError, match="out must be float32"):
+        standardize(np.ones((3, 2), np.float32), out=np.empty((3, 2)))
 
 
 def test_synthetic_small_spread_tightens_clusters():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -426,3 +427,17 @@ def test_report_json_and_pr_csv(tmp_path):
     assert len(lines) == 102
     rec = [float(l.split(",")[0]) for l in lines[1:]]
     assert rec == [round(0.01 * i, 2) for i in range(101)]
+
+
+def test_precision_of_an_empty_ranking_is_zero():
+    r = make_ranking(np.array([], dtype=np.int64))
+    assert precision_at(r, np.zeros(0, dtype=bool), 5) == 0.0
+    assert precision_within_radius(r, np.zeros(0, dtype=bool)) == 0.0
+
+
+def test_report_json_refuses_values_json_cannot_hold(tmp_path):
+    codes = pack_codes(random_bits(np.random.default_rng(12), 4, 8))
+    labels = LabelSet.from_array([0, 1, 0, 1])
+    rep = evaluate(codes, codes, GroundTruth(labels, labels), depths=(2,))
+    with pytest.raises(ValueError, match="JSON compliant"):
+        dataclasses.replace(rep, map=float("nan")).to_json(tmp_path / "report.json")

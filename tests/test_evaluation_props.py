@@ -93,9 +93,6 @@ def _report_or_error(*args, **kwargs):
 )
 def test_evaluate_equals_the_public_metrics_per_query(k, n, distinct, n_classes, multi, exclude,
                                                       cutoff, count_empty, seed, data):
-    # a single row under exclude_self leaves an empty ranking; precision at
-    # a depth is then 0/0 in evaluate and in the oracle alike
-    n = max(n, 2) if exclude else n
     rng = np.random.default_rng(seed)
     pool = random_bits(rng, distinct, k)  # a few codes, so most distances tie
     db = pack_codes(pool[rng.integers(0, distinct, n)])

@@ -13,7 +13,9 @@ and `esh query` encode their feature file as it is read, a block of rows
 at a time, and write nothing if a block fails its checks. `esh train`
 standardizes the rows it loads in place, so that one copy is all it
 holds through anchors and training; it then reads the file a second
-time, a block at a time, for the training codes the vote matrix needs.
+time, a block at a time, for the training codes the vote matrix needs,
+and fails if the file changed in between. A CSV file is parsed whole
+each time it is read.
 """
 
 import argparse
@@ -284,6 +286,9 @@ def cmd_train(args):
         raise ValueError(f"--snn must be >= 1, got {cfg['snn']}")
     if cfg["snn"] > cfg["anchors"]:
         raise ValueError(f"--snn must be at most --anchors ({cfg['anchors']}), got {cfg['snn']}")
+    # opened before the rows are read, so the second read below fails
+    # unless the file is the one training read
+    features = FeatureFile(cfg["features"])
     X = load_features(cfg["features"])
     if cfg["bits"] > X.shape[1]:
         raise ValueError(f"--bits must be at most the {X.shape[1]} feature dimensions, "
@@ -291,7 +296,7 @@ def cmd_train(args):
     out = _out_dir(args)
 
     # the one copy of the rows that training holds, at the input's precision
-    Xs, stats = standardize(X, out=X)
+    Xs, stats = standardize(X, in_place=True)
     anchors, Z = fit_anchor_graph(
         Xs,
         cfg["anchors"],
@@ -306,7 +311,7 @@ def cmd_train(args):
     W, trace = train(Xs, S, tc)
     # the training codes take the raw rows, read again a block at a time
     del X, Xs, S
-    model, _codes = build_hash_model(stats, W, anchors, Z, lam, FeatureFile(cfg["features"]),
+    model, _codes = build_hash_model(stats, W, anchors, Z, lam, features,
                                      query_mode=cfg["query_mode"])
 
     model_path = out / "model.eshm"

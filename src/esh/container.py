@@ -55,16 +55,13 @@ class StoredArray(NamedTuple):
     dtype: np.dtype
     shape: tuple
 
-    def blocks(self, rows, out=None):
-        """Consecutive blocks of `rows` rows, each a new writable array, or
-        with `out` (an array of this shape) the block's rows of `out`, read
-        into place."""
+    def blocks(self, rows):
+        """Consecutive blocks of `rows` rows, each a new writable array."""
         n = self.shape[0]
         with open(self.path, "rb") as f:
             f.seek(self.offset)
             for i in range(0, n, rows):
-                shape = (min(rows, n - i),) + tuple(self.shape[1:])
-                a = np.empty(shape, self.dtype) if out is None else out[i : i + shape[0]]
+                a = np.empty((min(rows, n - i),) + tuple(self.shape[1:]), self.dtype)
                 if f.readinto(memoryview(a).cast("B")) != a.nbytes:
                     raise FormatError(f"{self.path}: file shrank while its payload was read")
                 yield a

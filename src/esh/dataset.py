@@ -4,18 +4,18 @@ Features are (n, d) arrays held at their stored precision. The extension
 picks the on-disk format: .eshf is a binary container with magic "ESHF",
 whose float32 rows load as they are, without a float64 copy; anything
 else is headerless CSV (one sample per row), loaded as float64.
-FeatureFile is the one reader of both: it yields a file's rows a block
-at a time, each block checked finite, and load_features writes those
-blocks into one array. standardize keeps the rows' precision: it
-computes in float64 a block of rows at a time (BLOCK_VALUES values) and
-writes float32 rows for float32 input, into a new array or back into
-the input, which training then holds as its one copy of the rows.
+FeatureFile is the one reader of both: it gives a file's rows whole
+(load_features) or a block at a time, an .eshf file's read and checked
+finite block by block, a CSV file's parsed whole. standardize keeps the
+rows' precision: it computes in float64 a block of rows at a time
+(BLOCK_VALUES values) and writes float32 rows for float32 input, into a
+new array or back into the input, which training then holds as its one
+copy of the rows.
 Linear encoding takes either precision. Labels are integer ids, one line
 per sample, semicolons separating multiple ids.
 """
 
-import re
-import warnings
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,105 +85,77 @@ def _check_finite(X, where, row0=0):
     raise FormatError(f"{where}non-finite value at row {row0 + r}, column {c}")
 
 
-def _check_shape(X, where):
-    if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
-        raise FormatError(f"{where}expected a non-empty 2-D feature matrix, got shape {X.shape}")
-
-
 def _validate_matrix(X, where=""):
     """The matrix, if it is 2-D, non-empty and finite; `where` prefixes errors."""
-    _check_shape(X, where)
+    if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
+        raise FormatError(f"{where}expected a non-empty 2-D feature matrix, got shape {X.shape}")
     _check_finite(X, where)
     return X
 
 
+def _stamp(path):
+    """What changes when a file is rewritten or replaced."""
+    st = os.stat(path)
+    return st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
+
 class FeatureFile:
-    """A feature file, read a block of rows at a time.
+    """A feature file, read whole or a block of rows at a time.
 
     Opening an .eshf file reads its header and checks that the file holds
     exactly the n x d float32 payload it declares, so a truncated file or
-    trailing bytes fail before any row is read. A CSV file is parsed as its
-    blocks are read. Either way each block is checked finite, and errors
-    name the row's place in the whole file.
+    trailing bytes fail before any row is read; its rows are then read and
+    checked finite a block at a time, and errors name the row's place in
+    the whole file. A CSV file is parsed and checked whole when it is read.
     """
 
     def __init__(self, path):
         self.path = str(path)
+        self.stamp = _stamp(self.path)
         self.payload = None  # a StoredArray for .eshf; CSV has no header
         if self.path.endswith(".eshf"):
             with Reader(self.path, FEATURE_MAGIC, FEATURE_VERSION, "feature",
                         head=FEATURE_HEAD) as r:
                 self.payload = r.stream("<f4", r.shape(2))
 
-    def blocks(self, extra=0, out=None):
+    def blocks(self, extra=0):
         """The rows in the blocks that row_blocks(n, d + extra) cuts: those
         an encoder that also holds `extra` values per row cuts from the
-        whole array. With `out`, an .eshf file's blocks are read into
-        place in that (n, d) float32 array."""
-        where, row0 = f"{self.path}: ", 0
+        whole array. Fails, before the first block and after the last, if
+        the file changed since it was opened, so two reads of one
+        FeatureFile give the same rows."""
+        self._check_unchanged()
         if self.payload is None:
-            blocks = self._csv_blocks(extra)
+            X = self._read_csv()
+            for b in row_blocks(X.shape[0], X.shape[1] + extra):
+                yield X[b]
         else:
-            blocks = self.payload.blocks(block_rows(self.payload.shape[1] + extra), out)
-        for X in blocks:
-            _check_finite(X, where, row0)
-            row0 += X.shape[0]
-            yield X
+            row0 = 0
+            for X in self.payload.blocks(block_rows(self.payload.shape[1] + extra)):
+                _check_finite(X, f"{self.path}: ", row0)
+                row0 += X.shape[0]
+                yield X
+        self._check_unchanged()
 
-    def _csv_blocks(self, extra):
-        with open(self.path) as f:
-            # the first row gives d, and with it the block length
-            d = self._parse_csv(f, 1, 0).shape[1]
-            f.seek(0)
-            rows, row0 = block_rows(d + extra), 0
-            while True:
-                X = self._parse_csv(f, rows, row0)
-                if row0 == 0:
-                    _check_shape(X, f"{self.path}: ")
-                elif X.shape[0] and X.shape[1] != d:
-                    # the message loadtxt gives for a change within one block
-                    raise FormatError(
-                        f"CSV parse failure in {self.path}: the number of columns changed "
-                        f"from {d} to {X.shape[1]} at row {row0 + 1}; use `usecols` to "
-                        "select a subset and avoid this error")
-                if X.shape[0]:
-                    yield X
-                if X.shape[0] < rows:
-                    return
-                row0 += rows
+    def _check_unchanged(self):
+        if _stamp(self.path) != self.stamp:
+            raise FormatError(f"{self.path}: file changed since it was opened")
 
-    def _parse_csv(self, lines, rows, row0):
-        """The next `rows` rows of data (fewer at the end) as float64;
-        parse errors name rows counted from the file's first data row."""
-        with warnings.catch_warnings():
-            # loadtxt warns that blank lines do not count towards max_rows,
-            # and that a read at the end of the file found no data
-            warnings.simplefilter("ignore", UserWarning)
-            try:
-                return np.loadtxt(lines, delimiter=",", ndmin=2, dtype=np.float64,
-                                  max_rows=rows)
-            except ValueError as e:
-                # the last "at row" is loadtxt's; an earlier one is quoted from the file
-                message = re.sub(r"at row (\d+)(?!.*at row)", lambda m: f"at row {row0 + int(m[1])}",
-                                 str(e), flags=re.DOTALL)
-                raise FormatError(f"CSV parse failure in {self.path}: {message}") from None
+    def _read_csv(self):
+        try:
+            X = np.loadtxt(self.path, delimiter=",", ndmin=2, dtype=np.float64)
+        except ValueError as e:
+            raise FormatError(f"CSV parse failure in {self.path}: {e}") from None
+        return _validate_matrix(X, f"{self.path}: ")
 
     def read(self):
         """All the rows in one array: the writable float32 payload of an
         .eshf file, float64 for CSV."""
         if self.payload is None:
-            # grown a block at a time: realloc extends a large array without
-            # a copy, so the rows are held about once, not as blocks and a
-            # concatenation of them
-            X = np.empty((0, 0))
-            for block in self.blocks():
-                n = X.shape[0]
-                X.resize((n + block.shape[0], block.shape[1]), refcheck=False)  # no views of X yet
-                X[n:] = block
-            return X
-        X = np.empty(self.payload.shape, np.float32)
-        for _ in self.blocks(out=X):  # each block is read into X, then checked
-            pass
+            return self._read_csv()
+        (X,) = self.payload.blocks(self.payload.shape[0])  # one read into one array
+        for b in row_blocks(*X.shape):  # no n x d bool temporary
+            _check_finite(X[b], f"{self.path}: ", b.start)
         return X
 
 
@@ -246,7 +218,7 @@ def save_labels(labels, path):
             f.write(";".join(str(v) for v in row) + "\n")
 
 
-def standardize(X, out=None):
+def standardize(X, in_place=False):
     """Center each column and scale it to unit population variance.
 
     Returns the transformed rows at the input's precision (float32 for
@@ -254,10 +226,9 @@ def standardize(X, out=None):
     apply the same transform to queries later. The column sums, the
     squared deviations from the mean and the rows are taken in float64 a
     block of rows at a time, so float32 input never has a float64 copy.
-    The rows are written to `out` if given, an array of X's shape and of
-    that precision; out=X standardizes in place, as each block is read
-    before it is written. Constant columns map to zero (std floored at
-    STD_FLOOR). Requires n >= 2.
+    With in_place, the rows are written back into X (float32 or float64),
+    as each block is read before it is written. Constant columns map to
+    zero (std floored at STD_FLOOR). Requires n >= 2.
     """
     X = np.asarray(X)
     if X.ndim != 2:
@@ -265,12 +236,7 @@ def standardize(X, out=None):
     n = X.shape[0]
     if n < 2:
         raise ValueError("standardization needs at least 2 samples")
-    dtype = np.float32 if X.dtype == np.float32 else np.float64
-    if out is None:
-        out = np.empty(X.shape, dtype=dtype)
-    elif out.shape != X.shape or out.dtype != dtype:
-        raise ValueError(f"out must be {np.dtype(dtype)} of shape {X.shape}, "
-                         f"got {out.dtype} of shape {out.shape}")
+    out = X if in_place else np.empty(X.shape, np.float32 if X.dtype == np.float32 else np.float64)
     blocks = row_blocks(n, X.shape[1])
     mean = X.sum(axis=0, dtype=np.float64) / n  # buffered casts, no n x d temporary
     sq_dev = np.zeros_like(mean)

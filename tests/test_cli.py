@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import esh.cli as esh_cli
 from esh.cli import QUERY_BLOCK_ROWS, main
 from esh.dataset import load_features, load_labels, save_features
 from esh.encoder import build_hash_model, load_codes, load_model, unpack_codes
@@ -905,3 +906,31 @@ def test_train_holds_one_standardized_copy_of_its_rows(tmp_path):
         tracemalloc.stop()
     rows = n * d * 4
     assert peak < 1.5 * rows, f"peak {peak / rows:.2f} R"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "eshf"])
+@pytest.mark.parametrize("change", ["replaced", "fewer_rows"])
+def test_train_refuses_features_that_change_while_it_runs(tmp_path, capsys, monkeypatch, fmt,
+                                                          change):
+    # esh train reads its features twice; a file rewritten between the reads
+    # would give the vote matrix other rows than training saw
+    X = np.random.default_rng(14).standard_normal((120, 8))
+    path = tmp_path / f"f.{fmt}"
+    save_features(X, path)
+    real_train = esh_cli.train
+
+    def train_then_change_the_file(*args, **kwargs):
+        if change == "replaced":  # same shape, other rows, a new file
+            save_features(X[::-1], tmp_path / f"new.{fmt}")
+            (tmp_path / f"new.{fmt}").replace(path)
+        else:  # rewritten in place
+            save_features(X[:-1], path)
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr("esh.cli.train", train_then_change_the_file)
+    out = tmp_path / "run"
+    assert run("train", "--features", path, "--bits", 4, "--iters", 2, "--anchors", 10,
+               "--out", out) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "FormatError", "message": f"{path}: file changed since it was opened"}
+    assert not (out / "model.eshm").exists()

@@ -46,11 +46,10 @@ def test_csv_inf_rejected(tmp_path):
         load_features(p)
 
 
-def test_csv_load_holds_its_rows_about_once(tmp_path, monkeypatch):
-    # 4000 x 64 float64 rows (2 MB), parsed in 63 blocks of 64 rows: the
-    # array grows by each block, so the blocks and a concatenation of them
-    # (2 x the rows) are never held together
-    monkeypatch.setattr("esh.kernels.BLOCK_VALUES", 4096)
+def test_csv_load_holds_its_rows_about_once(tmp_path):
+    # 4000 x 64 float64 rows (2 MB), parsed at once: loadtxt grows its
+    # result in place, so the load never holds the rows twice (as it would
+    # with parsed blocks and a concatenation of them)
     X = np.random.default_rng(9).standard_normal((4000, 64))
     p = tmp_path / "f.csv"
     save_features(X, p)
@@ -236,13 +235,11 @@ def test_standardize_in_place_equals_a_new_array(monkeypatch):
     for dtype in (np.float32, np.float64):
         X = (rng.standard_normal((300, 9)) * 5.0 + 40.0).astype(dtype)
         want, want_stats = standardize(X)
-        Y, stats = standardize(X, out=X)
+        Y, stats = standardize(X, in_place=True)
         assert Y is X
         assert Y.tobytes() == want.tobytes()
         assert np.array_equal(stats.mean, want_stats.mean)
         assert np.array_equal(stats.std, want_stats.std)
-    with pytest.raises(ValueError, match="out must be float32"):
-        standardize(np.ones((3, 2), np.float32), out=np.empty((3, 2)))
 
 
 def test_synthetic_small_spread_tightens_clusters():

@@ -5,7 +5,8 @@ is tied to its s nearest anchors with Gaussian kernel weights, normalized to
 sum to one per row. The resulting sparse matrix Z gives a low-rank affinity
 A = Z diag(Z^T 1)^{-1} Z^T whose rows sum to one, so the graph Laplacian
 degree matrix is the identity and the similarity target for training is
-S = X^T A X, computed in factored form without ever forming A.
+S = X^T A X. S has rank at most m, so training takes it as its m x d factor
+K = diag(Z^T 1)^{-1/2} Z^T X (S = K^T K); neither A nor S is ever formed.
 
 Distances are float64 (pairwise_sq_dists), but two steps read them only
 through an order. Lloyd's assignment step takes its argmin from one
@@ -14,13 +15,13 @@ rows whose two nearest centers its rounding bound cannot tell apart.
 anchor_weights partitions each row at the (s+1)-th distance instead of
 sorting all m, and sorts the rows where that distance ties the s-th.
 Both give the indices of the float64 path, ties to the lower index, so
-anchors, Z and S are as the float64 argmin and stable sort make them.
+anchors, Z and K are as the float64 argmin and stable sort make them.
 
 What is held: the rows X at their own precision (training passes its one
 float32 standardized copy), the float64 centers, and n x s indices and
 weights. Everything float64 that reads the rows goes a block of rows at
 a time (kernels.row_blocks): row norms, Lloyd's center sums, the
-reseeding and nearest-anchor distances, and C = Z^T X for S. k-means++
+reseeding and nearest-anchor distances, and Z^T X for K. k-means++
 seeding reads the rows as they are, and so does Lloyd's float32 product
 when the rows are float32 (float64 rows get one float32 copy).
 fit_anchor_graph takes the default sigma2 and Z from one such pass.
@@ -350,21 +351,26 @@ def prune_dead_anchors(X, anchors: AnchorSet, Z: SparseAffinityRows):
     return anchors, Z, lam
 
 
-def similarity_matrix(X, Z: SparseAffinityRows, lam):
-    """S = X^T Z diag(lam)^{-1} Z^T X, without forming A.
+def similarity_factor(X, Z: SparseAffinityRows, lam):
+    """K = diag(lam)^{-1/2} Z^T X, the m x d factor of the similarity
+    S = X^T Z diag(lam)^{-1} Z^T X = K^T K, without forming A or S.
 
-    Cost is O(n d s) through the sparse product C = Z^T X, summed over
-    float64 copies of a block of rows at a time; the n x n affinity never
-    materializes. S is formed as K^T K with K = diag(lam)^{-1/2} C, which
-    numpy takes by syrk, so it is symmetric without a d x d temporary.
+    Cost is O(n d s) through the sparse product Z^T X, summed over float64
+    copies of a block of rows at a time; the n x n affinity never
+    materializes, and K holds m x d values where S would hold d x d.
     """
     X = np.asarray(X)
     lam = np.asarray(lam, dtype=np.float64)
     if np.any(lam < LAMBDA_FLOOR):
         raise ValueError("anchor mass below floor; prune dead anchors first")
     Zr = Z.to_csr()
-    C = np.zeros((Z.m, X.shape[1]))
+    K = np.zeros((Z.m, X.shape[1]))
     for b in row_blocks(X.shape[0], X.shape[1]):
-        C += Zr[b].T @ np.asarray(X[b], dtype=np.float64)  # (m, d)
-    C /= np.sqrt(lam)[:, None]
-    return C.T @ C
+        K += Zr[b].T @ np.asarray(X[b], dtype=np.float64)  # (m, d)
+    K /= np.sqrt(lam)[:, None]
+    return K
+
+
+# the name under which perfbench/tracing.py times this stage
+# (anchor_graph.similarity_matrix_s)
+similarity_matrix = similarity_factor

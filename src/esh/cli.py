@@ -31,7 +31,7 @@ from .anchor_graph import (
     check_sigma2,
     fit_anchor_graph,
     prune_dead_anchors,
-    similarity_matrix,
+    similarity_factor,
 )
 from .dataset import (
     FeatureFile,
@@ -306,11 +306,11 @@ def cmd_train(args):
         sigma2=cfg["sigma2"],
     )
     anchors, Z, lam = prune_dead_anchors(Xs, anchors, Z)
-    S = similarity_matrix(Xs, Z, lam)
+    K = similarity_factor(Xs, Z, lam)
 
-    W, trace = train(Xs, S, tc)
+    W, trace = train(Xs, K, tc)
     # the training codes take the raw rows, read again a block at a time
-    del X, Xs, S
+    del X, Xs, K
     model, _codes = build_hash_model(stats, W, anchors, Z, lam, features,
                                      query_mode=cfg["query_mode"])
 

@@ -5,28 +5,30 @@ error:
 
     L(W) = -(1/n) tr(W^T S W) + (alpha/2n) || |XW| - 1 ||_F^2
 
-subject to W^T W = I. One training loop takes either of two step rules:
-projected gradient descent (esh1), which re-orthonormalizes after every
-Euclidean step via an SVD, and a Cayley-transform move along a curve on
-the manifold with a Barzilai-Borwein step size (esh2), which stays
-feasible by construction.
+subject to W^T W = I, where the similarity S = K^T K comes as its m x d
+factor K (anchor_graph.similarity_factor) and is never formed. One
+training loop takes either of two step rules: projected gradient descent
+(esh1), which re-orthonormalizes after every Euclidean step via an SVD,
+and a Cayley-transform move along a curve on the manifold with a
+Barzilai-Borwein step size (esh2), which stays feasible by construction.
 
 Cost: the Gram term X^T X is formed once, in O(n d^2) time, and folded
-with S into one d x d matrix. After that an iteration costs one n x d x k
-product in float32, whose result is used only for the signs of XW, one
-d x d x k product, and a sparse update where signs flipped. The signs come
-from kernels.float32_signs, which linear encoding shares: it bounds the float32
-product's rounding error and recomputes in float64 every entry within
-that bound of zero, so they are the float64 signs.
+with K^T K into one d x d matrix. After that an iteration costs one
+n x d x k product in float32, whose result is used only for the signs of
+XW, one d x d x k product, and a sparse update where signs flipped. The
+signs come from kernels.float32_signs, which linear encoding shares: it
+bounds the float32 product's rounding error and recomputes in float64
+every entry within that bound of zero, so they are the float64 signs.
 
 Memory: training holds the rows X once, at their own precision (esh
-train passes float32 standardized rows), plus two d x d float64 matrices
-(S and H), per-row norm bounds and n x k int8 signs. Float64 rows are
-never formed whole: the first X^T sgn(XW), auto_alpha's XW, the sign
+train passes float32 standardized rows), plus K, one d x d float64 matrix
+H, per-row norm bounds and n x k int8 signs. Float64 rows are never
+formed whole: X^T X, the first X^T sgn(XW), auto_alpha's XW, the sign
 rechecks and the flip updates each read float64 copies of a block of
-rows (kernels.row_blocks) or of just the rows they need, and X^T X reads
-blocks of BLOCK_VALUES values or of d rows, whichever is larger. Float64
-rows given to train get one float32 copy for the sign product.
+about BLOCK_VALUES values (kernels.row_blocks) or of just the rows they
+need. H is summed into its own buffer a column panel at a time, so no
+other d x d array is formed. Float64 rows given to train get one float32
+copy for the sign product.
 """
 
 import csv
@@ -36,12 +38,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .kernels import BLOCK_VALUES, float32_signs, row_blocks, row_norm_bounds
+from .kernels import block_rows, float32_signs, row_blocks, row_norm_bounds
 
 TAU_MIN = 1e-10
 TAU_MAX = 1e3
 AUTO_ALPHA_FLOOR = 1e-12
 PROJECT_RANK_FLOOR = 1e-12
+# rows per panel of H's upper triangle; a panel's product is a GRAM_PANEL x d temporary
+GRAM_PANEL = 128
 
 TRACE_COLUMNS = ("iteration", "loss", "orth_residual", "step_size", "elapsed_ms")
 
@@ -68,28 +72,56 @@ def stiefel_project(M):
     return U @ Vt
 
 
-def _gram(X):
-    """X^T X in float64, from float64 copies of blocks of at least d rows.
-    numpy takes each block's b^T b by syrk, exactly symmetric; with d rows
-    or more a block costs more to multiply than its d x d sum costs to add
-    (on 5000 x 1024 rows, a 2-vCPU x86-64 host and one BLAS thread,
-    256-row blocks took twice as long as one syrk over all rows)."""
+def _upper_panel(At, p, buf):
+    """Panel p of the upper triangle of At At^T, At[p] At[p.start:]^T, into buf."""
+    T = buf[: (p.stop - p.start) * (At.shape[0] - p.start)].reshape(p.stop - p.start, -1)
+    return np.matmul(At[p], At[p.start :].T, out=T)
+
+
+def _fold(X, K, alpha):
+    """H = (alpha X^T X - 2 K^T K)/n in one d x d float64 buffer.
+
+    The upper triangle is built a panel of GRAM_PANEL rows at a time: X^T X
+    from float64 copies of blocks of about BLOCK_VALUES values of rows,
+    stored transposed, then K^T K, each panel's product into one
+    GRAM_PANEL x d temporary. The lower triangle is then mirrored from the
+    upper, so H is exactly symmetric. On 5000 x 1024 float32 rows (2-vCPU
+    x86-64, one BLAS thread, medians of 12 interleaved runs) 256-row
+    blocks and 128-row panels summed X^T X in 174 ms, against 157 ms for
+    one syrk per 1024-row block, which needs two more d x d arrays.
+    256-row panels, or syrk on the diagonal blocks, took as long; panels of
+    the lower triangle from untransposed blocks took longer.
+    """
     n, d = X.shape
-    rows = min(n, max(d, BLOCK_VALUES // d))
-    block = np.empty((rows, d))
-    G = np.zeros((d, d))
-    T = np.empty((d, d))
+    panels = [slice(j, min(j + GRAM_PANEL, d)) for j in range(0, d, GRAM_PANEL)]
+    H = np.zeros((d, d))
+    buf = np.empty(min(d, GRAM_PANEL) * d)
+    rows = min(n, block_rows(d))
+    block = np.empty((d, rows))  # a block of rows, transposed
     for i in range(0, n, rows):
-        b = block[: min(rows, n - i)]
-        b[...] = X[i : i + rows]
-        G += np.matmul(b.T, b, out=T)
-    return G
+        bt = block[:, : min(rows, n - i)]
+        bt[...] = X[i : i + rows].T
+        for p in panels:
+            H[p, p.start :] += _upper_panel(bt, p, buf)
+    for p in panels:
+        U = H[p, p.start :]
+        # (alpha X^T X - 2 K^T K)/n in place: the halving and doubling are exact
+        U *= 0.5 * alpha
+        U -= _upper_panel(K.T, p, buf)
+        U *= 2.0
+        U /= n
+    for p in panels:
+        H[p.stop :, p] = H[p, p.stop :].T
+        D = H[p, p]
+        lower = np.tril_indices(D.shape[0], -1)
+        D[lower] = D.T[lower]
+    return H
 
 
 class _Objective:
     """Loss and Euclidean gradient of one training problem, one W at a time.
 
-    Set-up folds both d x d terms into H = (alpha X^T X - 2S)/n, so that
+    Set-up folds both d x d terms into H = (alpha X^T X - 2 K^T K)/n, so that
 
         G = H W - (alpha/n) P,  with P = X^T sgn(XW),
         L = tr(W^T H W)/2 - (alpha/n) tr(W^T P) + (alpha/2n) nnz(sgn(XW)).
@@ -100,27 +132,21 @@ class _Objective:
     with per-row norm bounds, with the entries inside its rounding band
     recomputed in float64 from X. P is kept from call to call and updated
     only where a sign changed: a flip adds a multiple of x_i to one column.
-    Every float64 product with the rows (X^T X, the first P and the flip
-    updates) reads float64 copies of a block of rows, or of flipped rows,
-    at a time. A call is therefore one n x d x k product in float32, one
-    d x d x k product in float64 and the sparse update; set-up is the
-    O(n d^2) Gram matrix.
+    Every float64 product with the rows (X^T X, the first P, the sign
+    rechecks and the flip updates) reads float64 copies of a block of
+    rows, or of flipped rows, at a time. A call is therefore one n x d x k
+    product in float32, one d x d x k product in float64 and the sparse
+    update; set-up is the O(n d^2) Gram matrix.
     """
 
-    def __init__(self, X, S, alpha):
-        n, d = X.shape
+    def __init__(self, X, K, alpha):
+        n = X.shape[0]
         self.X = X
         with np.errstate(over="ignore"):  # rows past float32 range get an infinite band
             self.X32 = X.astype(np.float32, copy=False)
         self.x_norms = row_norm_bounds(X)
         self.scale = alpha / n
-        # (alpha X^T X - 2S)/n in place: the halving and doubling are exact
-        H = _gram(X)
-        H *= 0.5 * alpha
-        H -= S
-        H *= 2.0
-        H /= n
-        self.H = H
+        self.H = _fold(X, K, alpha)
         self.B = None  # int8 sgn(XW) at the last call
         self.Pt = None  # P^T = B^T X, (k, d)
 
@@ -130,8 +156,9 @@ class _Objective:
     def signs(self, W):
         """sgn(XW) as int8, equal to the sign of the float64 product."""
         def recheck(rows, cols):
+            # a block gathers rows and columns of W: BLOCK_VALUES values in all
             z = np.empty(rows.size)
-            for b in row_blocks(rows.size, W.shape[0]):
+            for b in row_blocks(rows.size, 2 * W.shape[0]):
                 z[b] = np.einsum("ij,ij->i", self._rows64(rows[b]), W.T[cols[b]])
             return z
         w_norm = np.sqrt(np.einsum("ij,ij->j", W, W).max())
@@ -166,17 +193,18 @@ class _Objective:
         return loss, G
 
 
-def auto_alpha(W0, X, S):
+def auto_alpha(W0, X, K):
     """Balance the two loss terms at the starting point.
 
-    alpha = |2 T1 / T2| with T1 the similarity term and T2 the unscaled
-    quantization term at W0, which is summed over float64 copies of a
-    block of rows at a time. Errors out when the quantization term is
+    alpha = |2 T1 / T2| with T1 = -|K W0|_F^2 / n the similarity term and
+    T2 the unscaled quantization term at W0, which is summed over float64
+    copies of a block of rows at a time. Errors out when the quantization term is
     numerically zero (all projections already at +-1), since the ratio is
     then meaningless.
     """
     n = X.shape[0]
-    t1 = -np.einsum("ij,ij->", W0, S @ W0) / n
+    KW = K @ W0
+    t1 = -np.einsum("ij,ij->", KW, KW) / n
     t2 = 0.0
     for b in row_blocks(n, X.shape[1]):
         XW = np.asarray(X[b], dtype=np.float64) @ W0
@@ -312,17 +340,24 @@ class _TraceBuilder:
         )
 
 
-def _prepare(X, S, cfg):
+def _prepare(X, K, cfg):
     X = np.asarray(X)
     if X.dtype != np.float32:
         X = np.asarray(X, dtype=np.float64)
-    S = np.asarray(S, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] < 1:
+        raise ValueError(f"X must be (n, d) with n >= 1, got {X.shape}")
+    K = np.asarray(K, dtype=np.float64)
     d = X.shape[1]
-    if S.shape != (d, d):
-        raise ValueError(f"similarity matrix must be ({d}, {d}), got {S.shape}")
+    if K.ndim != 2 or K.shape[0] < 1 or K.shape[1] != d:
+        raise ValueError(f"similarity factor K must be (m, {d}) with m >= 1, got {K.shape}")
+    # a block of rows at a time, so the check holds no n x d mask
+    if not all(np.isfinite(X[b]).all() for b in row_blocks(*X.shape)):
+        raise ValueError("X has non-finite values")
+    if not np.isfinite(K).all():
+        raise ValueError("K has non-finite values")
     W0 = init_projection(d, cfg.bits, cfg.seed)
-    alpha = auto_alpha(W0, X, S) if cfg.alpha == "auto" else float(cfg.alpha)
-    return X, S, W0, alpha
+    alpha = auto_alpha(W0, X, K) if cfg.alpha == "auto" else float(cfg.alpha)
+    return X, K, W0, alpha
 
 
 def _projected_gradient(cfg):
@@ -354,16 +389,17 @@ def _cayley_bb(cfg):
 _STEP_RULES = {"esh1": _projected_gradient, "esh2": _cayley_bb}
 
 
-def train(X, S, cfg: TrainConfig):
-    """Train W from the seeded start with cfg.algorithm's step rule.
+def train(X, K, cfg: TrainConfig):
+    """Train W from the seeded start with cfg.algorithm's step rule, on the
+    rows X and the (m, d) factor K of the similarity S = K^T K.
 
     Each iteration takes one step (W, G) -> (W_new, step size), then
     records loss, orth residual and step size, for exactly cfg.iters
     iterations.
     """
-    X, S, W, alpha = _prepare(X, S, cfg)
+    X, K, W, alpha = _prepare(X, K, cfg)
     step = _STEP_RULES[cfg.algorithm](cfg)
-    objective = _Objective(X, S, alpha)
+    objective = _Objective(X, K, alpha)
     loss, G = objective(W)
     tr = _TraceBuilder(alpha, loss)
     for it in range(1, cfg.iters + 1):

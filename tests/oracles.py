@@ -51,39 +51,41 @@ def dense_affinity(Z: SparseAffinityRows, lam):
     return Zd @ np.diag(1.0 / np.asarray(lam)) @ Zd.T
 
 
-def reference_objective(W, X, S, alpha):
+def reference_objective(W, X, K, alpha):
     """Loss and Euclidean gradient straight from the definition, in float64,
-    with XW, the residual R and X^T R formed in full."""
+    with the similarity S = K^T K, XW, the residual R and X^T R formed in
+    full."""
     n = X.shape[0]
     XW = X @ W
     R = XW - sgn(XW)  # |XW| - 1 up to signs; sgn(0)=0 keeps zeros inert
-    SW = S @ W
+    SW = (K.T @ K) @ W
     loss = -np.einsum("ij,ij->", W, SW) / n + 0.5 * alpha / n * np.einsum("ij,ij->", R, R)
     G = (-2.0 / n) * SW + (alpha / n) * (X.T @ R)
     return loss, G
 
 
-def objective_terms(W, X, S, alpha):
+def objective_terms(W, X, K, alpha):
     """|similarity term| + quantization term: the scale that rounding
     errors in the loss are measured against, since the loss is their
     difference and can be zero."""
     n = X.shape[0]
     XW = X @ W
     R = XW - sgn(XW)
-    return abs(np.einsum("ij,ij->", W, S @ W)) / n + 0.5 * alpha / n * np.einsum("ij,ij->", R, R)
+    KW = K @ W
+    return np.einsum("ij,ij->", KW, KW) / n + 0.5 * alpha / n * np.einsum("ij,ij->", R, R)
 
 
-def _fresh_objective(W, X, S, alpha):
+def _fresh_objective(W, X, K, alpha):
     """Loss and gradient from a new instance of the evaluator training uses."""
-    return _Objective(np.asarray(X, dtype=np.float64), np.asarray(S, dtype=np.float64), alpha)(W)
+    return _Objective(np.asarray(X, dtype=np.float64), np.asarray(K, dtype=np.float64), alpha)(W)
 
 
-def loss_value(W, X, S, alpha):
-    return _fresh_objective(W, X, S, alpha)[0]
+def loss_value(W, X, K, alpha):
+    return _fresh_objective(W, X, K, alpha)[0]
 
 
-def euclidean_gradient(W, X, S, alpha):
-    return _fresh_objective(W, X, S, alpha)[1]
+def euclidean_gradient(W, X, K, alpha):
+    return _fresh_objective(W, X, K, alpha)[1]
 
 
 def encode_train(X, W):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from esh.anchor_graph import (AnchorSet, anchor_weights, fit_anchor_graph, prune_dead_anchors,
-                              similarity_matrix)
+                              similarity_factor)
 from esh.cli import main
 from esh.dataset import LabelSet, generate_synthetic, standardize
 from esh.encoder import build_hash_model, pack_codes, unpack_codes
@@ -33,7 +33,7 @@ def _report(num, ok, detail):
 def _graph_similarity(X, m, seed, iters=5):
     anchors, Z = fit_anchor_graph(X, m, iters=iters, seed=seed, s=3)
     anchors, Z, lam = prune_dead_anchors(X, anchors, Z)
-    return similarity_matrix(X, Z, lam)
+    return similarity_factor(X, Z, lam)
 
 
 def test_criterion_1_iterates_stay_orthonormal():
@@ -46,11 +46,11 @@ def test_criterion_1_iterates_stay_orthonormal():
             for seed in (idx, idx + 50):
                 rng = np.random.default_rng(seed + 1000 * n)
                 X = rng.standard_normal((n, d))
-                S = _graph_similarity(X, m=32, seed=seed, iters=3)
+                K = _graph_similarity(X, m=32, seed=seed, iters=3)
                 for algo in ("esh1", "esh2"):
                     cfg = TrainConfig(bits=k, iters=25, algorithm=algo,
                                       alpha=1.0, seed=seed)
-                    _, trace = train(X, S, cfg)
+                    _, trace = train(X, K, cfg)
                     worst[algo] = max(worst[algo], float(trace.orth_residual.max()))
                 count += 1
     elapsed = time.perf_counter() - t0
@@ -60,7 +60,7 @@ def test_criterion_1_iterates_stay_orthonormal():
                    f"{elapsed:.1f}s (limit 60s)")
 
 
-def _fd_gradient(W, X, S, alpha, h=1e-6):
+def _fd_gradient(W, X, K, alpha, h=1e-6):
     G = np.zeros_like(W)
     for i in range(W.shape[0]):
         for j in range(W.shape[1]):
@@ -68,7 +68,7 @@ def _fd_gradient(W, X, S, alpha, h=1e-6):
             Wp[i, j] += h
             Wm = W.copy()
             Wm[i, j] -= h
-            G[i, j] = (loss_value(Wp, X, S, alpha) - loss_value(Wm, X, S, alpha)) / (2 * h)
+            G[i, j] = (loss_value(Wp, X, K, alpha) - loss_value(Wm, X, K, alpha)) / (2 * h)
     return G
 
 
@@ -81,10 +81,10 @@ def test_criterion_2_gradient_matches_finite_differences():
         W = rng.standard_normal((6, 3))
         if np.abs(X @ W).min() <= 1e-3:
             continue  # finite differences would straddle a sign flip
-        S = _graph_similarity(X, m=8, seed=done)
+        K = _graph_similarity(X, m=8, seed=done)
         alpha = float(rng.uniform(0.3, 3.0))
-        G = euclidean_gradient(W, X, S, alpha)
-        F = _fd_gradient(W, X, S, alpha)
+        G = euclidean_gradient(W, X, K, alpha)
+        F = _fd_gradient(W, X, K, alpha)
         worst = max(worst, float(np.linalg.norm(F - G) / np.linalg.norm(G)))
         done += 1
     ok = worst < 1e-5
@@ -117,7 +117,8 @@ def test_criterion_4_factored_similarity_matches_dense():
         X = rng.standard_normal((n, d))
         anchors, Z = fit_anchor_graph(X, m, iters=5, seed=n + d, s=3)
         anchors, Z, lam = prune_dead_anchors(X, anchors, Z)
-        S = similarity_matrix(X, Z, lam)
+        K = similarity_factor(X, Z, lam)
+        S = K.T @ K
         A = dense_affinity(Z, lam)
         Sd = X.T @ A @ X
         Sd = 0.5 * (Sd + Sd.T)
@@ -134,9 +135,9 @@ def _blob_pipeline(Xdb, Xq, gt, algo, alpha, seed):
     Xs, stats = standardize(Xdb)
     anchors, Z = fit_anchor_graph(Xs, 300, iters=10, seed=kmeans_seed, s=3)
     anchors, Z, lam = prune_dead_anchors(Xs, anchors, Z)
-    S = similarity_matrix(Xs, Z, lam)
+    K = similarity_factor(Xs, Z, lam)
     cfg = TrainConfig(bits=16, iters=300, algorithm=algo, alpha=alpha, seed=w_seed)
-    W, trace = train(Xs, S, cfg)
+    W, trace = train(Xs, K, cfg)
     model, db_codes = build_hash_model(stats, W, anchors, Z, lam, Xdb)
     q_codes = model.encode(Xq, mode="graph")
     report = evaluate(q_codes, db_codes, gt)
@@ -190,8 +191,8 @@ def test_criterion_7_training_time_scales_linearly():
         X = np.random.default_rng(seed).standard_normal((n, 16))
         t0 = time.perf_counter()
         Xs, _ = standardize(X)
-        S = _graph_similarity(Xs, m=100, seed=seed, iters=10)
-        train(Xs, S, TrainConfig(bits=8, iters=50, alpha=1.0, seed=seed))
+        K = _graph_similarity(Xs, m=100, seed=seed, iters=10)
+        train(Xs, K, TrainConfig(bits=8, iters=50, alpha=1.0, seed=seed))
         return time.perf_counter() - t0
 
     t20 = float(np.median([pipeline_seconds(20000, s) for s in range(3)]))
@@ -324,8 +325,8 @@ def test_criterion_9_graph_encoding_is_exhaustive_argmax():
     Xs, stats = standardize(X)
     anchors, Z = fit_anchor_graph(Xs, m, iters=10, seed=5, s=3)
     anchors, Z, lam = prune_dead_anchors(Xs, anchors, Z)
-    S = similarity_matrix(Xs, Z, lam)
-    W, _ = train(Xs, S, TrainConfig(bits=k, iters=40, seed=5))
+    K = similarity_factor(Xs, Z, lam)
+    W, _ = train(Xs, K, TrainConfig(bits=k, iters=40, seed=5))
     model, _ = build_hash_model(stats, W, anchors, Z, lam, X)
 
     queries = rng.standard_normal((20, d)) * 2.0 + stats.mean

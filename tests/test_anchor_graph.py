@@ -10,7 +10,7 @@ from esh.anchor_graph import (
     fit_anchors,
     pairwise_sq_dists,
     prune_dead_anchors,
-    similarity_matrix,
+    similarity_factor,
     sq_norms,
 )
 from esh.dataset import generate_synthetic
@@ -339,7 +339,9 @@ def test_similarity_zero_features():
     Z = SparseAffinityRows(
         indices=np.array([[0], [1], [0]]), weights=np.ones((3, 1)), m=2
     )
-    S = similarity_matrix(np.zeros((3, 4)), Z, anchor_mass(Z))
+    K = similarity_factor(np.zeros((3, 4)), Z, anchor_mass(Z))
+    assert K.shape == (2, 4)
+    S = K.T @ K
     assert np.array_equal(S, np.zeros((4, 4)))
 
 
@@ -349,7 +351,8 @@ def test_similarity_scalar_case():
     Z = SparseAffinityRows(
         indices=np.zeros((3, 1), dtype=np.int64), weights=np.ones((3, 1)), m=1
     )
-    S = similarity_matrix(x, Z, anchor_mass(Z))
+    K = similarity_factor(x, Z, anchor_mass(Z))
+    S = K.T @ K
     assert np.isclose(S[0, 0], (1 + 2 + 4) ** 2 / 3.0)
 
 
@@ -360,7 +363,8 @@ def test_similarity_matches_dense_oracle():
         X = rng.standard_normal((n, 5))
         anchors, Z = fit_anchor_graph(X, m=min(12, n), iters=5, seed=trial, s=3)
         lam = anchor_mass(Z)
-        S = similarity_matrix(X, Z, lam)
+        K = similarity_factor(X, Z, lam)
+        S = K.T @ K
         A = dense_affinity(Z, lam)
         assert np.linalg.norm(S - X.T @ A @ X) < 1e-8
         assert np.abs(S - S.T).max() < 1e-10
@@ -376,7 +380,8 @@ def test_similarity_of_float32_rows_matches_dense_oracle_of_their_float64_values
         X = rng.standard_normal((n, d)).astype(np.float32)
         anchors, Z = fit_anchor_graph(X, m, iters=5, seed=n + d, s=3)
         anchors, Z, lam = prune_dead_anchors(X, anchors, Z)
-        S = similarity_matrix(X, Z, lam)
+        K = similarity_factor(X, Z, lam)
+        S = K.T @ K
         X64 = X.astype(np.float64)
         Sd = X64.T @ dense_affinity(Z, lam) @ X64
         assert np.linalg.norm(S - 0.5 * (Sd + Sd.T)) < 1e-8
@@ -388,7 +393,7 @@ def test_similarity_rejects_dead_lambda():
         indices=np.zeros((3, 1), dtype=np.int64), weights=np.ones((3, 1)), m=2
     )
     with pytest.raises(ValueError, match="floor"):
-        similarity_matrix(np.ones((3, 2)), Z, np.array([3.0, 0.0]))
+        similarity_factor(np.ones((3, 2)), Z, np.array([3.0, 0.0]))
 
 
 def test_dense_affinity_single_anchor_uniform():
@@ -423,5 +428,5 @@ def test_pipeline_on_blobs_keeps_everything_finite():
     X, _ = generate_synthetic(4, 50, 8, 1.0, seed=3)
     anchors, Z = fit_anchor_graph(X, m=20, iters=10, seed=0, s=3)
     anchors, Z, lam = prune_dead_anchors(X, anchors, Z)
-    S = similarity_matrix(X, Z, lam)
-    assert np.all(np.isfinite(S))
+    K = similarity_factor(X, Z, lam)
+    assert np.all(np.isfinite(K))

@@ -8,7 +8,7 @@ import pytest
 
 import esh.cli as esh_cli
 from esh.cli import QUERY_BLOCK_ROWS, main
-from esh.dataset import load_features, load_labels, save_features
+from esh.dataset import LabelSet, generate_synthetic, load_features, load_labels, save_features
 from esh.encoder import build_hash_model, load_codes, load_model, unpack_codes
 from esh.evaluation import GroundTruth, evaluate, rank_database
 from esh.optimizer import init_projection, stiefel_project
@@ -708,6 +708,19 @@ def test_readme_command_block_runs_as_written(tmp_path, monkeypatch):
     assert {argv[1] for argv in commands} == {"synth", "train", "encode", "query", "eval"}
     for argv in commands:
         assert main(argv[1:]) == 0, argv
+
+
+def test_readme_python_block_runs_as_written():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Python API", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    # the block's inputs: 1000 rows in 10 blobs, every 20th of them a query
+    X, labels = generate_synthetic(10, 100, 24, 1.0, seed=4)
+    y = labels.single_array()
+    gt = GroundTruth(LabelSet.from_array(y[::20]), LabelSet.from_array(y))
+    scope = {"X": X, "Q": X[::20], "gt": gt}
+    exec(compile(block, "README.md", "exec"), scope)
+    assert scope["model"].k == 16 and scope["db_codes"].n == 1000
+    assert 0.0 < scope["report"].map <= 1.0
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

@@ -9,7 +9,7 @@ from esh.anchor_graph import (
     anchor_mass,
     fit_anchor_graph,
     pairwise_sq_dists,
-    similarity_matrix,
+    similarity_factor,
 )
 from esh.dataset import (
     StandardizationStats,
@@ -44,8 +44,8 @@ def small_pipeline(seed=0, n_per=40, clusters=4, d=8, k=6, s=3):
     Xs, stats = standardize(X_raw)
     anchors, Z = fit_anchor_graph(Xs, m=12, iters=10, seed=seed + 1, s=s)
     lam = anchor_mass(Z)
-    S = similarity_matrix(Xs, Z, lam)
-    W, _ = train(Xs, S, TrainConfig(bits=k, iters=40, seed=seed + 2))
+    K = similarity_factor(Xs, Z, lam)
+    W, _ = train(Xs, K, TrainConfig(bits=k, iters=40, seed=seed + 2))
     model, codes = build_hash_model(stats, W, anchors, Z, lam, X_raw)
     return model, codes, X_raw, labels, Z
 

@@ -1,10 +1,12 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from esh.anchor_graph import anchor_mass, fit_anchor_graph, similarity_matrix
+from esh.anchor_graph import anchor_mass, fit_anchor_graph, similarity_factor
 from esh.dataset import generate_synthetic, standardize
+from esh.kernels import BLOCK_VALUES
 from esh.optimizer import (
     TrainConfig,
     auto_alpha,
@@ -20,10 +22,10 @@ from esh.optimizer import _STEP_RULES, _Objective, _prepare, _TraceBuilder
 from oracles import euclidean_gradient, loss_value, objective_terms, reference_objective, sgn
 
 
-def naive_loss(W, X, S, alpha):
-    # literal double-loop transcription of the objective
+def naive_loss(W, X, K, alpha):
+    # literal double-loop transcription of the objective, with S = K^T K
     n, k = X.shape[0], W.shape[1]
-    WSW = W.T @ S @ W
+    WSW = W.T @ (K.T @ K) @ W
     t1 = -sum(WSW[j, j] for j in range(k)) / n
     XW = X @ W
     t2 = 0.0
@@ -36,26 +38,26 @@ def naive_loss(W, X, S, alpha):
 def random_instance(rng, n, d, k):
     X = rng.standard_normal((n, d))
     M = rng.standard_normal((d, d))
-    S = M @ M.T / n
+    K = M.T / np.sqrt(n)  # the factor of S = M M^T / n
     W = init_projection(d, k, int(rng.integers(1 << 30)))
-    return X, S, W
+    return X, K, W
 
 
 def blob_problem(n_per, clusters, d, seed):
     X_raw, _ = generate_synthetic(clusters, n_per, d, 1.0, seed=seed)
     X, _ = standardize(X_raw)
     _, Z = fit_anchor_graph(X, m=30, iters=10, seed=seed, s=3)
-    S = similarity_matrix(X, Z, anchor_mass(Z))
-    return X, S
+    K = similarity_factor(X, Z, anchor_mass(Z))
+    return X, K
 
 
 # The two training loops that `train` replaced, kept verbatim but for the
 # evaluator they share with it, as the reference that its step rules must
 # reproduce bit for bit.
-def esh1_train(X, S, cfg: TrainConfig):
+def esh1_train(X, K, cfg: TrainConfig):
     """Projected gradient descent: Euclidean step, then SVD projection."""
-    X, S, W, alpha = _prepare(X, S, cfg)
-    objective = _Objective(X, S, alpha)
+    X, K, W, alpha = _prepare(X, K, cfg)
+    objective = _Objective(X, K, alpha)
     loss, G = objective(W)
     tr = _TraceBuilder(alpha, loss)
     for it in range(1, cfg.iters + 1):
@@ -65,10 +67,10 @@ def esh1_train(X, S, cfg: TrainConfig):
     return W, tr.build()
 
 
-def esh2_train(X, S, cfg: TrainConfig):
+def esh2_train(X, K, cfg: TrainConfig):
     """Cayley curve search with Barzilai-Borwein steps."""
-    X, S, W, alpha = _prepare(X, S, cfg)
-    objective = _Objective(X, S, alpha)
+    X, K, W, alpha = _prepare(X, K, cfg)
+    objective = _Objective(X, K, alpha)
     loss, G = objective(W)
     T = tangent_gradient(W, G)
     tr = _TraceBuilder(alpha, loss)
@@ -130,27 +132,27 @@ def test_loss_quantization_free():
     W = init_projection(d, k, seed=5)
     B = np.where(rng.standard_normal((n, k)) > 0, 1.0, -1.0)
     X = B @ W.T  # XW = B exactly, all entries +-1
-    S = np.zeros((d, d))
-    assert abs(reference_objective(W, X, S, alpha=10.0)[0]) < 1e-20
+    K = np.zeros((1, d))  # S = 0
+    assert abs(reference_objective(W, X, K, alpha=10.0)[0]) < 1e-20
     # training's evaluator forms the quantization term from Gram terms of
     # size alpha k / 2 each, so it returns zero up to their rounding
-    assert abs(loss_value(W, X, S, alpha=10.0)) < 1e-12
+    assert abs(loss_value(W, X, K, alpha=10.0)) < 1e-12
 
 
 def test_loss_matches_naive_oracle():
     rng = np.random.default_rng(6)
     for _ in range(5):
-        X, S, W = random_instance(rng, 30, 8, 3)
+        X, K, W = random_instance(rng, 30, 8, 3)
         alpha = float(rng.uniform(0.1, 5.0))
         assert np.isclose(
-            loss_value(W, X, S, alpha), naive_loss(W, X, S, alpha), rtol=1e-12
+            loss_value(W, X, K, alpha), naive_loss(W, X, K, alpha), rtol=1e-12
         )
 
 
-def assert_matches_reference(objective, W, X, S, alpha, rtol=1e-12):
+def assert_matches_reference(objective, W, X, K, alpha, rtol=1e-12):
     loss, G = objective(W)
-    ref_loss, ref_G = reference_objective(W, X, S, alpha)
-    assert abs(loss - ref_loss) <= rtol * objective_terms(W, X, S, alpha)
+    ref_loss, ref_G = reference_objective(W, X, K, alpha)
+    assert abs(loss - ref_loss) <= rtol * objective_terms(W, X, K, alpha)
     assert np.linalg.norm(G - ref_G) <= rtol * np.linalg.norm(ref_G)
     return G
 
@@ -158,14 +160,14 @@ def assert_matches_reference(objective, W, X, S, alpha, rtol=1e-12):
 def check_objective_over_shapes(n, d, k, dtype):
     """_Objective on rows of dtype against the reference on their float64 values."""
     rng = np.random.default_rng(n + d + k)
-    X, S, W = random_instance(rng, n, d, k)
+    X, K, W = random_instance(rng, n, d, k)
     X = X.astype(dtype)
     alpha = float(rng.uniform(0.1, 5.0))
-    objective = _Objective(X, S, alpha)
+    objective = _Objective(X, K, alpha)
     X = X.astype(np.float64)
-    assert_matches_reference(objective, W, X, S, alpha)
+    assert_matches_reference(objective, W, X, K, alpha)
     # a second, unrelated W flips about half the signs at once
-    assert_matches_reference(objective, init_projection(d, k, seed=n), X, S, alpha)
+    assert_matches_reference(objective, init_projection(d, k, seed=n), X, K, alpha)
 
 
 SHAPES = [(40, 6, 2), (300, 32, 8), (500, 64, 64), (2000, 128, 16)]
@@ -183,17 +185,17 @@ def test_objective_on_float32_rows_matches_reference_over_shapes(n, d, k):
 
 def check_objective_along_300_iterations(algorithm, dtype):
     # P = X^T sgn(XW) is updated where signs flip; drift would show here
-    X, S = blob_problem(150, 8, 32, seed=41)
+    X, K = blob_problem(150, 8, 32, seed=41)
     cfg = TrainConfig(bits=16, iters=300, algorithm=algorithm, eta=0.05, seed=42)
-    X, S, W, alpha = _prepare(X.astype(dtype), S, cfg)
+    X, K, W, alpha = _prepare(X.astype(dtype), K, cfg)
     step = _STEP_RULES[algorithm](cfg)
-    objective = _Objective(X, S, alpha)
+    objective = _Objective(X, K, alpha)
     X = X.astype(np.float64)
     flips, G = 0, objective(W)[1]
     for _ in range(cfg.iters):
         W, _ = step(W, G)
         before = objective.B
-        G = assert_matches_reference(objective, W, X, S, alpha)
+        G = assert_matches_reference(objective, W, X, K, alpha)
         flips += int(np.count_nonzero(objective.B != before))
     assert flips > 100
     fresh = objective.B.T.astype(np.float64) @ X
@@ -226,14 +228,14 @@ def test_objective_keeps_zero_rows_and_exact_zeros_of_XW():
     X[10:20, 4:] = 0.0
     X[20:25] = 0.0
     M = rng.standard_normal((d, d))
-    S = M @ M.T / n
+    K = M.T / np.sqrt(n)  # the factor of S = M M^T / n
     XW = X @ W
     assert np.count_nonzero(XW == 0.0) >= 25
-    objective = _Objective(X, S, 2.0)
+    objective = _Objective(X, K, 2.0)
     B = objective.signs(W)
     assert not B[20:25].any()
     assert np.array_equal(B, np.sign(XW))
-    assert_matches_reference(objective, W, X, S, 2.0)
+    assert_matches_reference(objective, W, X, K, 2.0)
 
 
 def check_float32_signs_inside_the_error_band(dtype):
@@ -242,18 +244,18 @@ def check_float32_signs_inside_the_error_band(dtype):
     # signs wrong, the evaluator must not
     rng = np.random.default_rng(47)
     n, d, k = 400, 64, 4
-    X, S, W = random_instance(rng, n, d, k)
+    X, K, W = random_instance(rng, n, d, k)
     j = np.arange(n) % k
     t = rng.choice([-1.0, 1.0], n) * 1e-10 * rng.uniform(1.0, 2.0, n)
     Wj = W[:, j].T
     X -= ((np.einsum("ij,ij->i", X, Wj) - t) / np.einsum("ij,ij->i", Wj, Wj))[:, None] * Wj
-    objective = _Objective(X.astype(dtype), S, 0.7)
+    objective = _Objective(X.astype(dtype), K, 0.7)
     X = X.astype(dtype).astype(np.float64)
     exact = np.sign(X @ W)
     float32 = np.sign(objective.X32 @ W.astype(np.float32))
     assert np.count_nonzero(float32 != exact) >= 10
     assert np.array_equal(objective.signs(W), exact)
-    assert_matches_reference(objective, W, X, S, 0.7)
+    assert_matches_reference(objective, W, X, K, 0.7)
 
 
 def test_objective_corrects_float32_signs_inside_the_error_band():
@@ -279,11 +281,11 @@ def test_gradient_regularizer_vanishes_at_pm_one():
     X = B @ W.T
     M = rng.standard_normal((d, d))
     S = M @ M.T
-    G = euclidean_gradient(W, X, S, alpha=7.0)
+    G = euclidean_gradient(W, X, M.T, alpha=7.0)
     assert np.allclose(G, -2.0 / n * S @ W, atol=1e-12)
 
 
-def finite_diff_gradient(W, X, S, alpha, h=1e-6):
+def finite_diff_gradient(W, X, K, alpha, h=1e-6):
     G = np.zeros_like(W)
     for a in range(W.shape[0]):
         for b in range(W.shape[1]):
@@ -291,7 +293,7 @@ def finite_diff_gradient(W, X, S, alpha, h=1e-6):
             Wm = W.copy()
             Wp[a, b] += h
             Wm[a, b] -= h
-            G[a, b] = (loss_value(Wp, X, S, alpha) - loss_value(Wm, X, S, alpha)) / (2 * h)
+            G[a, b] = (loss_value(Wp, X, K, alpha) - loss_value(Wm, X, K, alpha)) / (2 * h)
     return G
 
 
@@ -299,12 +301,12 @@ def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(10)
     done = 0
     while done < 3:
-        X, S, W = random_instance(rng, 40, 6, 2)
+        X, K, W = random_instance(rng, 40, 6, 2)
         if np.abs(X @ W).min() <= 1e-3:
             continue  # |XW| near zero makes the loss locally non-smooth
         alpha = float(rng.uniform(0.5, 3.0))
-        G = euclidean_gradient(W, X, S, alpha)
-        Gfd = finite_diff_gradient(W, X, S, alpha)
+        G = euclidean_gradient(W, X, K, alpha)
+        Gfd = finite_diff_gradient(W, X, K, alpha)
         assert np.linalg.norm(G - Gfd) / np.linalg.norm(Gfd) < 1e-5
         done += 1
 
@@ -312,16 +314,17 @@ def test_gradient_matches_finite_differences():
 def test_auto_alpha_constructed_case():
     # one sample, one dim: T1 = -1, T2 = 2 so alpha = 1
     W = np.array([[1.0]])
-    S = np.array([[1.0]])
+    K = np.array([[1.0]])  # S = 1
     X = np.array([[1.0 + np.sqrt(2.0)]])
-    assert np.isclose(auto_alpha(W, X, S), 1.0, rtol=1e-12)
+    assert np.isclose(auto_alpha(W, X, K), 1.0, rtol=1e-12)
 
 
 def test_auto_alpha_balances_terms():
     rng = np.random.default_rng(11)
     for _ in range(5):
-        X, S, W = random_instance(rng, 50, 7, 3)
-        alpha = auto_alpha(W, X, S)
+        X, K, W = random_instance(rng, 50, 7, 3)
+        alpha = auto_alpha(W, X, K)
+        S = K.T @ K
         n = X.shape[0]
         t1 = -np.trace(W.T @ S @ W) / n
         t2 = 0.5 * alpha / n * ((np.abs(X @ W) - 1.0) ** 2).sum()
@@ -332,10 +335,11 @@ def test_auto_alpha_balances_terms():
 def test_auto_alpha_of_float32_rows_is_that_of_their_float64_values(monkeypatch):
     monkeypatch.setattr("esh.kernels.BLOCK_VALUES", 64)  # XW over many blocks of rows
     rng = np.random.default_rng(43)
-    X, S, W = random_instance(rng, 200, 7, 3)
+    X, K, W = random_instance(rng, 200, 7, 3)
     X = X.astype(np.float32)
-    alpha = auto_alpha(W, X, S)
-    assert alpha == auto_alpha(W, X.astype(np.float64), S)
+    alpha = auto_alpha(W, X, K)
+    assert alpha == auto_alpha(W, X.astype(np.float64), K)
+    S = K.T @ K
     t1 = -np.trace(W.T @ S @ W) / 200
     t2 = 0.5 * alpha / 200 * ((np.abs(X.astype(np.float64) @ W) - 1.0) ** 2).sum()
     assert abs(abs(t1) - t2) < 1e-9 * abs(t1)
@@ -475,9 +479,9 @@ def test_train_config_rejects_non_finite_numbers(field, value):
 
 
 def test_esh1_zero_step_is_projection_of_start():
-    X, S = blob_problem(40, 3, 6, seed=23)
+    X, K = blob_problem(40, 3, 6, seed=23)
     cfg = TrainConfig(bits=3, iters=1, algorithm="esh1", eta=0.0, seed=24)
-    W, trace = train(X, S, cfg)
+    W, trace = train(X, K, cfg)
     W0 = init_projection(X.shape[1], 3, seed=24)
     assert np.array_equal(W, stiefel_project(W0))
     assert np.abs(W - W0).max() < 1e-10
@@ -485,17 +489,17 @@ def test_esh1_zero_step_is_projection_of_start():
 
 
 def test_esh2_zero_tau_keeps_start():
-    X, S = blob_problem(40, 3, 6, seed=25)
+    X, K = blob_problem(40, 3, 6, seed=25)
     cfg = TrainConfig(bits=3, iters=1, algorithm="esh2", tau0=0.0, seed=26)
-    W, trace = train(X, S, cfg)
+    W, trace = train(X, K, cfg)
     assert np.array_equal(W, init_projection(X.shape[1], 3, seed=26))
     assert len(trace.iteration) == 1
 
 
 def test_esh1_descends_on_blobs():
-    X, S = blob_problem(250, 8, 16, seed=27)
+    X, K = blob_problem(250, 8, 16, seed=27)
     cfg = TrainConfig(bits=8, iters=200, algorithm="esh1", seed=28)
-    W, trace = train(X, S, cfg)
+    W, trace = train(X, K, cfg)
     assert trace.loss[-1] <= trace.initial_loss
     assert len(trace.iteration) == 200
     assert trace.orth_residual.max() < 1e-8
@@ -503,16 +507,16 @@ def test_esh1_descends_on_blobs():
 
 
 def test_esh2_descends_on_blobs():
-    X, S = blob_problem(250, 8, 16, seed=29)
+    X, K = blob_problem(250, 8, 16, seed=29)
     cfg = TrainConfig(bits=8, iters=200, algorithm="esh2", seed=30)
-    W, trace = train(X, S, cfg)
+    W, trace = train(X, K, cfg)
     assert trace.loss[-1] <= trace.initial_loss
     assert trace.orth_residual.max() < 1e-6
     assert trace.step_size[0] == cfg.tau0
 
 
 def test_train_matches_the_two_reference_loops_bit_for_bit():
-    X, S = blob_problem(60, 4, 8, seed=39)
+    X, K = blob_problem(60, 4, 8, seed=39)
     reference = {"esh1": esh1_train, "esh2": esh2_train}
     for over in (
         {},
@@ -522,8 +526,8 @@ def test_train_matches_the_two_reference_loops_bit_for_bit():
     ):
         for algo, ref_train in reference.items():
             cfg = TrainConfig(bits=4, iters=40, algorithm=algo, seed=40, **over)
-            W_ref, ref = ref_train(X, S, cfg)
-            W, got = train(X, S, cfg)
+            W_ref, ref = ref_train(X, K, cfg)
+            W, got = train(X, K, cfg)
             assert np.array_equal(W, W_ref), (algo, over)
             for col in ("iteration", "loss", "orth_residual", "step_size"):
                 assert np.array_equal(getattr(got, col), getattr(ref, col)), (algo, over, col)
@@ -535,23 +539,73 @@ def test_train_on_float32_rows_is_train_on_their_float64_values(algo, monkeypatc
     # both read float64 copies of the same blocks, and both get the float64
     # signs, so they agree bit for bit, and with the reference loops
     monkeypatch.setattr("esh.kernels.BLOCK_VALUES", 256)
-    X, S = blob_problem(60, 4, 8, seed=39)
+    X, K = blob_problem(60, 4, 8, seed=39)
     X32 = X.astype(np.float32)
     cfg = TrainConfig(bits=4, iters=40, algorithm=algo, seed=40)
-    W, got = train(X32, S, cfg)
-    for W_ref, ref in (train(X32.astype(np.float64), S, cfg),
-                       {"esh1": esh1_train, "esh2": esh2_train}[algo](X32, S, cfg)):
+    W, got = train(X32, K, cfg)
+    for W_ref, ref in (train(X32.astype(np.float64), K, cfg),
+                       {"esh1": esh1_train, "esh2": esh2_train}[algo](X32, K, cfg)):
         assert np.array_equal(W, W_ref)
         for col in ("iteration", "loss", "orth_residual", "step_size"):
             assert np.array_equal(getattr(got, col), getattr(ref, col)), col
         assert got.alpha == ref.alpha and got.initial_loss == ref.initial_loss
 
 
+@pytest.mark.parametrize("alpha", ["auto", 1.0])
+@pytest.mark.parametrize("where, at, value", [("X", (5, 2), np.nan), ("X", (5, 2), np.inf),
+                                              ("K", (3, 4), np.nan), ("K", (3, 4), -np.inf)])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_train_rejects_non_finite_rows_and_factor(where, at, value, alpha, dtype, monkeypatch):
+    # blocks of 24 values, 4 rows of 6: row 5 is in the second block
+    monkeypatch.setattr("esh.kernels.BLOCK_VALUES", 24)
+    X, K = blob_problem(40, 3, 6, seed=23)
+    X = X.astype(dtype)
+    {"X": X, "K": K}[where][at] = value
+    with pytest.raises(ValueError, match=f"^{where} has non-finite values$"):
+        train(X, K, TrainConfig(bits=4, iters=3, alpha=alpha))
+
+
+@pytest.mark.parametrize("shape", [(6,), (0, 6), (3, 5), (1, 2, 6)])
+def test_train_rejects_a_factor_of_the_wrong_shape(shape):
+    X, _ = blob_problem(40, 3, 6, seed=23)
+    with pytest.raises(ValueError, match=r"must be \(m, 6\) with m >= 1"):
+        train(X, np.ones(shape), TrainConfig(bits=4, iters=3))
+
+
+@pytest.mark.parametrize("shape", [(0, 6), (6,), (1, 2, 6)])
+def test_train_rejects_rows_of_the_wrong_shape(shape):
+    with pytest.raises(ValueError, match=r"^X must be \(n, d\) with n >= 1"):
+        train(np.ones(shape), np.ones((2, 6)), TrainConfig(bits=4, iters=3, alpha=1.0))
+
+
+def test_factor_and_training_hold_one_d_by_d_array():
+    # float32 rows, n = 1500 and d = 512, so the d^2 terms dominate: one
+    # d x d float64 array is 2 MiB, and so is a float64 block of
+    # BLOCK_VALUES values. With S, then X^T X, its per-block product and a
+    # 512-row float64 block, four 2 MiB arrays, training peaked at 8.1 MiB.
+    # Now it holds H (2 MiB), K (20 x 512, 80 KiB), one float64 block of
+    # rows (2 MiB) and one 128 x d panel product (0.5 MiB), plus n-sized
+    # norms and signs: under one d x d array and two blocks, 6 MiB.
+    n, d = 1500, 512
+    X = np.random.default_rng(48).standard_normal((n, d), dtype=np.float32)
+    _, Z = fit_anchor_graph(X, m=20, iters=3, seed=49, s=3)
+    lam = anchor_mass(Z)
+    tracemalloc.start()
+    try:
+        K = similarity_factor(X, Z, lam)
+        train(X, K, TrainConfig(bits=16, iters=3, seed=50))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 8 * (d * d + 2 * BLOCK_VALUES)
+    assert peak < bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
+
+
 def test_training_deterministic():
-    X, S = blob_problem(60, 4, 8, seed=31)
+    X, K = blob_problem(60, 4, 8, seed=31)
     cfg = TrainConfig(bits=4, iters=30, algorithm="esh2", seed=32)
-    W1, t1 = train(X, S, cfg)
-    W2, t2 = train(X, S, cfg)
+    W1, t1 = train(X, K, cfg)
+    W2, t2 = train(X, K, cfg)
     assert np.array_equal(W1, W2)
     assert np.array_equal(t1.loss, t2.loss)
     assert np.array_equal(t1.step_size, t2.step_size)
@@ -564,14 +618,14 @@ def test_loss_depends_on_X_only_through_S_and_XW():
     M = rng.standard_normal((d, d))
     S = M @ M.T
     W = init_projection(d, k, seed=36)
-    got = loss_value(W, np.zeros((n, d)), S, 0.0)
+    got = loss_value(W, np.zeros((n, d)), M.T, 0.0)
     assert np.isclose(got, -np.trace(W.T @ S @ W) / n, rtol=1e-12)
 
 
 def test_trace_csv_round_trip(tmp_path):
-    X, S = blob_problem(40, 3, 6, seed=37)
+    X, K = blob_problem(40, 3, 6, seed=37)
     cfg = TrainConfig(bits=3, iters=7, algorithm="esh2", seed=38)
-    _, trace = train(X, S, cfg)
+    _, trace = train(X, K, cfg)
     full = tmp_path / "full.csv"
     trace.to_csv(full)
     with open(full) as f:

@@ -317,8 +317,7 @@ def cmd_train(args):
     model_path = out / "model.eshm"
     trace_path = out / "trace.csv"
     save_model(model, model_path)
-    # timing column omitted so identical runs produce identical bytes
-    trace.to_csv(trace_path, include_timing=False)
+    trace.to_csv(trace_path)
     _write_manifest(model_path, "train", cfg)
     _write_manifest(trace_path, "train", cfg)
     print(f"wrote {model_path} ({model.d} dims, {model.k} bits, {model.m} anchors)")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import FormatError, Reader, Writer
-from .kernels import block_rows, row_blocks
+from .kernels import row_blocks
 
 STD_FLOOR = 1e-12
 CENTER_SCALE = 10.0  # radius of the sphere generate_synthetic puts its centers on
@@ -78,11 +78,12 @@ class LabelSet:
 
 
 def _check_finite(X, where, row0=0):
-    """Raise naming the first non-finite entry; X's rows are numbered from row0."""
-    if np.isfinite(X).all():  # one pass; only a bad matrix pays for argwhere
-        return
-    r, c = np.argwhere(~np.isfinite(X))[0]
-    raise FormatError(f"{where}non-finite value at row {row0 + r}, column {c}")
+    """Raise naming the first non-finite entry; X's rows are numbered from
+    row0. Checks a block of rows at a time, so no n x d bool mask is formed."""
+    for b in row_blocks(*X.shape):
+        if not np.isfinite(X[b]).all():  # only a bad block pays for argwhere
+            r, c = np.argwhere(~np.isfinite(X[b]))[0]
+            raise FormatError(f"{where}non-finite value at row {row0 + b.start + r}, column {c}")
 
 
 def _validate_matrix(X, where=""):
@@ -118,20 +119,19 @@ class FeatureFile:
                         head=FEATURE_HEAD) as r:
                 self.payload = r.stream("<f4", r.shape(2))
 
-    def blocks(self, extra=0):
-        """The rows in the blocks that row_blocks(n, d + extra) cuts: those
-        an encoder that also holds `extra` values per row cuts from the
-        whole array. Fails, before the first block and after the last, if
-        the file changed since it was opened, so two reads of one
-        FeatureFile give the same rows."""
+    def blocks(self, rows):
+        """The rows, `rows` to a block (the last may hold fewer). Fails,
+        before the first block and after the last, if the file changed
+        since it was opened, so two reads of one FeatureFile give the same
+        rows."""
         self._check_unchanged()
         if self.payload is None:
             X = self._read_csv()
-            for b in row_blocks(X.shape[0], X.shape[1] + extra):
-                yield X[b]
+            for i in range(0, X.shape[0], rows):
+                yield X[i : i + rows]
         else:
             row0 = 0
-            for X in self.payload.blocks(block_rows(self.payload.shape[1] + extra)):
+            for X in self.payload.blocks(rows):
                 _check_finite(X, f"{self.path}: ", row0)
                 row0 += X.shape[0]
                 yield X
@@ -153,9 +153,7 @@ class FeatureFile:
         .eshf file, float64 for CSV."""
         if self.payload is None:
             return self._read_csv()
-        (X,) = self.payload.blocks(self.payload.shape[0])  # one read into one array
-        for b in row_blocks(*X.shape):  # no n x d bool temporary
-            _check_finite(X[b], f"{self.path}: ", b.start)
+        (X,) = self.blocks(self.payload.shape[0])  # one read into one array
         return X
 
 

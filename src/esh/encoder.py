@@ -33,7 +33,7 @@ import numpy as np
 from .anchor_graph import AnchorSet, SparseAffinityRows, anchor_weights, check_sigma2
 from .container import FormatError, Reader, Writer  # noqa: F401 - esh.encoder.FormatError
 from .dataset import STD_FLOOR, FeatureFile, StandardizationStats, apply_standardization
-from .kernels import float32_signs, row_blocks, row_norm_bounds
+from .kernels import block_rows, float32_signs, row_blocks, row_norm_bounds
 
 CODE_MAGIC = b"ESHB"
 CODE_VERSION = 1
@@ -241,9 +241,9 @@ class HashModel:
         encode = self.encode_linear if mode == "linear" else self.encode_graph
         if not isinstance(X_raw, FeatureFile):
             return encode(X_raw)
-        # the values per row, besides the row itself, that the encoder's blocks hold
-        extra = self.m if mode == "graph" else 0
-        words = [encode(X).words for X in X_raw.blocks(extra)]
+        # graph blocks hold each row's m anchor distances beside it
+        rows = block_rows(self.d + self.m if mode == "graph" else self.d)
+        words = [encode(X).words for X in X_raw.blocks(rows)]
         return PackedCodes(n=sum(map(len, words)), k=self.k, words=np.concatenate(words))
 
 
@@ -316,6 +316,8 @@ def load_model(path):
         flags, mode = r.fields("BB")
         if flags & ~(_FLAG_B | _FLAG_Z):
             raise r.error(f"unknown flag bits {flags:#04x}")
+        if mode >= len(QUERY_MODES):
+            raise r.error(f"unknown query mode byte {mode}")
         d, k, m = r.shape(3)
         sigma2, s = r.fields("dQ")
         mean, std, W, centers, lam, vote = [_unpack_matrix(r, dt) for dt in _MATRIX_DTYPES]
@@ -326,8 +328,6 @@ def load_model(path):
             n, snn = r.fields("QQ")
             SparseAffinityRows(indices=r.array("<i8", (n, snn)),
                                weights=r.array("<f8", (n, snn)), m=m)
-        if mode >= len(QUERY_MODES):
-            raise ValueError(f"unknown query mode byte {mode}")
         return HashModel(
             mean=mean.reshape(-1), std=std.reshape(-1), W=W.reshape(d, k),
             centers=centers.reshape(m, d), sigma2=sigma2, s=s, lam=lam.reshape(-1),

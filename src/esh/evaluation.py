@@ -25,12 +25,12 @@ from .encoder import PackedCodes
 PR_GRID_POINTS = 101
 
 
-def hamming_distances(query_words, db: PackedCodes, narrow=False):
+def hamming_distances(query_words, db: PackedCodes):
     """Distances from one packed code (1-D word array) to every db code.
 
-    int64 by default. narrow=True gives the narrowest unsigned type that
-    holds k, for sorting: the uint8 popcount itself for one word, a uint16
-    sum up to 65535 bits; wider codes stay int64, since uint16 would wrap.
+    In the narrowest type that holds k, for sorting: the uint8 popcount
+    itself for one word, a uint16 sum up to 65535 bits; wider codes get
+    int64, since uint16 would wrap. Cast before subtracting: unsigned wraps.
     """
     query_words = np.asarray(query_words, dtype=np.uint64)
     if query_words.shape != (db.n_words,):
@@ -40,7 +40,7 @@ def hamming_distances(query_words, db: PackedCodes, narrow=False):
     else:
         x = np.bitwise_count(np.bitwise_xor(query_words[None, :], db.words))
         dist = x.sum(axis=1, dtype=np.uint16 if db.k <= 0xFFFF else np.int64)
-    return dist if narrow else dist.astype(np.int64)
+    return dist
 
 
 @dataclass(frozen=True)
@@ -90,21 +90,16 @@ def _check_min(name, value, low):
         raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
-def rank_database(query_words, db: PackedCodes, exclude_id=None, top=None):
+def rank_database(query_words, db: PackedCodes, top=None):
     """Rank the database codes by Hamming distance to one query.
 
     The full ranking is a stable radix sort of the distances. `top` keeps
     only its first `top` entries, as `esh query --top` does; they come from
     one partition of packed (distance, id) keys, without sorting the rest.
-    `exclude_id` leaves one database id out before the cut.
     """
     _check_min("top", top, 1)
-    dist = hamming_distances(query_words, db, narrow=True)
-    # one entry more, for the excluded id to leave
-    depth = top if top is None or exclude_id is None else top + 1
-    order = _nearest(dist, db.k, depth)
-    if exclude_id is not None:
-        order = order[order != exclude_id][:top]
+    dist = hamming_distances(query_words, db)
+    order = _nearest(dist, db.k, top)
     return Ranking(ids=order, distances=dist[order].astype(np.int64))
 
 
@@ -172,35 +167,16 @@ def _precision_at(hits, depth):
     return float(np.searchsorted(hits, depth) / depth) if depth else 0.0
 
 
-def _hits(ranking: Ranking, positives_mask, depth=None):
-    """0-based ranks of the relevant items among the first `depth` ranked."""
-    return np.flatnonzero(np.asarray(positives_mask)[ranking.ids[:depth]])
+def _hits(ranking: Ranking, positives_mask):
+    """0-based ranks of the relevant items in the ranking."""
+    return np.flatnonzero(np.asarray(positives_mask)[ranking.ids])
 
 
-def average_precision(ranking: Ranking, positives_mask, cutoff=None):
-    """Mean of precision-at-hit over all relevant items.
-
-    The denominator is the total relevant count even under a cutoff, so a
-    truncated list is penalized for what it failed to retrieve. No
-    relevant items at all gives 0.
-    """
-    _check_min("cutoff", cutoff, 1)
-    hits = _hits(ranking, positives_mask, cutoff)
+def average_precision(ranking: Ranking, positives_mask):
+    """Mean of precision-at-hit over all relevant items; no relevant items
+    at all gives 0."""
+    hits = _hits(ranking, positives_mask)
     return _average_precision(_hit_precision(hits), int(np.count_nonzero(positives_mask)))
-
-
-def precision_at(ranking: Ranking, positives_mask, depth):
-    """Fraction of the top `depth` that is relevant; depth caps at the
-    ranking's size, and an empty ranking gives 0."""
-    _check_min("depth", depth, 1)
-    return _precision_at(_hits(ranking, positives_mask), min(depth, ranking.ids.size))
-
-
-def precision_within_radius(ranking: Ranking, positives_mask, radius=2):
-    """Precision over codes within Hamming distance `radius`; 0 if none."""
-    _check_min("radius", radius, 0)
-    within = int(np.searchsorted(ranking.distances, radius, side="right"))
-    return _precision_at(_hits(ranking, positives_mask), within)
 
 
 def pr_curve(ranking: Ranking, positives_mask):
@@ -266,7 +242,7 @@ class EvalReport:
 def _eval_one(qi, q_words, db, gt, depths, radius, exclude, cutoff):
     """One query's metrics, all read from the ranks of its positives."""
     mask = gt.positives_mask(qi)
-    dist = hamming_distances(q_words, db, narrow=True)
+    dist = hamming_distances(q_words, db)
     order = _nearest(dist, db.k)
     within = int(np.count_nonzero(dist <= radius))
     if exclude:
@@ -292,8 +268,11 @@ def evaluate(query_codes: PackedCodes, db_codes: PackedCodes, gt: GroundTruth,
     """Run the full metric suite for a query set against a database.
 
     exclude_self drops database item i from query i's ranking; only
-    meaningful when the query set is the database itself. Queries with no
-    relevant database item score 0 and stay in the averages (conservative);
+    meaningful when the query set is the database itself. cutoff scores AP
+    on the first `cutoff` ranks over every relevant item, so a truncated
+    list is penalized for what it failed to retrieve. Depths cap at the
+    ranking's size; the radius is inclusive. Queries with no relevant
+    database item score 0 and stay in the averages (conservative);
     count_empty=False drops them instead. Macro mAP averages per-class AP
     means; a multi-label query contributes its AP to every class it
     carries, and database classes with no queries are skipped with a

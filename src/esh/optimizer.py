@@ -47,8 +47,6 @@ PROJECT_RANK_FLOOR = 1e-12
 # rows per panel of H's upper triangle; a panel's product is a GRAM_PANEL x d temporary
 GRAM_PANEL = 128
 
-TRACE_COLUMNS = ("iteration", "loss", "orth_residual", "step_size", "elapsed_ms")
-
 
 def init_projection(d, k, seed):
     """Random start on the Stiefel manifold: project a Gaussian matrix."""
@@ -297,23 +295,19 @@ class TrainTrace:
     alpha: float
     initial_loss: float
 
-    def to_csv(self, path, include_timing=True):
-        """Write the trace. Timing is wall clock, so runs only reproduce
-        byte-for-byte with include_timing=False."""
-        cols = TRACE_COLUMNS if include_timing else TRACE_COLUMNS[:-1]
+    def to_csv(self, path):
+        """Write the trace without elapsed_ms, which is wall clock, so that
+        identical runs write identical bytes."""
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
-            w.writerow(cols)
+            w.writerow(("iteration", "loss", "orth_residual", "step_size"))
             for i in range(len(self.iteration)):
-                row = [
+                w.writerow([
                     int(self.iteration[i]),
                     repr(float(self.loss[i])),
                     repr(float(self.orth_residual[i])),
                     repr(float(self.step_size[i])),
-                ]
-                if include_timing:
-                    row.append(repr(float(self.elapsed_ms[i])))
-                w.writerow(row)
+                ])
 
 
 class _TraceBuilder:

@@ -6,14 +6,7 @@ import numpy as np
 from esh.anchor_graph import SparseAffinityRows, pairwise_sq_dists
 from esh.dataset import STD_FLOOR, StandardizationStats, apply_standardization
 from esh.encoder import PackedCodes, pack_codes, unpack_codes
-from esh.evaluation import (
-    _grid_precision,
-    average_precision,
-    pr_curve,
-    precision_at,
-    precision_within_radius,
-    rank_database,
-)
+from esh.evaluation import _grid_precision, rank_database
 from esh.kernels import BAND_SLACK, BLOCK_VALUES, F64_UNIT
 from esh.optimizer import _Objective
 
@@ -169,18 +162,55 @@ def hamming_distance(a_words, b_words):
     return int(np.bitwise_count(np.bitwise_xor(a, b)).sum())
 
 
+def hit_precisions(ids, relevant):
+    """Precision at the rank of each relevant item of a ranking, in rank order."""
+    out, hits = [], 0
+    for rank, db_id in enumerate(ids, start=1):
+        if relevant[db_id]:
+            hits += 1
+            out.append(hits / rank)
+    return np.array(out)
+
+
+def average_precision(ids, relevant, cutoff=None):
+    """Precision at each relevant item among the first `cutoff` ranked,
+    summed rank by rank and divided by the count of every relevant item;
+    0 if there is none."""
+    n_pos = int(np.count_nonzero(relevant))
+    total = 0.0
+    for p in hit_precisions(ids[:cutoff], relevant).tolist():
+        total += p
+    return total / n_pos if n_pos else 0.0
+
+
+def precision_at(ids, relevant, depth):
+    """Fraction of the first `depth` ranked that is relevant; depth caps at
+    the ranking's size, and an empty ranking gives 0."""
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    depth = min(depth, len(ids))
+    return sum(1 for db_id in ids[:depth] if relevant[db_id]) / depth if depth else 0.0
+
+
+def precision_within_radius(ids, distances, relevant, radius):
+    """Fraction relevant of the ranked items at distance <= radius; 0 if none."""
+    within = [db_id for db_id, dist in zip(ids, distances) if dist <= radius]
+    return sum(1 for db_id in within if relevant[db_id]) / len(within) if within else 0.0
+
+
 def eval_one(qi, q_words, db, gt, depths, radius, exclude, cutoff):
-    """evaluate's per-query step composed from the public metrics: one
-    Ranking with its int64 distances, each metric slicing it again. Same
-    signature and result as evaluation._eval_one."""
-    mask = gt.positives_mask(qi)
+    """evaluate's per-query step by the loops above over the full ranking,
+    with the query's own row dropped from it and from the positives under
+    exclude. Same signature and result as evaluation._eval_one."""
+    relevant = gt.positives_mask(qi).copy()
+    ranking = rank_database(q_words, db)
+    ids, distances = ranking.ids, ranking.distances
     if exclude:
-        mask = mask.copy()
-        mask[qi] = False
-    ranking = rank_database(q_words, db, exclude_id=qi if exclude else None)
-    n_pos = int(mask.sum())
-    ap = average_precision(ranking, mask, cutoff)
-    pn = [precision_at(ranking, mask, n) for n in depths]
-    pr = precision_within_radius(ranking, mask, radius)
-    grid_prec = _grid_precision(pr_curve(ranking, mask)[1], n_pos) if n_pos else None
+        relevant[qi] = False
+        ids, distances = ids[ids != qi], distances[ids != qi]
+    n_pos = int(relevant.sum())
+    ap = average_precision(ids, relevant, cutoff)
+    pn = [precision_at(ids, relevant, n) for n in depths]
+    pr = precision_within_radius(ids, distances, relevant, radius)
+    grid_prec = _grid_precision(hit_precisions(ids, relevant), n_pos) if n_pos else None
     return ap, pn, pr, grid_prec, n_pos

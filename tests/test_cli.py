@@ -1,6 +1,8 @@
 import json
 import shlex
+import struct
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -721,6 +723,24 @@ def test_readme_python_block_runs_as_written():
     exec(compile(block, "README.md", "exec"), scope)
     assert scope["model"].k == 16 and scope["db_codes"].n == 1000
     assert 0.0 < scope["report"].map <= 1.0
+
+
+def test_encode_with_a_model_of_unknown_query_mode_byte_is_a_json_error(tmp_path, capsys):
+    data = synth_small(tmp_path)
+    run_dir = tmp_path / "run"
+    assert run("train", "--features", data / "features.csv", "--bits", 4, "--iters", 3,
+               "--anchors", 10, "--seed", 1, "--out", run_dir) == 0
+    body = bytearray((run_dir / "model.eshm").read_bytes()[:-4])
+    bad = tmp_path / "bad.eshm"
+    for mode in (2, 255):
+        body[6] = mode  # after magic, version and flags
+        bad.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
+        out = tmp_path / f"enc{mode}"
+        assert run("encode", "--model", bad, "--features", data / "features.csv",
+                   "--out", out) == 1
+        assert one_line_error(capsys) == {
+            "error": "FormatError", "message": f"{bad}: unknown query mode byte {mode}"}
+        assert not (out / "codes.eshb").exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

@@ -185,9 +185,11 @@ def test_model_with_bad_retained_code_padding_rejected(tmp_path):
 def test_model_with_unknown_query_mode_byte_rejected(tmp_path):
     save_model(tiny_model(), tmp_path / "m.eshm")
     body = bytearray((tmp_path / "m.eshm").read_bytes()[:-4])
-    body[6] = 2  # after magic, version and flags
-    (tmp_path / "bad.eshm").write_bytes(recrc(body))
-    assert_format_error(load_model, tmp_path / "bad.eshm", match="query mode")
+    for mode in (2, 255):
+        body[6] = mode  # after magic, version and flags
+        (tmp_path / "bad.eshm").write_bytes(recrc(body))
+        assert_format_error(load_model, tmp_path / "bad.eshm",
+                            match=f": unknown query mode byte {mode}$")
 
 
 @pytest.mark.parametrize("flags", [0x04, 0x80, 0x07])

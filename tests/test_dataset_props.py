@@ -47,7 +47,7 @@ def test_blocks_equal_the_whole_file(d, extra, blocks, offset, fmt, blank_lines,
                 lines.insert(at, "\n")
             path.write_text("".join(lines))
         want = whole_file(path, n, d)
-        got = list(FeatureFile(path).blocks(extra))
+        got = list(FeatureFile(path).blocks(rows))
         assert [b.shape[0] for b in got] == [len(range(n)[s]) for s in row_blocks(n, d + extra)]
         assert all(b.dtype == want.dtype and b.flags.writeable for b in got)
         assert np.concatenate(got).tobytes() == want.tobytes()

@@ -13,11 +13,9 @@ from esh.evaluation import (
     evaluate,
     hamming_distances,
     pr_curve,
-    precision_at,
-    precision_within_radius,
     rank_database,
 )
-from oracles import hamming_distance
+from oracles import hamming_distance, precision_at, precision_within_radius
 
 
 def random_bits(rng, n, k):
@@ -106,7 +104,7 @@ def test_rank_distances_above_uint16_do_not_wrap():
     r = rank_database(qw, codes)
     assert np.array_equal(r.ids, [3, 2, 4, 1, 0])
     assert np.array_equal(r.distances, [0, 100, 65535, 65536, 70000])
-    assert hamming_distances(qw, codes, narrow=True).dtype == np.int64
+    assert hamming_distances(qw, codes).dtype == np.int64
 
 
 def test_narrow_distances_are_the_smallest_unsigned_type():
@@ -114,16 +112,9 @@ def test_narrow_distances_are_the_smallest_unsigned_type():
     for k, dtype in ((1, np.uint8), (64, np.uint8), (65, np.uint16), (200, np.uint16)):
         B = random_bits(rng, 9, k)
         codes = pack_codes(B)
-        narrow = hamming_distances(codes.words[0], codes, narrow=True)
+        narrow = hamming_distances(codes.words[0], codes)
         assert narrow.dtype == dtype
-        assert np.array_equal(narrow, hamming_distances(codes.words[0], codes))
-
-
-def test_rank_exclude_id():
-    codes = pack_codes(np.ones((5, 3)))
-    r = rank_database(codes.words[0], codes, exclude_id=2)
-    assert 2 not in r.ids
-    assert len(r.ids) == 4
+        assert np.array_equal(narrow, [hamming_distance(codes.words[0], w) for w in codes.words])
 
 
 def test_rank_rejects_top_below_one():
@@ -153,27 +144,61 @@ def test_ap_sums_left_to_right_like_a_rank_loop():
                 hits += 1
                 total += hits / rank
         assert average_precision(r, mask) == total / mask.sum()
+
+
+def one_query_eval(q_bits, db_bits, relevant, **kw):
+    """evaluate of one query against db_bits, where `relevant` marks its positives."""
+    gt = GroundTruth(LabelSet.from_array([1]), LabelSet.from_array(np.asarray(relevant, dtype=int)))
+    return evaluate(pack_codes(np.atleast_2d(q_bits)), pack_codes(db_bits), gt, **kw)
+
+
+@pytest.mark.filterwarnings("ignore:classes with no queries")
+def test_eval_cutoff_sums_left_to_right_like_a_rank_loop():
+    # thousands of hits: a pairwise sum would differ from the loop in the last bits
+    rng = np.random.default_rng(12)
+    for n, p in ((6000, 0.8), (3000, 0.3)):
+        q, B = random_bits(rng, 1, 6)[0], random_bits(rng, n, 6)
+        mask = rng.random(n) < p
+        order = np.argsort((B != q).sum(axis=1), kind="stable")
         cut, hits, total = n // 3, 0, 0.0
-        for rank, db_id in enumerate(r.ids[:cut], start=1):
+        for rank, db_id in enumerate(order[:cut], start=1):
             if mask[db_id]:
                 hits += 1
                 total += hits / rank
-        assert average_precision(r, mask, cutoff=cut) == total / mask.sum()
+        assert one_query_eval(q, B, mask, cutoff=cut).map == total / mask.sum()
 
 
+@pytest.mark.filterwarnings("ignore:classes with no queries")
 def test_ap_cutoff_zero_when_nothing_retrieved():
-    mask = np.array([False, False, False, True])
-    r = make_ranking([0, 1, 2, 3])
-    assert average_precision(r, mask, cutoff=2) == 0.0
-    assert average_precision(r, mask) == 0.25
+    # the one positive sits at distance 3, behind three closer codes
+    B = np.ones((4, 3), dtype=np.int8)
+    B[1, 0] = B[2, 1] = B[3, :] = -1
+    mask = [False, False, False, True]
+    assert one_query_eval(B[0], B, mask, cutoff=2, depths=(1,)).map == 0.0
+    assert one_query_eval(B[0], B, mask, depths=(1,)).map == 0.25
+
+
+@pytest.mark.filterwarnings("ignore:classes with no queries")
+def test_eval_depth_beyond_the_ranking_caps_at_it():
+    B = np.ones((4, 3), dtype=np.int8)
+    B[3, :] = -1
+    rep = one_query_eval(B[0], B, [True, True, True, False], depths=(3, 4, 100))
+    assert rep.precision_at == {3: 1.0, 4: 0.75, 100: 0.75}
+
+
+@pytest.mark.filterwarnings("ignore:classes with no queries")
+def test_eval_radius_is_inclusive():
+    # distances 0, 1, 2, 3: radius 2 counts the code at distance 2 exactly
+    B = np.ones((4, 3), dtype=np.int8)
+    B[1, 0] = -1
+    B[2, :2] = -1
+    B[3, :] = -1
+    mask = [True, False, True, True]
+    for radius, want in ((0, 1.0), (1, 0.5), (2, 2 / 3), (3, 0.75)):
+        assert one_query_eval(B[0], B, mask, radius=radius, depths=(1,)).precision_at_radius == want
 
 
 def test_ap_rejects_cutoff_below_one():
-    r = make_ranking([0, 1, 2, 3])
-    for mask in (np.array([True, False, True, False]), np.zeros(4, dtype=bool)):
-        for cutoff in (0, -2):
-            with pytest.raises(ValueError, match="cutoff"):
-                average_precision(r, mask, cutoff=cutoff)
     gt = GroundTruth(LabelSet.from_array([0, 1]), LabelSet.from_array([0, 1, 0, 1]))
     q, db = pack_codes(np.eye(4)[:2] * 2 - 1), pack_codes(np.eye(4) * 2 - 1)
     with pytest.raises(ValueError, match="cutoff"):
@@ -181,9 +206,6 @@ def test_ap_rejects_cutoff_below_one():
 
 
 def test_negative_radius_rejected():
-    mask = np.array([True, False, True, False])
-    with pytest.raises(ValueError, match="radius"):
-        precision_within_radius(make_ranking([0, 1, 2, 3]), mask, radius=-1)
     gt = GroundTruth(LabelSet.from_array([0, 1]), LabelSet.from_array([0, 1, 0, 1]))
     q, db = pack_codes(np.eye(4)[:2] * 2 - 1), pack_codes(np.eye(4) * 2 - 1)
     with pytest.raises(ValueError, match="radius"):
@@ -213,20 +235,22 @@ def test_ap_no_positives_is_zero():
 def test_precision_at_basic_and_cap():
     mask = np.array([True, True, True, False])
     r = make_ranking([0, 1, 2, 3])
-    assert precision_at(r, mask, 3) == 1.0
-    assert precision_at(r, mask, 100) == 0.75  # capped at database size
-    assert precision_at(make_ranking([0, 1]), np.array([False, False]), 2) == 0.0
+    assert precision_at(r.ids, mask, 3) == 1.0
+    assert precision_at(r.ids, mask, 100) == 0.75  # capped at database size
+    assert precision_at(make_ranking([0, 1]).ids, np.array([False, False]), 2) == 0.0
     with pytest.raises(ValueError):
-        precision_at(r, mask, 0)
+        precision_at(r.ids, mask, 0)
 
 
 def test_radius_precision_cases():
     # nothing within radius 2 scores zero by definition
     mask = np.array([True, False])
-    assert precision_within_radius(make_ranking([5, 7]), mask, radius=2) == 0.0
+    r = make_ranking([5, 7])
+    assert precision_within_radius(r.ids, r.distances, mask, radius=2) == 0.0
     # lone duplicate positive at distance 0
     mask = np.array([True, False])
-    assert precision_within_radius(make_ranking([0, 9]), mask, radius=2) == 1.0
+    r = make_ranking([0, 9])
+    assert precision_within_radius(r.ids, r.distances, mask, radius=2) == 1.0
 
 
 def test_radius_matches_brute_force():
@@ -237,7 +261,7 @@ def test_radius_matches_brute_force():
         r = make_ranking(dist)
         within = dist <= 2
         want = (mask & within).sum() / within.sum() if within.any() else 0.0
-        assert precision_within_radius(r, mask, radius=2) == want
+        assert precision_within_radius(r.ids, r.distances, mask, radius=2) == want
 
 
 def test_pr_curve_perfect_and_inverted():
@@ -346,8 +370,9 @@ def test_evaluate_exclude_self_perfect_on_distinct_labels():
     for qi in range(12):
         mask = ids == ids[qi]
         mask[qi] = False
-        r = rank_database(codes.words[qi], codes, exclude_id=qi)
-        assert average_precision(r, mask) <= 1.0
+        r = rank_database(codes.words[qi], codes)
+        keep = r.ids != qi
+        assert average_precision(Ranking(r.ids[keep], r.distances[keep]), mask) <= 1.0
     assert rep.n_queries == 12
 
 
@@ -404,8 +429,8 @@ def test_metrics_stay_in_unit_interval():
         mask = rng.random(25) < rng.uniform(0.1, 0.9)
         r = make_ranking(dist)
         assert 0.0 <= average_precision(r, mask) <= 1.0
-        assert 0.0 <= precision_at(r, mask, int(rng.integers(1, 30))) <= 1.0
-        assert 0.0 <= precision_within_radius(r, mask) <= 1.0
+        assert 0.0 <= precision_at(r.ids, mask, int(rng.integers(1, 30))) <= 1.0
+        assert 0.0 <= precision_within_radius(r.ids, r.distances, mask, 2) <= 1.0
 
 
 def test_report_json_and_pr_csv(tmp_path):
@@ -431,8 +456,8 @@ def test_report_json_and_pr_csv(tmp_path):
 
 def test_precision_of_an_empty_ranking_is_zero():
     r = make_ranking(np.array([], dtype=np.int64))
-    assert precision_at(r, np.zeros(0, dtype=bool), 5) == 0.0
-    assert precision_within_radius(r, np.zeros(0, dtype=bool)) == 0.0
+    assert precision_at(r.ids, np.zeros(0, dtype=bool), 5) == 0.0
+    assert precision_within_radius(r.ids, r.distances, np.zeros(0, dtype=bool), 2) == 0.0
 
 
 def test_report_json_refuses_values_json_cannot_hold(tmp_path):

@@ -626,16 +626,11 @@ def test_trace_csv_round_trip(tmp_path):
     X, K = blob_problem(40, 3, 6, seed=37)
     cfg = TrainConfig(bits=3, iters=7, algorithm="esh2", seed=38)
     _, trace = train(X, K, cfg)
-    full = tmp_path / "full.csv"
-    trace.to_csv(full)
-    with open(full) as f:
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path)
+    with open(path) as f:
         rows = list(csv.reader(f))
-    assert rows[0] == ["iteration", "loss", "orth_residual", "step_size", "elapsed_ms"]
+    assert rows[0] == ["iteration", "loss", "orth_residual", "step_size"]
     assert len(rows) == 8
     assert [int(r[0]) for r in rows[1:]] == list(range(1, 8))
     assert np.allclose([float(r[1]) for r in rows[1:]], trace.loss)
-    bare = tmp_path / "bare.csv"
-    trace.to_csv(bare, include_timing=False)
-    with open(bare) as f:
-        rows = list(csv.reader(f))
-    assert rows[0] == ["iteration", "loss", "orth_residual", "step_size"]

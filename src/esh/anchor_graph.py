@@ -21,7 +21,10 @@ What is held: the rows X at their own precision (training passes its one
 float32 standardized copy), the float64 centers, and n x s indices and
 weights. Everything float64 that reads the rows goes a block of rows at
 a time (kernels.row_blocks): row norms, Lloyd's center sums, the
-reseeding and nearest-anchor distances, and Z^T X for K. k-means++
+reseeding and nearest-anchor distances, and Z^T X for K. The center sums
+and Z^T X are sums of rows per anchor (kernels.segment_sums), each added
+row by row in ascending order from zero, so neither depends on how a
+product would order its sums. k-means++
 seeding reads the rows as they are, and so does Lloyd's float32 product
 when the rows are float32 (float64 rows get one float32 copy).
 fit_anchor_graph takes the default sigma2 and Z from one such pass.
@@ -32,9 +35,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
-from .kernels import float32_argmin, row_blocks
+from .kernels import float32_argmin, row_blocks, segment_sums
 
 LAMBDA_FLOOR = 1e-12
 SIGMA_FLOOR = 1e-12
@@ -109,13 +111,6 @@ class SparseAffinityRows:
     def s(self):
         return self.indices.shape[1]
 
-    def to_csr(self):
-        n, s = self.indices.shape
-        indptr = np.arange(0, n * s + 1, s)
-        return sp.csr_matrix(
-            (self.weights.ravel(), self.indices.ravel(), indptr), shape=(n, self.m)
-        )
-
 
 def sq_norms(X):
     """Squared row norms in float64, (X * X).sum(axis=1) on float64 copies
@@ -169,19 +164,6 @@ def _kmeans_pp_init(X, m, rng, x_sq):
     return centers
 
 
-def _center_sums(X, assign, m):
-    """Per center, the float64 sum of its rows in np.add.at order: row by
-    row, ascending. One one-hot CSR matrix, columns ascending, multiplies
-    float64 copies of a slab of columns at a time; within a slab each sum
-    runs over all of its rows in that order."""
-    n, d = X.shape
-    one_hot = sp.csr_matrix((np.ones(n), (assign, np.arange(n))), shape=(m, n))
-    sums = np.empty((m, d))
-    for cols in row_blocks(d, n):  # slabs of columns, n values each
-        sums[:, cols] = one_hot @ np.asarray(X[:, cols], dtype=np.float64)
-    return sums
-
-
 def _kmeans(X, m, iters, seed):
     """k-means++ seeding, then `iters` Lloyd rounds; float64 centers."""
     rng = np.random.default_rng(seed)
@@ -203,7 +185,7 @@ def _kmeans(X, m, iters, seed):
             nearest = np.concatenate([
                 pairwise_sq_dists(X[b], centers, x_sq=x_sq[b], c_sq=c_sq).min(axis=1)
                 for b in row_blocks(X.shape[0], max(X.shape[1], m))])
-        sums = _center_sums(X, assign, m)
+        sums = segment_sums(X, assign[:, None], m)  # in np.add.at order
         centers[nonempty] = sums[nonempty] / counts[nonempty, None]
         for j in np.flatnonzero(~nonempty):
             far = int(nearest.argmax())
@@ -355,18 +337,18 @@ def similarity_factor(X, Z: SparseAffinityRows, lam):
     """K = diag(lam)^{-1/2} Z^T X, the m x d factor of the similarity
     S = X^T Z diag(lam)^{-1} Z^T X = K^T K, without forming A or S.
 
-    Cost is O(n d s) through the sparse product Z^T X, summed over float64
-    copies of a block of rows at a time; the n x n affinity never
-    materializes, and K holds m x d values where S would hold d x d.
+    Cost is O(n d s): Z^T X is summed a block of rows at a time, per
+    anchor over its rows in ascending order (kernels.segment_sums), and
+    each block's sum added to K; the n x n affinity never materializes,
+    and K holds m x d values where S would hold d x d.
     """
     X = np.asarray(X)
     lam = np.asarray(lam, dtype=np.float64)
     if np.any(lam < LAMBDA_FLOOR):
         raise ValueError("anchor mass below floor; prune dead anchors first")
-    Zr = Z.to_csr()
     K = np.zeros((Z.m, X.shape[1]))
     for b in row_blocks(X.shape[0], X.shape[1]):
-        K += Zr[b].T @ np.asarray(X[b], dtype=np.float64)  # (m, d)
+        K += segment_sums(X[b], Z.indices[b], Z.m, Z.weights[b])  # (m, d)
     K /= np.sqrt(lam)[:, None]
     return K
 

@@ -33,7 +33,7 @@ import numpy as np
 from .anchor_graph import AnchorSet, SparseAffinityRows, anchor_weights, check_sigma2
 from .container import FormatError, Reader, Writer  # noqa: F401 - esh.encoder.FormatError
 from .dataset import STD_FLOOR, FeatureFile, StandardizationStats, apply_standardization
-from .kernels import block_rows, float32_signs, row_blocks, row_norm_bounds
+from .kernels import block_rows, float32_signs, row_blocks, row_norm_bounds, segment_sums
 
 CODE_MAGIC = b"ESHB"
 CODE_VERSION = 1
@@ -89,10 +89,11 @@ class HashModel:
     """A trained hasher plus its out-of-sample machinery.
 
     vote_matrix is B^T Z diag(lam)^{-1}, precomputed so a graph-mode query
-    costs one sparse kernel row and one (k, m) @ (m,) product. Queries never
-    need the training codes B or affinity rows Z, so the model holds neither:
-    save_model writes a flags byte of 0, and load_model checks, then skips,
-    the B and Z sections that older files flag with bits 0 and 1.
+    costs the kernel weights of its s nearest anchors and one (k, m) @ (m,)
+    product. Queries never need the training codes B or affinity rows Z, so
+    the model holds neither: save_model writes a flags byte of 0, and
+    load_model checks, then skips, the B and Z sections that older files
+    flag with bits 0 and 1.
     query_mode is the default for queries ('graph' or 'linear').
     """
 
@@ -254,8 +255,9 @@ def build_hash_model(stats, W, anchors: AnchorSet, Z: SparseAffinityRows, lam,
     Database codes B are the model's own linear encoding of the training
     set X_raw (an array, or a FeatureFile read a block at a time), computed
     after the float32 cast so that what the model stores and what it would
-    re-encode agree exactly. The vote matrix is accumulated
-    in float64 and cast last. The model keeps neither B nor Z, as a query
+    re-encode agree exactly. The vote matrix is accumulated in float64,
+    per anchor over the rows in ascending order (kernels.segment_sums),
+    and cast last. The model keeps neither B nor Z, as a query
     needs only the vote matrix; B is returned beside it.
 
     A column whose training std sits at STD_FLOOR is constant, so its
@@ -276,8 +278,8 @@ def build_hash_model(stats, W, anchors: AnchorSet, Z: SparseAffinityRows, lam,
         query_mode=query_mode,
     )
     codes = model.encode(X_raw, mode="linear")
-    B = unpack_codes(codes).astype(np.float64)  # (n, k) of +-1
-    vote = (Z.to_csr().T @ B).T / np.asarray(lam, dtype=np.float64)[None, :]  # (k, m)
+    B = unpack_codes(codes)  # (n, k) int8 of +-1
+    vote = segment_sums(B, Z.indices, Z.m, Z.weights).T / np.asarray(lam, dtype=np.float64)[None, :]
     return replace(model, vote_matrix=vote.astype(np.float32)), codes
 
 

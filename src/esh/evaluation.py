@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .dataset import LabelSet
 from .encoder import PackedCodes
@@ -107,7 +106,8 @@ class GroundTruth:
     """Which database items count as relevant for each query.
 
     Single-label: relevant iff labels are equal. Multi-label: relevant iff
-    the label sets intersect.
+    the label sets intersect; each database class keeps the ids of its
+    members, and a query's positives are the union over its classes.
     """
 
     def __init__(self, query_labels: LabelSet, db_labels: LabelSet):
@@ -116,30 +116,23 @@ class GroundTruth:
         if query_labels.kind == "single" and db_labels.kind == "single":
             self._q = query_labels.single_array()
             self._db = db_labels.single_array()
-            self._q_inc = self._db_inc = None
         else:
-            classes = sorted({c for row in query_labels.labels for c in row}
-                             | {c for row in db_labels.labels for c in row})
-            self._class_index = {c: i for i, c in enumerate(classes)}
-            self._q_inc = self._incidence(query_labels, len(classes))
-            self._db_inc = self._incidence(db_labels, len(classes))
             self._q = self._db = None
-
-    def _incidence(self, labels, n_classes):
-        rows, cols = [], []
-        for i, row in enumerate(labels.labels):
-            for c in row:
-                rows.append(i)
-                cols.append(self._class_index[c])
-        data = np.ones(len(rows), dtype=bool)
-        return sp.csr_matrix((data, (rows, cols)), shape=(len(labels), n_classes))
+            members = {}
+            for i, row in enumerate(db_labels.labels):
+                for c in row:
+                    members.setdefault(c, []).append(i)
+            self._members = {c: np.array(ids, dtype=np.intp) for c, ids in members.items()}
 
     def positives_mask(self, query_index):
         """Boolean relevance over the database for one query."""
         if self._q is not None:
             return self._db == self._q[query_index]
-        overlap = self._db_inc @ self._q_inc[query_index].T  # (n_db, 1) counts
-        return np.asarray(overlap.todense()).ravel() > 0
+        mask = np.zeros(len(self.db_labels), dtype=bool)
+        for c in self.query_labels.labels[query_index]:
+            if c in self._members:
+                mask[self._members[c]] = True
+        return mask
 
     def query_classes(self, query_index):
         return self.query_labels.labels[query_index]

@@ -12,6 +12,11 @@ The bounds below take gamma_n <= BAND_SLACK n u, which holds while
 n u <= 0.0099, and pad both norms by NORM_PAD to cover float32 underflow.
 A row whose norms could overflow float32 gets an infinite band, so it is
 recomputed whole and its float32 product is never read.
+
+The module also holds what code that walks its rows a block at a time
+shares: the blocks themselves, float64 gathers of rows, and per-key sums
+of rows in a fixed order (segment_sums), which k-means centers, the
+similarity factor and the vote matrix take.
 """
 
 import numpy as np
@@ -37,6 +42,57 @@ def row_blocks(n, width):
     cover rows 0 to n."""
     rows = block_rows(width)
     return [slice(i, i + rows) for i in range(0, n, rows)]
+
+
+def rows64(X, rows):
+    """X[rows] as float64 for an index array `rows`, filled a few rows at a
+    time: float32 rows pass through temporaries of a sixteenth of a block
+    (numpy's take refuses a float64 out for float32 input)."""
+    out = np.empty((len(rows), X.shape[1]))
+    step = max(1, BLOCK_VALUES // (16 * max(X.shape[1], 1)))
+    for i in range(0, len(rows), step):
+        out[i : i + step] = X[rows[i : i + step]]
+    return out
+
+
+def _add_rows(rows, out):
+    """out = the sum of the rows, added one at a time, first to last. Over
+    more than one column np.add.reduce adds row after row; over one column
+    it would sum pairwise, so that case takes the last partial sum."""
+    if rows.shape[1] == 1:
+        out[...] = np.add.accumulate(rows, axis=0)[-1]
+    else:
+        np.add.reduce(rows, axis=0, out=out)
+
+
+def segment_sums(X, keys, m, weights=None):
+    """Per key j in [0, m), the float64 sum of the rows of X that carry j,
+    each times its weight if weights are given.
+
+    keys and weights are (n, s): row i of X carries keys[i] with
+    weights[i]. Each key's terms are added one at a time from zero, rows
+    ascending, as np.add.at and a compressed sparse row or column product
+    add them, so the sums are bit for bit theirs. A stable sort by key
+    makes each key's terms one run. They are gathered into float64 a block
+    of about BLOCK_VALUES values at a time, and the key's sum so far is
+    folded into the first term of its run in the block, so that a run that
+    spans blocks continues in order. A key that no row carries sums to zero.
+    """
+    d, s = X.shape[1], keys.shape[1]
+    order = np.argsort(keys.ravel(), kind="stable")
+    sorted_keys = keys.ravel()[order]
+    sums = np.zeros((m, d))
+    for b in row_blocks(order.size, d):
+        entries, k = order[b], sorted_keys[b]
+        terms = rows64(X, entries // s)
+        if weights is not None:
+            terms *= weights.ravel()[entries][:, None]
+        first = np.flatnonzero(np.diff(k, prepend=-1))
+        terms[first] += sums[k[first]]
+        heads = first.tolist()
+        for key, i, j in zip(k[first].tolist(), heads, heads[1:] + [k.size]):
+            _add_rows(terms[i:j], sums[key])
+    return sums
 
 
 def norm_bounds(sq, d, dtype):

@@ -15,10 +15,11 @@ Barzilai-Borwein step size (esh2), which stays feasible by construction.
 Cost: the Gram term X^T X is formed once, in O(n d^2) time, and folded
 with K^T K into one d x d matrix. After that an iteration costs one
 n x d x k product in float32, whose result is used only for the signs of
-XW, one d x d x k product, and a sparse update where signs flipped. The
-signs come from kernels.float32_signs, which linear encoding shares: it
-bounds the float32 product's rounding error and recomputes in float64
-every entry within that bound of zero, so they are the float64 signs.
+XW, one d x d x k product, and one float64 product over the rows where a
+sign flipped. The signs come from kernels.float32_signs, which linear
+encoding shares: it bounds the float32 product's rounding error and
+recomputes in float64 every entry within that bound of zero, so they are
+the float64 signs.
 
 Memory: training holds the rows X once, at their own precision (esh
 train passes float32 standardized rows), plus K, one d x d float64 matrix
@@ -26,9 +27,9 @@ H, per-row norm bounds and n x k int8 signs. Float64 rows are never
 formed whole: X^T X, the first X^T sgn(XW), auto_alpha's XW, the sign
 rechecks and the flip updates each read float64 copies of a block of
 about BLOCK_VALUES values (kernels.row_blocks) or of just the rows they
-need. H is summed into its own buffer a column panel at a time, so no
-other d x d array is formed. Float64 rows given to train get one float32
-copy for the sign product.
+need (kernels.rows64). H is summed into its own buffer a column panel at
+a time, so no other d x d array is formed. Float64 rows given to train
+get one float32 copy for the sign product.
 """
 
 import csv
@@ -36,9 +37,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .kernels import block_rows, float32_signs, row_blocks, row_norm_bounds
+from .kernels import block_rows, float32_signs, row_blocks, row_norm_bounds, rows64
 
 TAU_MIN = 1e-10
 TAU_MAX = 1e3
@@ -133,7 +133,7 @@ class _Objective:
     Every float64 product with the rows (X^T X, the first P, the sign
     rechecks and the flip updates) reads float64 copies of a block of
     rows, or of flipped rows, at a time. A call is therefore one n x d x k
-    product in float32, one d x d x k product in float64 and the sparse
+    product in float32, one d x d x k product in float64 and the flip
     update; set-up is the O(n d^2) Gram matrix.
     """
 
@@ -148,39 +148,31 @@ class _Objective:
         self.B = None  # int8 sgn(XW) at the last call
         self.Pt = None  # P^T = B^T X, (k, d)
 
-    def _rows64(self, rows):
-        return np.asarray(self.X[rows], dtype=np.float64)
-
     def signs(self, W):
         """sgn(XW) as int8, equal to the sign of the float64 product."""
         def recheck(rows, cols):
             # a block gathers rows and columns of W: BLOCK_VALUES values in all
             z = np.empty(rows.size)
             for b in row_blocks(rows.size, 2 * W.shape[0]):
-                z[b] = np.einsum("ij,ij->i", self._rows64(rows[b]), W.T[cols[b]])
+                z[b] = np.einsum("ij,ij->i", rows64(self.X, rows[b]), W.T[cols[b]])
             return z
         w_norm = np.sqrt(np.einsum("ij,ij->j", W, W).max())
         return float32_signs(self.X32, W.astype(np.float32), self.x_norms, w_norm, recheck)
 
     def _add_flips(self, B):
-        """P^T += (B - B_old)^T X over the rows where a sign flipped, a
-        block of those rows at a time."""
-        flips = np.flatnonzero(B != self.B)
-        rows, cols = np.divmod(flips, B.shape[1])  # by row, then by column
-        first = np.flatnonzero(np.diff(rows, prepend=-1))  # each flipped row's first flip
-        hit = rows[first]
-        # (k, flipped rows): entry (j, i) is the change in sgn(x_i . w_j)
-        D = sp.csc_matrix((B.flat[flips] - self.B.flat[flips], cols, np.append(first, flips.size)),
-                          shape=(B.shape[1], hit.size), dtype=np.float64)
+        """P^T += (B - B_old)^T X over the rows where a sign flipped: one
+        float64 product per block of those rows."""
+        hit = np.flatnonzero((B != self.B).any(axis=1))
+        change = B[hit] - self.B[hit]  # int8 in -2..2
         for b in row_blocks(hit.size, self.X.shape[1]):
-            self.Pt += D[:, b] @ self._rows64(hit[b])
+            self.Pt += change[b].T.astype(np.float64) @ rows64(self.X, hit[b])
 
     def __call__(self, W):
         B = self.signs(W)
         if self.B is None:
             self.Pt = np.zeros((W.shape[1], self.X.shape[1]))
             for b in row_blocks(*self.X.shape):
-                self.Pt += B[b].T.astype(np.float64) @ self._rows64(b)
+                self.Pt += B[b].T.astype(np.float64) @ np.asarray(self.X[b], dtype=np.float64)
         else:
             self._add_flips(B)
         self.B = B

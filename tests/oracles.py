@@ -7,7 +7,7 @@ from esh.anchor_graph import SparseAffinityRows, pairwise_sq_dists
 from esh.dataset import STD_FLOOR, StandardizationStats, apply_standardization
 from esh.encoder import PackedCodes, pack_codes, unpack_codes
 from esh.evaluation import _grid_precision, rank_database
-from esh.kernels import BAND_SLACK, BLOCK_VALUES, F64_UNIT
+from esh.kernels import BAND_SLACK, BLOCK_VALUES, F64_UNIT, row_blocks
 from esh.optimizer import _Objective
 
 DENSE_ORACLE_MAX_N = 1000
@@ -34,6 +34,37 @@ def to_dense(Z: SparseAffinityRows):
     Zd = np.zeros((Z.n, Z.m))
     np.put_along_axis(Zd, Z.indices, Z.weights, axis=1)
     return Zd
+
+
+def segment_sums_loop(X, keys, m, weights=None):
+    """Per key, the terms X[i] (times weights[i, t]) of the entries keys[i, t]
+    that hold it, added one at a time in float64 from zero, i ascending."""
+    sums = np.zeros((m, X.shape[1]))
+    for i in range(X.shape[0]):
+        for t, j in enumerate(keys[i]):
+            term = X[i].astype(np.float64)
+            if weights is not None:
+                term = term * weights[i, t]
+            sums[j] = sums[j] + term
+    return sums
+
+
+def factor_loop(X, Z: SparseAffinityRows, lam):
+    """K = diag(lam)^{-1/2} Z^T X: per block of rows (kernels.row_blocks),
+    per anchor, its rows' w_ij x_i added one at a time from zero, rows
+    ascending; each block's sums then added to K."""
+    K = np.zeros((Z.m, X.shape[1]))
+    for b in row_blocks(*X.shape):
+        K = K + segment_sums_loop(X[b], Z.indices[b], Z.m, Z.weights[b])
+    return K / np.sqrt(np.asarray(lam, dtype=np.float64))[:, None]
+
+
+def vote_loop(B, Z: SparseAffinityRows, lam):
+    """The vote matrix B^T Z diag(lam)^{-1} in float64: per anchor, its rows'
+    w_ij b_i added one at a time from zero over all rows ascending, then
+    divided by the anchor's mass."""
+    V = segment_sums_loop(np.asarray(B, dtype=np.float64), Z.indices, Z.m, Z.weights)
+    return V.T / np.asarray(lam, dtype=np.float64)[None, :]
 
 
 def dense_affinity(Z: SparseAffinityRows, lam):

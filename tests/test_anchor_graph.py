@@ -15,7 +15,7 @@ from esh.anchor_graph import (
 )
 from esh.dataset import generate_synthetic
 from esh.kernels import BLOCK_VALUES
-from oracles import dense_affinity, float64_sq_dists, to_dense
+from oracles import dense_affinity, factor_loop, float64_sq_dists, to_dense
 
 
 def brute_sq_dists(X, C):
@@ -386,6 +386,18 @@ def test_similarity_of_float32_rows_matches_dense_oracle_of_their_float64_values
         Sd = X64.T @ dense_affinity(Z, lam) @ X64
         assert np.linalg.norm(S - 0.5 * (Sd + Sd.T)) < 1e-8
         assert np.array_equal(S, S.T)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_similarity_factor_by_blocks_bit_identical_to_the_loop(dtype, monkeypatch):
+    # blocks of 512 values: 32-row blocks of rows, each summed in three pieces
+    # of its 96 entries, so anchors' runs cross both kinds of boundary
+    monkeypatch.setattr("esh.kernels.BLOCK_VALUES", 512)
+    X, _ = generate_synthetic(5, 40, 16, 1.5, seed=21)
+    X = X.astype(dtype)
+    _, Z = fit_anchor_graph(X, m=12, iters=5, seed=22, s=3)
+    lam = anchor_mass(Z)
+    assert similarity_factor(X, Z, lam).tobytes() == factor_loop(X, Z, lam).tobytes()
 
 
 def test_similarity_rejects_dead_lambda():

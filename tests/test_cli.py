@@ -1,6 +1,10 @@
 import json
+import os
 import shlex
 import struct
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import zlib
 from pathlib import Path
@@ -68,6 +72,50 @@ def test_synth_binary_rejects_values_beyond_float32_range(tmp_path, capsys):
     assert err["error"] == "FormatError"
     assert "beyond float32 range" in err["message"]
     assert list(out.iterdir()) == []  # no .eshf file that train would reject later
+
+
+# Runs the CLI with every import of scipy refused: synth, train with both
+# step rules, encode in both modes, query, and eval on multi-label files.
+NO_SCIPY_PIPELINE = textwrap.dedent("""
+    import sys
+
+    class NoScipy:
+        def find_spec(self, name, path=None, target=None):
+            if name.partition(".")[0] == "scipy":
+                raise ImportError(f"{name} is blocked")
+
+    sys.meta_path.insert(0, NoScipy())
+    from esh.cli import main
+
+    def run(*argv):
+        assert main([str(a) for a in argv]) == 0, argv
+
+    run("synth", "--clusters", 3, "--per-cluster", 40, "--dims", 8, "--seed", 1, "--out", "data")
+    with open("data/labels.csv") as f, open("data/multi.csv", "w") as g:
+        g.writelines(f"{row.strip()};{9 + i % 2}\\n" for i, row in enumerate(f))
+    for algo in ("esh1", "esh2"):
+        run("train", "--features", "data/features.csv", "--algo", algo, "--bits", 8,
+            "--anchors", 12, "--iters", 10, "--out", algo)
+        for mode in ("linear", "graph"):
+            run("encode", "--model", f"{algo}/model.eshm", "--features", "data/features.csv",
+                "--query-mode", mode, "--out", f"{algo}/{mode}")
+        run("query", "--model", f"{algo}/model.eshm", "--features", "data/features.csv",
+            "--db-codes", f"{algo}/linear/codes.eshb", "--top", 5, "--out", f"{algo}/query")
+        run("eval", "--query-codes", f"{algo}/graph/codes.eshb",
+            "--db-codes", f"{algo}/linear/codes.eshb", "--query-labels", "data/multi.csv",
+            "--labels", "data/multi.csv", "--exclude-self", "--out", f"{algo}/eval")
+    assert "scipy" not in sys.modules
+""")
+
+
+def test_esh_runs_where_scipy_is_absent(tmp_path):
+    src = Path(esh_cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_PIPELINE], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    report = json.loads((tmp_path / "esh2" / "eval" / "report.json").read_text())
+    assert 0 < report["map"] <= 1
 
 
 def test_train_zero_step_single_iteration(tmp_path):

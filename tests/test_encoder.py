@@ -31,7 +31,7 @@ from esh.encoder import (
 )
 from esh.kernels import BLOCK_VALUES
 from esh.optimizer import TrainConfig, init_projection, train
-from oracles import codes_to_csv, encode_train, float64_linear_codes, sgn, to_dense
+from oracles import codes_to_csv, encode_train, float64_linear_codes, sgn, to_dense, vote_loop
 
 
 def random_bits(rng, n, k):
@@ -170,6 +170,14 @@ def test_encode_rejects_a_wrong_width_in_both_modes_even_on_few_rows(mode, n):
             model.encode(np.zeros((n, d)), mode=mode)
     codes = model.encode(np.zeros((n, 6)), mode=mode)
     assert (codes.n, codes.k) == (n, 4)
+
+
+def test_vote_matrix_bit_identical_to_the_loop(monkeypatch):
+    # blocks of 64 values: the vote sums go in pieces of 10 entries
+    monkeypatch.setattr("esh.kernels.BLOCK_VALUES", 64)
+    model, codes, _, _, Z = small_pipeline(seed=3, n_per=30)
+    want = vote_loop(unpack_codes(codes), Z, model.lam).astype(np.float32)
+    assert model.vote_matrix.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

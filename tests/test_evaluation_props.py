@@ -121,3 +121,23 @@ def test_evaluate_equals_the_oracle_per_query(k, n, distinct, n_classes, multi, 
     assert np.array_equal(got.pr_recall, want.pr_recall)
     assert np.array_equal(got.pr_precision, want.pr_precision)
     assert got.per_class_ap == want.per_class_ap
+
+
+label_ids = st.one_of(st.integers(-3, 3), st.integers(2**63 - 3, 2**63 - 1),
+                      st.integers(-(2**63), -(2**63) + 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(queries=st.lists(st.lists(label_ids, min_size=1, max_size=4), min_size=1, max_size=8),
+       db=st.lists(st.lists(label_ids, min_size=1, max_size=4), min_size=1, max_size=30),
+       single_queries=st.booleans())
+def test_multi_label_positives_equal_a_set_intersection_loop(queries, db, single_queries):
+    # ids from three narrow pools near 0 and the int64 limits: classes that
+    # only queries or only the database hold turn up often
+    if single_queries:
+        queries = [row[:1] for row in queries]
+    q_labels = LabelSet("single" if single_queries else "multi", tuple(map(tuple, queries)))
+    gt = GroundTruth(q_labels, LabelSet("multi", tuple(map(tuple, db))))
+    for qi, q in enumerate(queries):
+        want = [bool(set(q) & set(row)) for row in db]
+        assert gt.positives_mask(qi).tolist() == want

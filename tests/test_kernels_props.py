@@ -1,7 +1,9 @@
-"""Property tests of the certified nearest-anchor kernels against their
-float64 oracles; they need hypothesis (the test extra)."""
+"""Property tests of the kernels against their oracles: the certified
+nearest-anchor kernels against float64, and the in-order segment sums
+against a loop. They need hypothesis (the test extra)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,8 +14,8 @@ from esh.anchor_graph import (
     pairwise_sq_dists,
     sq_norms,
 )
-from esh.kernels import F32_UNIT, float32_argmin
-from oracles import float64_sq_dists, stable_nearest
+from esh.kernels import F32_UNIT, float32_argmin, segment_sums
+from oracles import float64_sq_dists, segment_sums_loop, stable_nearest
 
 
 def nearest(X, C):
@@ -107,3 +109,25 @@ def test_anchor_weights_with_duplicated_anchors_pick_the_lower_index(s, seed):
     idx, _ = anchor_weights(X, anchors)
     d2 = pairwise_sq_dists(X, centers, c_sq=anchors.sq_norms)
     assert np.array_equal(idx, stable_nearest(d2, s))
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.sampled_from([1, 2, 3, 64]), n=st.integers(1, 80), s=st.integers(1, 4),
+       m=st.integers(1, 40), dtype=st.sampled_from([np.float32, np.float64, np.int8]),
+       weighted=st.booleans(), block_values=st.sampled_from([1, 64, 700, 2**18]),
+       seed=st.integers(0, 2**32 - 1))
+def test_segment_sums_equal_the_loop(d, n, s, m, dtype, weighted, block_values, seed):
+    # keys from few values leave most keys empty and make long runs; small
+    # blocks split the runs; spread magnitudes and -0.0 rows make the order
+    # and the zero the sums start from show in the bits
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-8, 9, (n, 1))
+    X[rng.random(n) < 0.1] = -0.0
+    X = (np.sign(X) if dtype == np.int8 else X).astype(dtype)
+    keys = rng.integers(0, max(1, m // 4), (n, s)) * 4 % m
+    weights = rng.random((n, s)) * 10.0 ** rng.integers(-3, 4, (n, s)) if weighted else None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("esh.kernels.BLOCK_VALUES", block_values)
+        got = segment_sums(X, keys, m, weights)
+    want = segment_sums_loop(X, keys, m, weights)
+    assert got.tobytes() == want.tobytes()

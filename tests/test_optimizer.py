@@ -6,7 +6,7 @@ import pytest
 
 from esh.anchor_graph import anchor_mass, fit_anchor_graph, similarity_factor
 from esh.dataset import generate_synthetic, standardize
-from esh.kernels import BLOCK_VALUES
+from esh.kernels import BLOCK_VALUES, rows64
 from esh.optimizer import (
     TrainConfig,
     auto_alpha,
@@ -183,23 +183,27 @@ def test_objective_on_float32_rows_matches_reference_over_shapes(n, d, k):
     check_objective_over_shapes(n, d, k, np.float32)
 
 
-def check_objective_along_300_iterations(algorithm, dtype):
+def check_objective_along_300_iterations(algorithm, dtype, n_per=150, d=32):
+    """Returns the most rows that flipped a sign at one call."""
     # P = X^T sgn(XW) is updated where signs flip; drift would show here
-    X, K = blob_problem(150, 8, 32, seed=41)
+    X, K = blob_problem(n_per, 8, d, seed=41)
     cfg = TrainConfig(bits=16, iters=300, algorithm=algorithm, eta=0.05, seed=42)
     X, K, W, alpha = _prepare(X.astype(dtype), K, cfg)
     step = _STEP_RULES[algorithm](cfg)
     objective = _Objective(X, K, alpha)
     X = X.astype(np.float64)
-    flips, G = 0, objective(W)[1]
+    flips, most, G = 0, 0, objective(W)[1]
     for _ in range(cfg.iters):
         W, _ = step(W, G)
         before = objective.B
         G = assert_matches_reference(objective, W, X, K, alpha)
-        flips += int(np.count_nonzero(objective.B != before))
+        changed = objective.B != before
+        flips += int(np.count_nonzero(changed))
+        most = max(most, int(np.count_nonzero(changed.any(axis=1))))
     assert flips > 100
     fresh = objective.B.T.astype(np.float64) @ X
     assert np.linalg.norm(objective.Pt - fresh) <= 1e-12 * np.linalg.norm(fresh)
+    return most
 
 
 @pytest.mark.parametrize("algorithm", ["esh1", "esh2"])
@@ -213,6 +217,14 @@ def test_objective_on_float32_rows_by_blocks_along_300_iterations(algorithm, mon
     # sign rechecks go over many blocks of rows
     monkeypatch.setattr("esh.kernels.BLOCK_VALUES", 256)
     check_objective_along_300_iterations(algorithm, np.float32)
+
+
+@pytest.mark.parametrize("algorithm", ["esh1", "esh2"])
+def test_objective_with_a_thousand_flipped_rows_in_one_product_along_300_iterations(algorithm):
+    # at d = 64 a block holds 4096 rows, so a flip update takes every row
+    # that flipped in one product, whose BLAS splits its inner dimension
+    most = check_objective_along_300_iterations(algorithm, np.float32, n_per=600, d=64)
+    assert most >= 1000
 
 
 def test_objective_keeps_zero_rows_and_exact_zeros_of_XW():
@@ -598,6 +610,23 @@ def test_factor_and_training_hold_one_d_by_d_array():
     finally:
         tracemalloc.stop()
     bound = 8 * (d * d + 2 * BLOCK_VALUES)
+    assert peak < bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
+
+
+def test_float64_row_gather_holds_little_beside_its_result():
+    # a float32 gather cast afterwards holds the float32 rows beside the
+    # float64 ones: 3 MiB here
+    rng = np.random.default_rng(51)
+    X = rng.standard_normal((1500, 512), dtype=np.float32)
+    rows = np.sort(rng.choice(1500, 512, replace=False))
+    tracemalloc.start()
+    try:
+        got = rows64(X, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == X[rows].astype(np.float64).tobytes()
+    bound = 1.1 * got.nbytes
     assert peak < bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
 
 

@@ -27,7 +27,10 @@ row by row in ascending order from zero, so neither depends on how a
 product would order its sums. k-means++
 seeding reads the rows as they are, and so does Lloyd's float32 product
 when the rows are float32 (float64 rows get one float32 copy).
-fit_anchor_graph takes the default sigma2 and Z from one such pass.
+fit_anchor_graph takes the default sigma2 and Z from one such pass, then
+drops the anchors no row gives mass (prune_dead_anchors), so the Z it
+returns is one that similarity_factor and the model build accept. Z
+carries its anchors' mass lambda = Z^T 1 itself (SparseAffinityRows.lam).
 """
 
 import warnings
@@ -110,6 +113,11 @@ class SparseAffinityRows:
     @property
     def s(self):
         return self.indices.shape[1]
+
+    @cached_property
+    def lam(self):
+        """lambda = Z^T 1, the total affinity landing on each anchor."""
+        return np.bincount(self.indices.ravel(), weights=self.weights.ravel(), minlength=self.m)
 
 
 def sq_norms(X):
@@ -207,8 +215,9 @@ def fit_anchor_graph(X, m, iters=10, seed=0, s=3, sigma2=None):
     at a time, finds each row's s nearest anchors: their distances give
     the default sigma2, the mean squared distance from samples to their
     s-th nearest anchor, and with sigma2 the weights of Z. Either sigma2
-    is floored to avoid a degenerate kernel. Returns (AnchorSet, Z), equal
-    to fit_anchors and build_affinity_rows on the same arguments.
+    is floored to avoid a degenerate kernel. Last, prune_dead_anchors drops
+    the anchors with no mass, with a warning, and rebuilds Z. Returns
+    (AnchorSet, Z) with every anchor's mass at least LAMBDA_FLOOR.
     """
     if sigma2 is not None:
         check_sigma2(sigma2)
@@ -226,11 +235,14 @@ def fit_anchor_graph(X, m, iters=10, seed=0, s=3, sigma2=None):
         sigma2 = float(near[:, s - 1].mean())
     sigma2 = max(float(sigma2), SIGMA_FLOOR)
     anchors = AnchorSet(centers=centers, sigma2=sigma2, s=s)
-    return anchors, SparseAffinityRows(indices=idx, weights=_kernel_weights(near, sigma2), m=m)
+    Z = SparseAffinityRows(indices=idx, weights=_kernel_weights(near, sigma2), m=m)
+    return prune_dead_anchors(X, anchors, Z)
 
 
 def fit_anchors(X, m, iters=10, seed=0, s=3, sigma2=None):
-    """The anchor set of fit_anchor_graph, for callers that build Z later."""
+    """The anchor set of fit_anchor_graph. No esh code calls it: it is the
+    name under which perfbench/tracing.py times k-means
+    (anchor_graph.fit_anchors_s)."""
     return fit_anchor_graph(X, m, iters=iters, seed=seed, s=s, sigma2=sigma2)[0]
 
 
@@ -304,38 +316,34 @@ def build_affinity_rows(X, anchors: AnchorSet):
                               m=anchors.m)
 
 
-def anchor_mass(Z: SparseAffinityRows):
-    """lambda = Z^T 1, the total affinity landing on each anchor."""
-    return np.bincount(Z.indices.ravel(), weights=Z.weights.ravel(), minlength=Z.m)
-
-
 def prune_dead_anchors(X, anchors: AnchorSet, Z: SparseAffinityRows):
-    """Drop anchors with (near-)zero mass and rebuild Z until none remain.
+    """Drop anchors with (near-)zero mass and rebuild Z until none remain;
+    returns (anchors, Z). The warning names the caller of fit_anchor_graph.
 
     Removing an anchor can only redirect weight toward survivors, so the
     loop terminates; in practice one pass suffices.
     """
-    lam = anchor_mass(Z)
-    while np.any(lam < LAMBDA_FLOOR):
-        keep = lam >= LAMBDA_FLOOR
+    while np.any(Z.lam < LAMBDA_FLOOR):
+        keep = Z.lam >= LAMBDA_FLOOR
         if not keep.any():
             raise ValueError("all anchors have zero mass; kernel bandwidth too small")
         kept = int(keep.sum())
         warnings.warn(
             f"dropping {anchors.m - kept} anchor(s) with no affinity mass",
-            stacklevel=2,
+            stacklevel=3,
         )
         anchors = AnchorSet(
             centers=anchors.centers[keep], sigma2=anchors.sigma2, s=min(anchors.s, kept)
         )
         Z = build_affinity_rows(X, anchors)
-        lam = anchor_mass(Z)
-    return anchors, Z, lam
+    return anchors, Z
 
 
-def similarity_factor(X, Z: SparseAffinityRows, lam):
-    """K = diag(lam)^{-1/2} Z^T X, the m x d factor of the similarity
-    S = X^T Z diag(lam)^{-1} Z^T X = K^T K, without forming A or S.
+def similarity_factor(X, Z: SparseAffinityRows):
+    """K = diag(lam)^{-1/2} Z^T X with lam = Z.lam, the m x d factor of the
+    similarity S = X^T Z diag(lam)^{-1} Z^T X = K^T K, without forming A
+    or S. A Z with an anchor below LAMBDA_FLOOR (one built by hand; those
+    of fit_anchor_graph have none) is refused.
 
     Cost is O(n d s): Z^T X is summed a block of rows at a time, per
     anchor over its rows in ascending order (kernels.segment_sums), and
@@ -343,13 +351,12 @@ def similarity_factor(X, Z: SparseAffinityRows, lam):
     and K holds m x d values where S would hold d x d.
     """
     X = np.asarray(X)
-    lam = np.asarray(lam, dtype=np.float64)
-    if np.any(lam < LAMBDA_FLOOR):
+    if np.any(Z.lam < LAMBDA_FLOOR):
         raise ValueError("anchor mass below floor; prune dead anchors first")
     K = np.zeros((Z.m, X.shape[1]))
     for b in row_blocks(X.shape[0], X.shape[1]):
         K += segment_sums(X[b], Z.indices[b], Z.m, Z.weights[b])  # (m, d)
-    K /= np.sqrt(lam)[:, None]
+    K /= np.sqrt(Z.lam)[:, None]
     return K
 
 

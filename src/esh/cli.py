@@ -30,7 +30,6 @@ import numpy as np
 from .anchor_graph import (
     check_sigma2,
     fit_anchor_graph,
-    prune_dead_anchors,
     similarity_factor,
 )
 from .dataset import (
@@ -305,14 +304,12 @@ def cmd_train(args):
         s=cfg["snn"],
         sigma2=cfg["sigma2"],
     )
-    anchors, Z, lam = prune_dead_anchors(Xs, anchors, Z)
-    K = similarity_factor(Xs, Z, lam)
+    K = similarity_factor(Xs, Z)
 
     W, trace = train(Xs, K, tc)
     # the training codes take the raw rows, read again a block at a time
     del X, Xs, K
-    model, _codes = build_hash_model(stats, W, anchors, Z, lam, features,
-                                     query_mode=cfg["query_mode"])
+    model, _codes = build_hash_model(stats, W, anchors, Z, features, query_mode=cfg["query_mode"])
 
     model_path = out / "model.eshm"
     trace_path = out / "trace.csv"

@@ -248,9 +248,10 @@ class HashModel:
         return PackedCodes(n=sum(map(len, words)), k=self.k, words=np.concatenate(words))
 
 
-def build_hash_model(stats, W, anchors: AnchorSet, Z: SparseAffinityRows, lam,
-                     X_raw, query_mode="graph"):
-    """Assemble a HashModel from trained pieces.
+def build_hash_model(stats, W, anchors: AnchorSet, Z: SparseAffinityRows, X_raw,
+                     query_mode="graph"):
+    """Assemble a HashModel from trained pieces; the anchors' mass lam is
+    Z's (SparseAffinityRows.lam).
 
     Database codes B are the model's own linear encoding of the training
     set X_raw (an array, or a FeatureFile read a block at a time), computed
@@ -273,13 +274,13 @@ def build_hash_model(stats, W, anchors: AnchorSet, Z: SparseAffinityRows, lam,
         centers=anchors.centers.astype(np.float32),
         sigma2=float(anchors.sigma2),
         s=int(anchors.s),
-        lam=np.asarray(lam, dtype=np.float64),
+        lam=Z.lam,
         vote_matrix=np.zeros((W.shape[1], anchors.m), dtype=np.float32),
         query_mode=query_mode,
     )
     codes = model.encode(X_raw, mode="linear")
     B = unpack_codes(codes)  # (n, k) int8 of +-1
-    vote = segment_sums(B, Z.indices, Z.m, Z.weights).T / np.asarray(lam, dtype=np.float64)[None, :]
+    vote = segment_sums(B, Z.indices, Z.m, Z.weights).T / Z.lam[None, :]
     return replace(model, vote_matrix=vote.astype(np.float32)), codes
 
 

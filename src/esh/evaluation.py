@@ -172,18 +172,6 @@ def average_precision(ranking: Ranking, positives_mask):
     return _average_precision(_hit_precision(hits), int(np.count_nonzero(positives_mask)))
 
 
-def pr_curve(ranking: Ranking, positives_mask):
-    """Precision/recall points at each rank where recall changes.
-
-    Returns (recall, precision) arrays of length |positives retrieved|.
-    """
-    n_pos = int(np.count_nonzero(positives_mask))
-    if n_pos == 0:
-        return np.empty(0), np.empty(0)
-    hits = _hits(ranking, positives_mask)
-    return np.arange(1, hits.size + 1) / n_pos, _hit_precision(hits)
-
-
 def _grid_precision(precision, n_pos):
     """Precision at the first hit reaching each grid recall level.
 

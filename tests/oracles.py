@@ -49,30 +49,31 @@ def segment_sums_loop(X, keys, m, weights=None):
     return sums
 
 
-def factor_loop(X, Z: SparseAffinityRows, lam):
-    """K = diag(lam)^{-1/2} Z^T X: per block of rows (kernels.row_blocks),
+def factor_loop(X, Z: SparseAffinityRows):
+    """K = diag(Z.lam)^{-1/2} Z^T X: per block of rows (kernels.row_blocks),
     per anchor, its rows' w_ij x_i added one at a time from zero, rows
     ascending; each block's sums then added to K."""
     K = np.zeros((Z.m, X.shape[1]))
     for b in row_blocks(*X.shape):
         K = K + segment_sums_loop(X[b], Z.indices[b], Z.m, Z.weights[b])
-    return K / np.sqrt(np.asarray(lam, dtype=np.float64))[:, None]
+    return K / np.sqrt(Z.lam)[:, None]
 
 
-def vote_loop(B, Z: SparseAffinityRows, lam):
-    """The vote matrix B^T Z diag(lam)^{-1} in float64: per anchor, its rows'
-    w_ij b_i added one at a time from zero over all rows ascending, then
-    divided by the anchor's mass."""
+def vote_loop(B, Z: SparseAffinityRows):
+    """The vote matrix B^T Z diag(Z.lam)^{-1} in float64: per anchor, its
+    rows' w_ij b_i added one at a time from zero over all rows ascending,
+    then divided by the anchor's mass."""
     V = segment_sums_loop(np.asarray(B, dtype=np.float64), Z.indices, Z.m, Z.weights)
-    return V.T / np.asarray(lam, dtype=np.float64)[None, :]
+    return V.T / Z.lam[None, :]
 
 
-def dense_affinity(Z: SparseAffinityRows, lam):
-    """Reference A = Z diag(lam)^{-1} Z^T as a dense matrix. Small n only."""
+def dense_affinity(Z: SparseAffinityRows):
+    """Reference A = Z diag(Z^T 1)^{-1} Z^T as a dense matrix, the anchor
+    masses taken as the dense Z's column sums. Small n only."""
     if Z.n > DENSE_ORACLE_MAX_N:
         raise ValueError(f"dense affinity oracle capped at n={DENSE_ORACLE_MAX_N}")
     Zd = to_dense(Z)
-    return Zd @ np.diag(1.0 / np.asarray(lam)) @ Zd.T
+    return Zd @ np.diag(1.0 / Zd.sum(axis=0)) @ Zd.T
 
 
 def reference_objective(W, X, K, alpha):
@@ -212,6 +213,14 @@ def average_precision(ids, relevant, cutoff=None):
     for p in hit_precisions(ids[:cutoff], relevant).tolist():
         total += p
     return total / n_pos if n_pos else 0.0
+
+
+def pr_curve(ids, relevant):
+    """Recall and precision at the rank of each relevant item of a ranking,
+    in rank order; no points if nothing is relevant."""
+    precision = hit_precisions(ids, relevant)
+    n_pos = int(np.count_nonzero(relevant))
+    return np.array([hits / n_pos for hits in range(1, precision.size + 1)]), precision
 
 
 def precision_at(ids, relevant, depth):

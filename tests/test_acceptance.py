@@ -10,14 +10,13 @@ import time
 import numpy as np
 import pytest
 
-from esh.anchor_graph import (AnchorSet, anchor_weights, fit_anchor_graph, prune_dead_anchors,
-                              similarity_factor)
+from esh.anchor_graph import AnchorSet, anchor_weights, fit_anchor_graph, similarity_factor
 from esh.cli import main
 from esh.dataset import LabelSet, generate_synthetic, standardize
 from esh.encoder import build_hash_model, pack_codes, unpack_codes
-from esh.evaluation import (GroundTruth, evaluate, pr_curve, rank_database)
+from esh.evaluation import GroundTruth, evaluate, rank_database
 from esh.optimizer import TrainConfig, stiefel_project, train
-from oracles import dense_affinity, euclidean_gradient, loss_value
+from oracles import dense_affinity, euclidean_gradient, loss_value, pr_curve
 
 SPREAD = 1.75
 DATA_SEED = 123
@@ -32,8 +31,7 @@ def _report(num, ok, detail):
 
 def _graph_similarity(X, m, seed, iters=5):
     anchors, Z = fit_anchor_graph(X, m, iters=iters, seed=seed, s=3)
-    anchors, Z, lam = prune_dead_anchors(X, anchors, Z)
-    return similarity_factor(X, Z, lam)
+    return similarity_factor(X, Z)
 
 
 def test_criterion_1_iterates_stay_orthonormal():
@@ -116,10 +114,9 @@ def test_criterion_4_factored_similarity_matches_dense():
     for n, d, m in cases:
         X = rng.standard_normal((n, d))
         anchors, Z = fit_anchor_graph(X, m, iters=5, seed=n + d, s=3)
-        anchors, Z, lam = prune_dead_anchors(X, anchors, Z)
-        K = similarity_factor(X, Z, lam)
+        K = similarity_factor(X, Z)
         S = K.T @ K
-        A = dense_affinity(Z, lam)
+        A = dense_affinity(Z)
         Sd = X.T @ A @ X
         Sd = 0.5 * (Sd + Sd.T)
         worst_s = max(worst_s, float(np.linalg.norm(S - Sd)))
@@ -134,11 +131,10 @@ def _blob_pipeline(Xdb, Xq, gt, algo, alpha, seed):
     kmeans_seed, w_seed = (int(v) for v in np.random.SeedSequence(seed).generate_state(2))
     Xs, stats = standardize(Xdb)
     anchors, Z = fit_anchor_graph(Xs, 300, iters=10, seed=kmeans_seed, s=3)
-    anchors, Z, lam = prune_dead_anchors(Xs, anchors, Z)
-    K = similarity_factor(Xs, Z, lam)
+    K = similarity_factor(Xs, Z)
     cfg = TrainConfig(bits=16, iters=300, algorithm=algo, alpha=alpha, seed=w_seed)
     W, trace = train(Xs, K, cfg)
-    model, db_codes = build_hash_model(stats, W, anchors, Z, lam, Xdb)
+    model, db_codes = build_hash_model(stats, W, anchors, Z, Xdb)
     q_codes = model.encode(Xq, mode="graph")
     report = evaluate(q_codes, db_codes, gt)
     return {"map": report.map, "trace": trace,
@@ -299,7 +295,7 @@ def test_criterion_8_fast_metrics_equal_enumeration():
         for qi in range(nq):
             mask = gt.positives_mask(qi)
             ranking = rank_database(q_codes.words[qi], db_codes)
-            rec, prec = pr_curve(ranking, mask)
+            rec, prec = pr_curve(ranking.ids, mask)
             n_pos = int(mask.sum())
             dists = [sum(1 for t in range(k) if q_bits[qi, t] != db_bits[j, t])
                      for j in range(ndb)]
@@ -324,10 +320,9 @@ def test_criterion_9_graph_encoding_is_exhaustive_argmax():
     X = rng.standard_normal((n, d)) * 2.0 + rng.standard_normal(d)
     Xs, stats = standardize(X)
     anchors, Z = fit_anchor_graph(Xs, m, iters=10, seed=5, s=3)
-    anchors, Z, lam = prune_dead_anchors(Xs, anchors, Z)
-    K = similarity_factor(Xs, Z, lam)
+    K = similarity_factor(Xs, Z)
     W, _ = train(Xs, K, TrainConfig(bits=k, iters=40, seed=5))
-    model, _ = build_hash_model(stats, W, anchors, Z, lam, X)
+    model, _ = build_hash_model(stats, W, anchors, Z, X)
 
     queries = rng.standard_normal((20, d)) * 2.0 + stats.mean
     got = unpack_codes(model.encode(queries, mode="graph")).astype(np.float64)

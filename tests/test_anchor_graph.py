@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from esh.anchor_graph import (
+    LAMBDA_FLOOR,
     AnchorSet,
     SparseAffinityRows,
-    anchor_mass,
+    _kmeans,
     build_affinity_rows,
     fit_anchor_graph,
     fit_anchors,
@@ -13,8 +16,10 @@ from esh.anchor_graph import (
     similarity_factor,
     sq_norms,
 )
-from esh.dataset import generate_synthetic
+from esh.dataset import StandardizationStats, generate_synthetic
+from esh.encoder import build_hash_model
 from esh.kernels import BLOCK_VALUES
+from esh.optimizer import init_projection
 from oracles import dense_affinity, factor_loop, float64_sq_dists, to_dense
 
 
@@ -72,18 +77,55 @@ def kmeans_oracle(X, m, iters, seed, s=3):
     return centers, sigma2, reseeds, near_ties
 
 
+def pruned_oracle(X, centers, sigma2, s):
+    """The centers that keep mass: drop those the dense Z's column sums put
+    below LAMBDA_FLOOR and rebuild Z from the rest, until none is dropped."""
+    while True:
+        Z = build_affinity_rows(X, AnchorSet(centers=centers, sigma2=sigma2, s=min(s, len(centers))))
+        alive = to_dense(Z).sum(axis=0) >= LAMBDA_FLOOR
+        if alive.all():
+            return centers
+        centers = centers[alive]
+
+
+def fit_quietly(X, **kwargs):
+    """fit_anchor_graph with its warning about dropped anchors silenced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return fit_anchor_graph(X, **kwargs)
+
+
+def dup_rows():
+    """12 distinct points, 4 copies each: seeding runs out of distinct points
+    at m=16, so duplicate centers leave clusters empty and get reseeded."""
+    return np.repeat(np.random.default_rng(15).standard_normal((12, 5)), 4, axis=0)
+
+
 def test_kmeans_bit_identical_to_add_at_oracle():
-    rng = np.random.default_rng(15)
     blobs, _ = generate_synthetic(6, 150, 64, 1.5, seed=16)
-    # 12 distinct points, 4 copies each: seeding runs out of distinct points
-    # at m=16, so duplicate centers leave clusters empty and get reseeded
-    dup = np.repeat(rng.standard_normal((12, 5)), 4, axis=0)
-    for X, m, want_reseed in ((blobs, 40, False), (dup, 16, True)):
-        anchors, _ = fit_anchor_graph(X, m=m, iters=10, seed=17, s=3)
+    for X, m, want_reseed in ((blobs, 40, False), (dup_rows(), 16, True)):
+        anchors, _ = fit_quietly(X, m=m, iters=10, seed=17, s=3)
         centers, sigma2, reseeds, _ = kmeans_oracle(X, m, iters=10, seed=17)
         assert (reseeds > 0) == want_reseed
-        assert np.array_equal(anchors.centers, centers)
+        assert np.array_equal(_kmeans(X, m, 10, 17), centers)
+        assert np.array_equal(anchors.centers, pruned_oracle(X, centers, sigma2, 3))
         assert anchors.sigma2 == sigma2
+
+
+def test_fit_drops_anchors_with_no_mass_itself():
+    # two of the 16 k-means centers are no row's 3 nearest
+    X = dup_rows()
+    assert len(_kmeans(X, 16, 10, 17)) == 16
+    with pytest.warns(UserWarning, match=r"dropping 2 anchor\(s\)") as record:
+        anchors, Z = fit_anchor_graph(X, m=16, iters=10, seed=17, s=3)
+    assert record[0].filename == __file__  # the warning names fit_anchor_graph's caller
+    assert anchors.m == Z.m == 14
+    assert np.all(Z.lam >= LAMBDA_FLOOR)
+    K = similarity_factor(X, Z)
+    assert K.shape == (14, 5) and np.all(np.isfinite(K))
+    stats = StandardizationStats(mean=np.zeros(5), std=np.ones(5))
+    model, _ = build_hash_model(stats, init_projection(5, 4, seed=18), anchors, Z, X)
+    assert model.m == 14 and np.array_equal(model.lam, Z.lam)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -98,12 +140,14 @@ def test_kmeans_by_many_blocks_bit_identical_to_add_at_oracle(dtype, monkeypatch
     dup = np.repeat(rng.integers(-8, 9, (120, 5)).astype(np.float64), 4, axis=0)
     for X, m, want_reseed in ((blobs, 40, False), (dup, 160, True)):
         X = X.astype(dtype)
-        anchors, _ = fit_anchor_graph(X, m=m, iters=10, seed=17, s=3)
+        anchors, _ = fit_quietly(X, m=m, iters=10, seed=17, s=3)
         centers, sigma2, reseeds, near_ties = kmeans_oracle(X, m, iters=10, seed=17)
         assert (reseeds > 0) == want_reseed
         if not want_reseed:
             assert near_ties == 0  # no argmin here depends on how BLAS orders its sums
-        assert np.array_equal(anchors.centers, centers)
+        assert np.array_equal(_kmeans(X, m, 10, 17), centers)
+        # the oracle prunes with fit's sigma2, which its own equals only to rounding
+        assert np.array_equal(anchors.centers, pruned_oracle(X, centers, anchors.sigma2, 3))
         # the same distances, summed from one product per block of rows
         assert abs(anchors.sigma2 - sigma2) <= 1e-12 * sigma2
 
@@ -114,9 +158,10 @@ def test_kmeans_beyond_float32_range_matches_the_oracle():
     rng = np.random.default_rng(18)
     X = rng.standard_normal((60, 5))
     X[3, 1], X[40] = 1e39, -1e100
-    anchors, _ = fit_anchor_graph(X, m=6, iters=4, seed=19, s=2)
+    anchors, _ = fit_quietly(X, m=6, iters=4, seed=19, s=2)
     centers, sigma2, _, _ = kmeans_oracle(X, 6, iters=4, seed=19, s=2)
-    assert np.array_equal(anchors.centers, centers)
+    assert np.array_equal(_kmeans(X, 6, 4, 19), centers)
+    assert np.array_equal(anchors.centers, pruned_oracle(X, centers, sigma2, 2))
     assert anchors.sigma2 == sigma2
 
 
@@ -294,23 +339,22 @@ def test_lambda_single_anchor():
     Z = SparseAffinityRows(
         indices=np.zeros((9, 1), dtype=np.int64), weights=np.ones((9, 1)), m=1
     )
-    assert np.array_equal(anchor_mass(Z), [9.0])
+    assert np.array_equal(Z.lam, [9.0])
 
 
 def test_lambda_hand_case():
     Z = SparseAffinityRows(
         indices=np.array([[0, 1], [0, 1]]), weights=np.full((2, 2), 0.5), m=2
     )
-    assert np.allclose(anchor_mass(Z), [1.0, 1.0])
+    assert np.allclose(Z.lam, [1.0, 1.0])
 
 
 def test_lambda_matches_dense_column_sums():
     rng = np.random.default_rng(10)
     X = rng.standard_normal((50, 4))
     anchors, Z = fit_anchor_graph(X, m=9, iters=6, seed=7, s=3)
-    lam = anchor_mass(Z)
-    assert np.allclose(lam, to_dense(Z).sum(axis=0), atol=1e-12)
-    assert abs(lam.sum() - X.shape[0]) < 1e-9
+    assert np.allclose(Z.lam, to_dense(Z).sum(axis=0), atol=1e-12)
+    assert abs(Z.lam.sum() - X.shape[0]) < 1e-9
 
 
 def test_prune_drops_anchor_nobody_uses():
@@ -320,17 +364,17 @@ def test_prune_drops_anchor_nobody_uses():
     )
     Z = build_affinity_rows(X, anchors)
     with pytest.warns(UserWarning, match="dropping 1 anchor"):
-        anchors2, Z2, lam2 = prune_dead_anchors(X, anchors, Z)
-    assert anchors2.m == 2
-    assert np.all(lam2 >= 1e-12)
-    assert abs(lam2.sum() - X.shape[0]) < 1e-9
+        anchors2, Z2 = prune_dead_anchors(X, anchors, Z)
+    assert anchors2.m == Z2.m == 2
+    assert np.all(Z2.lam >= LAMBDA_FLOOR)
+    assert abs(Z2.lam.sum() - X.shape[0]) < 1e-9
 
 
 def test_prune_no_op_when_all_alive():
     rng = np.random.default_rng(11)
     X = rng.standard_normal((40, 3))
     anchors, Z = fit_anchor_graph(X, m=5, iters=8, seed=8, s=3)
-    anchors2, Z2, _ = prune_dead_anchors(X, anchors, Z)
+    anchors2, Z2 = prune_dead_anchors(X, anchors, Z)
     assert anchors2 is anchors
     assert Z2 is Z
 
@@ -339,7 +383,7 @@ def test_similarity_zero_features():
     Z = SparseAffinityRows(
         indices=np.array([[0], [1], [0]]), weights=np.ones((3, 1)), m=2
     )
-    K = similarity_factor(np.zeros((3, 4)), Z, anchor_mass(Z))
+    K = similarity_factor(np.zeros((3, 4)), Z)
     assert K.shape == (2, 4)
     S = K.T @ K
     assert np.array_equal(S, np.zeros((4, 4)))
@@ -351,7 +395,7 @@ def test_similarity_scalar_case():
     Z = SparseAffinityRows(
         indices=np.zeros((3, 1), dtype=np.int64), weights=np.ones((3, 1)), m=1
     )
-    K = similarity_factor(x, Z, anchor_mass(Z))
+    K = similarity_factor(x, Z)
     S = K.T @ K
     assert np.isclose(S[0, 0], (1 + 2 + 4) ** 2 / 3.0)
 
@@ -362,10 +406,9 @@ def test_similarity_matches_dense_oracle():
         n = int(rng.integers(20, 200))
         X = rng.standard_normal((n, 5))
         anchors, Z = fit_anchor_graph(X, m=min(12, n), iters=5, seed=trial, s=3)
-        lam = anchor_mass(Z)
-        K = similarity_factor(X, Z, lam)
+        K = similarity_factor(X, Z)
         S = K.T @ K
-        A = dense_affinity(Z, lam)
+        A = dense_affinity(Z)
         assert np.linalg.norm(S - X.T @ A @ X) < 1e-8
         assert np.abs(S - S.T).max() < 1e-10
         ev = np.linalg.eigvalsh(S)
@@ -379,11 +422,10 @@ def test_similarity_of_float32_rows_matches_dense_oracle_of_their_float64_values
     for n, d, m in ((50, 4, 5), (200, 16, 8), (150, 5, 15)):
         X = rng.standard_normal((n, d)).astype(np.float32)
         anchors, Z = fit_anchor_graph(X, m, iters=5, seed=n + d, s=3)
-        anchors, Z, lam = prune_dead_anchors(X, anchors, Z)
-        K = similarity_factor(X, Z, lam)
+        K = similarity_factor(X, Z)
         S = K.T @ K
         X64 = X.astype(np.float64)
-        Sd = X64.T @ dense_affinity(Z, lam) @ X64
+        Sd = X64.T @ dense_affinity(Z) @ X64
         assert np.linalg.norm(S - 0.5 * (Sd + Sd.T)) < 1e-8
         assert np.array_equal(S, S.T)
 
@@ -396,23 +438,24 @@ def test_similarity_factor_by_blocks_bit_identical_to_the_loop(dtype, monkeypatc
     X, _ = generate_synthetic(5, 40, 16, 1.5, seed=21)
     X = X.astype(dtype)
     _, Z = fit_anchor_graph(X, m=12, iters=5, seed=22, s=3)
-    lam = anchor_mass(Z)
-    assert similarity_factor(X, Z, lam).tobytes() == factor_loop(X, Z, lam).tobytes()
+    assert similarity_factor(X, Z).tobytes() == factor_loop(X, Z).tobytes()
 
 
 def test_similarity_rejects_dead_lambda():
+    # no row uses anchor 1, so Z gives it no mass
     Z = SparseAffinityRows(
         indices=np.zeros((3, 1), dtype=np.int64), weights=np.ones((3, 1)), m=2
     )
+    assert np.array_equal(Z.lam, [3.0, 0.0])
     with pytest.raises(ValueError, match="floor"):
-        similarity_factor(np.ones((3, 2)), Z, np.array([3.0, 0.0]))
+        similarity_factor(np.ones((3, 2)), Z)
 
 
 def test_dense_affinity_single_anchor_uniform():
     Z = SparseAffinityRows(
         indices=np.zeros((6, 1), dtype=np.int64), weights=np.ones((6, 1)), m=1
     )
-    A = dense_affinity(Z, anchor_mass(Z))
+    A = dense_affinity(Z)
     assert np.allclose(A, np.full((6, 6), 1 / 6), atol=1e-15)
 
 
@@ -420,8 +463,7 @@ def test_dense_affinity_row_sums_symmetry_psd():
     rng = np.random.default_rng(13)
     X = rng.standard_normal((50, 4))
     anchors, Z = fit_anchor_graph(X, m=8, iters=6, seed=14, s=3)
-    lam = anchor_mass(Z)
-    A = dense_affinity(Z, lam)
+    A = dense_affinity(Z)
     assert np.all(np.abs(A.sum(axis=1) - 1.0) < 1e-10)
     assert np.abs(A - A.T).max() < 1e-12
     assert A.min() >= 0.0
@@ -433,12 +475,11 @@ def test_dense_affinity_cap():
         indices=np.zeros((1001, 1), dtype=np.int64), weights=np.ones((1001, 1)), m=1
     )
     with pytest.raises(ValueError, match="capped"):
-        dense_affinity(Z, anchor_mass(Z))
+        dense_affinity(Z)
 
 
 def test_pipeline_on_blobs_keeps_everything_finite():
     X, _ = generate_synthetic(4, 50, 8, 1.0, seed=3)
     anchors, Z = fit_anchor_graph(X, m=20, iters=10, seed=0, s=3)
-    anchors, Z, lam = prune_dead_anchors(X, anchors, Z)
-    K = similarity_factor(X, Z, lam)
+    K = similarity_factor(X, Z)
     assert np.all(np.isfinite(K))

@@ -6,7 +6,6 @@ import pytest
 
 from esh import dataset
 from esh.anchor_graph import (
-    anchor_mass,
     fit_anchor_graph,
     pairwise_sq_dists,
     similarity_factor,
@@ -43,10 +42,9 @@ def small_pipeline(seed=0, n_per=40, clusters=4, d=8, k=6, s=3):
     X_raw, labels = generate_synthetic(clusters, n_per, d, 1.0, seed=seed)
     Xs, stats = standardize(X_raw)
     anchors, Z = fit_anchor_graph(Xs, m=12, iters=10, seed=seed + 1, s=s)
-    lam = anchor_mass(Z)
-    K = similarity_factor(Xs, Z, lam)
+    K = similarity_factor(Xs, Z)
     W, _ = train(Xs, K, TrainConfig(bits=k, iters=40, seed=seed + 2))
-    model, codes = build_hash_model(stats, W, anchors, Z, lam, X_raw)
+    model, codes = build_hash_model(stats, W, anchors, Z, X_raw)
     return model, codes, X_raw, labels, Z
 
 
@@ -176,7 +174,7 @@ def test_vote_matrix_bit_identical_to_the_loop(monkeypatch):
     # blocks of 64 values: the vote sums go in pieces of 10 entries
     monkeypatch.setattr("esh.kernels.BLOCK_VALUES", 64)
     model, codes, _, _, Z = small_pipeline(seed=3, n_per=30)
-    want = vote_loop(unpack_codes(codes), Z, model.lam).astype(np.float32)
+    want = vote_loop(unpack_codes(codes), Z).astype(np.float32)
     assert model.vote_matrix.tobytes() == want.tobytes()
 
 
@@ -188,7 +186,7 @@ def test_build_hash_model_rejects_non_finite_projection(bad):
     W = init_projection(8, 6, seed=13)
     W[2, 1] = bad
     with pytest.raises(ValueError, match="W has non-finite"):
-        build_hash_model(stats, W, anchors, Z, anchor_mass(Z), X_raw)
+        build_hash_model(stats, W, anchors, Z, X_raw)
 
 
 def test_hash_model_rejects_non_finite_or_non_positive_matrices():

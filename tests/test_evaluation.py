@@ -9,13 +9,14 @@ from esh.encoder import pack_codes, unpack_codes
 from esh.evaluation import (
     GroundTruth,
     Ranking,
+    _hit_precision,
+    _hits,
     average_precision,
     evaluate,
     hamming_distances,
-    pr_curve,
     rank_database,
 )
-from oracles import hamming_distance, precision_at, precision_within_radius
+from oracles import hamming_distance, pr_curve, precision_at, precision_within_radius
 
 
 def random_bits(rng, n, k):
@@ -266,12 +267,12 @@ def test_radius_matches_brute_force():
 
 def test_pr_curve_perfect_and_inverted():
     mask = np.array([True, True, False, False, False])
-    rec, prec = pr_curve(make_ranking([0, 1, 2, 3, 4]), mask)
+    rec, prec = pr_curve(make_ranking([0, 1, 2, 3, 4]).ids, mask)
     assert np.array_equal(rec, [0.5, 1.0])
     assert np.array_equal(prec, [1.0, 1.0])
     # all positives dead last
     mask = np.array([True, True, False, False, False])
-    rec, prec = pr_curve(make_ranking([9, 8, 0, 1, 2]), mask)
+    rec, prec = pr_curve(make_ranking([9, 8, 0, 1, 2]).ids, mask)
     assert rec[-1] == 1.0
     assert prec[-1] == 2 / 5
     assert np.all(np.diff(rec) > 0)
@@ -282,7 +283,9 @@ def test_pr_curve_matches_enumeration():
     dist = rng.integers(0, 8, size=40)
     mask = rng.random(40) < 0.3
     r = make_ranking(dist)
-    rec, prec = pr_curve(r, mask)
+    rec, prec = pr_curve(r.ids, mask)
+    # the precision at each hit that evaluate's AP and PR grid read
+    assert np.array_equal(prec, _hit_precision(_hits(r, mask)))
     hits = 0
     want = []
     for rank, db_id in enumerate(r.ids, start=1):

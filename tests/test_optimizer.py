@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from esh.anchor_graph import anchor_mass, fit_anchor_graph, similarity_factor
+from esh.anchor_graph import fit_anchor_graph, similarity_factor
 from esh.dataset import generate_synthetic, standardize
 from esh.kernels import BLOCK_VALUES, rows64
 from esh.optimizer import (
@@ -47,7 +47,7 @@ def blob_problem(n_per, clusters, d, seed):
     X_raw, _ = generate_synthetic(clusters, n_per, d, 1.0, seed=seed)
     X, _ = standardize(X_raw)
     _, Z = fit_anchor_graph(X, m=30, iters=10, seed=seed, s=3)
-    K = similarity_factor(X, Z, anchor_mass(Z))
+    K = similarity_factor(X, Z)
     return X, K
 
 
@@ -601,10 +601,9 @@ def test_factor_and_training_hold_one_d_by_d_array():
     n, d = 1500, 512
     X = np.random.default_rng(48).standard_normal((n, d), dtype=np.float32)
     _, Z = fit_anchor_graph(X, m=20, iters=3, seed=49, s=3)
-    lam = anchor_mass(Z)
     tracemalloc.start()
     try:
-        K = similarity_factor(X, Z, lam)
+        K = similarity_factor(X, Z)
         train(X, K, TrainConfig(bits=16, iters=3, seed=50))
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esh.anchor_graph import fit_anchor_graph, prune_dead_anchors, similarity_factor
+from esh.anchor_graph import fit_anchor_graph, similarity_factor
 from esh.optimizer import GRAM_PANEL, _Objective
 from oracles import dense_affinity
 
@@ -25,14 +25,13 @@ def test_factor_gram_matches_dense_oracle(n, d, m, dtype, seed):
     # criterion 4's tolerance; m runs past d, where K has more rows than columns
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d)).astype(dtype)
-    anchors, Z = fit_anchor_graph(X, min(m, n), iters=3, seed=seed, s=min(3, m))
     with warnings.catch_warnings():  # anchors pruned here are not what is tested
         warnings.simplefilter("ignore", UserWarning)
-        anchors, Z, lam = prune_dead_anchors(X, anchors, Z)
-    K = similarity_factor(X, Z, lam)
+        anchors, Z = fit_anchor_graph(X, min(m, n), iters=3, seed=seed, s=min(3, m))
+    K = similarity_factor(X, Z)
     assert K.shape == (anchors.m, d)
     X64 = X.astype(np.float64)
-    Sd = X64.T @ dense_affinity(Z, lam) @ X64
+    Sd = X64.T @ dense_affinity(Z) @ X64
     assert np.linalg.norm(K.T @ K - 0.5 * (Sd + Sd.T)) < 1e-8
 
 

@@ -196,8 +196,11 @@ def _resolve(args, table):
     """Merge flag values over config-file values over the table's defaults."""
     file_cfg = {}
     if args.config:
-        with open(args.config) as f:
-            file_cfg = json.load(f)
+        try:
+            with open(args.config, encoding="utf-8") as f:
+                file_cfg = json.load(f)
+        except ValueError as e:  # undecodable bytes or malformed JSON
+            raise ValueError(f"config file {args.config}: {e}") from None
         if not isinstance(file_cfg, dict):
             raise TypeError(f"config file {args.config} must hold a JSON object, "
                             f"got {type(file_cfg).__name__}")

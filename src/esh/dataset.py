@@ -11,12 +11,15 @@ rows' precision: it computes in float64 a block of rows at a time
 (BLOCK_VALUES values) and writes float32 rows for float32 input, into a
 new array or back into the input, which training then holds as its one
 copy of the rows.
-Linear encoding takes either precision. Labels are integer ids, one line
-per sample, semicolons separating multiple ids.
+Linear encoding takes either precision. A LabelSet holds every sample's
+label ids in one int64 array with row starts; a label file is UTF-8 text,
+one line per sample, semicolons separating multiple ids.
 """
 
+import io
 import os
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -47,34 +50,44 @@ class StandardizationStats:
 
 @dataclass(frozen=True)
 class LabelSet:
-    """Per-sample label ids. kind is 'single' or 'multi'."""
+    """Per-sample label ids in one int64 layout: sample i carries
+    ids[starts[i]:starts[i + 1]], at least one id each. A set is
+    single-label when every sample carries exactly one id."""
 
-    kind: str
-    labels: tuple
+    ids: np.ndarray
+    starts: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in ("single", "multi"):
-            raise ValueError(f"unknown label kind {self.kind!r}")
-        for i, row in enumerate(self.labels):
-            if len(row) < 1:
-                raise ValueError(f"sample {i} has no labels")
-            if self.kind == "single" and len(row) != 1:
-                raise ValueError(f"sample {i} has {len(row)} labels in single-label mode")
+        if self.ids.dtype != np.int64 or self.ids.ndim != 1 or self.starts.dtype != np.int64:
+            raise ValueError("label ids and row starts must be 1-D int64 arrays")
+        if self.starts[:1].tolist() != [0] or self.starts[-1] != self.ids.size:
+            raise ValueError("label row starts must run from 0 to the id count")
+        empty = np.flatnonzero(np.diff(self.starts) < 1)
+        if empty.size:
+            raise ValueError(f"sample {empty[0]} has no labels")
 
     def __len__(self):
-        return len(self.labels)
+        return self.starts.size - 1
+
+    def row(self, i):
+        """The ids of sample i."""
+        return self.ids[self.starts[i] : self.starts[i + 1]]
 
     @classmethod
     def from_array(cls, ids):
-        """Single-label set from a 1-D integer array."""
+        """Single-label set from a 1-D integer array, whose ids must fit int64."""
         ids = np.asarray(ids)
-        return cls("single", tuple((int(v),) for v in ids))
+        if ids.ndim != 1 or ids.dtype.kind not in "iu":
+            raise ValueError(f"label ids must be a 1-D integer array, got {ids.dtype} {ids.shape}")
+        if ids.dtype == np.uint64 and ids.size and ids.max() >= 2**63:
+            raise ValueError("label ids must fit int64")
+        return cls(ids.astype(np.int64), np.arange(ids.size + 1, dtype=np.int64))
 
     def single_array(self):
         """Labels as a 1-D int64 array; only valid for single-label sets."""
-        if self.kind != "single":
+        if self.ids.size != len(self):
             raise ValueError("not a single-label set")
-        return np.fromiter((row[0] for row in self.labels), dtype=np.int64, count=len(self.labels))
+        return self.ids.copy()
 
 
 def _check_finite(X, where, row0=0):
@@ -181,23 +194,32 @@ def save_features(X, path):
 
 
 def load_labels(path):
-    """Load a label file; the kind is 'single' if every row holds one id.
-
-    One int64 id per line parses in one streaming pass; other files are read
-    again row by row, parsing multi-label rows and naming any bad row."""
-    with open(path) as f:
-        try:
-            # int() takes the newline and surrounding blanks, as strip() did
-            rows = tuple(zip(np.fromiter(map(int, f), dtype=np.int64).tolist()))
-        except (ValueError, OverflowError):
-            f.seek(0)
-            rows = tuple(_label_row(line, i, path) for i, line in enumerate(f))
-    if not rows:
+    """Load a UTF-8 label file, one sample per line, its ids separated by
+    semicolons. The ids of every row parse in one stream; only a file that
+    fails it is read again row by row, to name the bad row."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text ({e.reason})") from None
+    if not text:
         raise FormatError(f"{path}: no labels")
-    return LabelSet("single" if all(len(r) == 1 for r in rows) else "multi", rows)
+    # a row holds one id more than it has semicolons
+    counts = np.fromiter((line.count(";") + 1 for line in io.StringIO(text)), np.int64)
+    starts = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    try:
+        # one id per line once each ';' is a newline; int() takes the
+        # newline and the blanks around the id
+        ids = np.fromiter(map(int, io.StringIO(text.replace(";", "\n"))), np.int64, starts[-1])
+    except (ValueError, OverflowError):
+        for i, line in enumerate(io.StringIO(text)):
+            _check_label_row(line, i, path)
+        raise
+    return LabelSet(ids, starts)
 
 
-def _label_row(line, i, path):
+def _check_label_row(line, i, path):
     line = line.strip()
     if not line:
         raise FormatError(f"{path}: label row {i} is empty")
@@ -207,13 +229,14 @@ def _label_row(line, i, path):
         raise FormatError(f"{path}: label row {i} is not semicolon-separated integers") from None
     if min(row) < -(2**63) or max(row) >= 2**63:
         raise FormatError(f"{path}: label row {i} holds an id outside int64")
-    return row
 
 
 def save_labels(labels, path):
-    with open(path, "w") as f:
-        for row in labels.labels:
-            f.write(";".join(str(v) for v in row) + "\n")
+    """Write one line per sample, its ids separated by semicolons."""
+    sep = np.full(labels.ids.size, ";")
+    sep[labels.starts[1:] - 1] = "\n"
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("".join(chain.from_iterable(zip(map(str, labels.ids.tolist()), sep.tolist()))))
 
 
 def standardize(X, in_place=False):

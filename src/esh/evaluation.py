@@ -9,6 +9,8 @@ API; its first t ids (`--top t`) come from one partition of packed
 (distance, id) keys instead. `evaluate` orders the database once per query
 and reads every metric from the ranks of the query's positives: AP,
 precision at depths and within a Hamming ball, and the PR curve.
+`GroundTruth` names the positives: the database items whose label ids
+share one with the query's, single- and multi-label sets alike.
 """
 
 import json
@@ -105,37 +107,29 @@ def rank_database(query_words, db: PackedCodes, top=None):
 class GroundTruth:
     """Which database items count as relevant for each query.
 
-    Single-label: relevant iff labels are equal. Multi-label: relevant iff
-    the label sets intersect; each database class keeps the ids of its
-    members, and a query's positives are the union over its classes.
+    An item is relevant iff its label ids and the query's share one id, so
+    single-label sets compare labels for equality. The database's classes
+    are kept sorted, each with the ids of its members, and a query's
+    positives are the union of the members of its classes.
     """
 
     def __init__(self, query_labels: LabelSet, db_labels: LabelSet):
         self.query_labels = query_labels
         self.db_labels = db_labels
-        if query_labels.kind == "single" and db_labels.kind == "single":
-            self._q = query_labels.single_array()
-            self._db = db_labels.single_array()
-        else:
-            self._q = self._db = None
-            members = {}
-            for i, row in enumerate(db_labels.labels):
-                for c in row:
-                    members.setdefault(c, []).append(i)
-            self._members = {c: np.array(ids, dtype=np.intp) for c, ids in members.items()}
+        ids = db_labels.ids
+        order = np.argsort(ids, kind="stable")
+        classes, first = np.unique(ids[order], return_index=True)
+        rows = np.repeat(np.arange(len(db_labels)), np.diff(db_labels.starts))[order]
+        # class id -> the database rows that carry it, classes in ascending order
+        self.members = dict(zip(classes.tolist(), np.split(rows, first[1:])))
 
     def positives_mask(self, query_index):
         """Boolean relevance over the database for one query."""
-        if self._q is not None:
-            return self._db == self._q[query_index]
         mask = np.zeros(len(self.db_labels), dtype=bool)
-        for c in self.query_labels.labels[query_index]:
-            if c in self._members:
-                mask[self._members[c]] = True
+        for c in self.query_labels.row(query_index).tolist():
+            if c in self.members:
+                mask[self.members[c]] = True
         return mask
-
-    def query_classes(self, query_index):
-        return self.query_labels.labels[query_index]
 
     @property
     def n_queries(self):
@@ -285,10 +279,9 @@ def evaluate(query_codes: PackedCodes, db_codes: PackedCodes, gt: GroundTruth,
 
     by_class = {}
     for qi in keep:
-        for c in gt.query_classes(qi):
+        for c in gt.query_labels.row(qi).tolist():
             by_class.setdefault(c, []).append(results[qi][0])
-    db_classes = {c for row in gt.db_labels.labels for c in row}
-    silent = sorted(db_classes - set(by_class))
+    silent = [c for c in gt.members if c not in by_class]
     if silent:
         warnings.warn(f"classes with no queries skipped in macro mAP: {silent}", stacklevel=2)
     per_class_ap = {c: float(np.mean(v)) for c, v in sorted(by_class.items())}

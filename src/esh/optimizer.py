@@ -276,7 +276,8 @@ class TrainTrace:
     """History with exactly one row per executed iteration (1-based).
 
     The loss at the starting point W0 is kept separately in initial_loss;
-    it is not a trace row.
+    it is not a trace row. elapsed_ms is the wall clock from that initial
+    evaluation to the end of each row's iteration.
     """
 
     iteration: np.ndarray
@@ -300,30 +301,6 @@ class TrainTrace:
                     repr(float(self.orth_residual[i])),
                     repr(float(self.step_size[i])),
                 ])
-
-
-class _TraceBuilder:
-    def __init__(self, alpha, initial_loss):
-        self.rows = []
-        self.alpha = alpha
-        self.initial_loss = initial_loss
-        self.t0 = time.perf_counter()
-
-    def add(self, it, loss, res, step):
-        ms = (time.perf_counter() - self.t0) * 1e3
-        self.rows.append((it, loss, res, step, ms))
-
-    def build(self):
-        a = np.array(self.rows, dtype=np.float64).reshape(len(self.rows), 5)
-        return TrainTrace(
-            iteration=a[:, 0].astype(np.int64),
-            loss=a[:, 1],
-            orth_residual=a[:, 2],
-            step_size=a[:, 3],
-            elapsed_ms=a[:, 4],
-            alpha=self.alpha,
-            initial_loss=self.initial_loss,
-        )
 
 
 def _prepare(X, K, cfg):
@@ -386,10 +363,12 @@ def train(X, K, cfg: TrainConfig):
     X, K, W, alpha = _prepare(X, K, cfg)
     step = _STEP_RULES[cfg.algorithm](cfg)
     objective = _Objective(X, K, alpha)
-    loss, G = objective(W)
-    tr = _TraceBuilder(alpha, loss)
-    for it in range(1, cfg.iters + 1):
-        W, step_size = step(W, G)
-        loss, G = objective(W)
-        tr.add(it, loss, orth_residual(W), step_size)
-    return W, tr.build()
+    initial_loss, G = objective(W)
+    t0 = time.perf_counter()
+    loss, res, step_size, ms = (np.empty(cfg.iters) for _ in range(4))
+    for i in range(cfg.iters):
+        W, step_size[i] = step(W, G)
+        loss[i], G = objective(W)
+        res[i] = orth_residual(W)
+        ms[i] = (time.perf_counter() - t0) * 1e3
+    return W, TrainTrace(np.arange(1, cfg.iters + 1), loss, res, step_size, ms, alpha, initial_loss)

@@ -4,7 +4,7 @@ factored form, and helpers that only tests use."""
 import numpy as np
 
 from esh.anchor_graph import SparseAffinityRows, pairwise_sq_dists
-from esh.dataset import STD_FLOOR, StandardizationStats, apply_standardization
+from esh.dataset import STD_FLOOR, LabelSet, StandardizationStats, apply_standardization
 from esh.encoder import PackedCodes, pack_codes, unpack_codes
 from esh.evaluation import _grid_precision, rank_database
 from esh.kernels import BAND_SLACK, BLOCK_VALUES, F64_UNIT, row_blocks
@@ -192,6 +192,13 @@ def hamming_distance(a_words, b_words):
     if a.shape != b.shape:
         raise ValueError("codes have different word counts")
     return int(np.bitwise_count(np.bitwise_xor(a, b)).sum())
+
+
+def label_set(rows):
+    """A LabelSet from one sequence of ids per sample."""
+    starts = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=starts[1:])
+    return LabelSet(np.array([c for row in rows for c in row], dtype=np.int64), starts)
 
 
 def hit_precisions(ids, relevant):

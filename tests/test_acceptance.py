@@ -16,7 +16,7 @@ from esh.dataset import LabelSet, generate_synthetic, standardize
 from esh.encoder import build_hash_model, pack_codes, unpack_codes
 from esh.evaluation import GroundTruth, evaluate, rank_database
 from esh.optimizer import TrainConfig, stiefel_project, train
-from oracles import dense_affinity, euclidean_gradient, loss_value, pr_curve
+from oracles import dense_affinity, euclidean_gradient, label_set, loss_value, pr_curve
 
 SPREAD = 1.75
 DATA_SEED = 123
@@ -272,13 +272,11 @@ def test_criterion_8_fast_metrics_equal_enumeration():
             db_rows = tuple(tuple(sorted(rng.choice(n_classes, size=rng.integers(1, 3),
                                                     replace=False).tolist()))
                             for _ in range(ndb))
-            q_set, db_set = LabelSet("multi", q_rows), LabelSet("multi", db_rows)
         else:
             q_rows = tuple((int(v),) for v in rng.integers(0, n_classes, nq))
             db_rows = tuple((int(v),) for v in rng.integers(0, n_classes, ndb))
-            q_set, db_set = LabelSet("single", q_rows), LabelSet("single", db_rows)
         q_codes, db_codes = pack_codes(q_bits), pack_codes(db_bits)
-        gt = GroundTruth(q_set, db_set)
+        gt = GroundTruth(label_set(q_rows), label_set(db_rows))
         report = evaluate(q_codes, db_codes, gt, depths=depths, radius=2)
         want = _naive_metrics(q_bits, db_bits, q_rows, db_rows, depths, radius=2)
         if report.map != want["map"]:

@@ -43,7 +43,7 @@ def test_synth_round_trip_and_count(tmp_path):
     labels = load_labels(out / "labels.csv")
     assert X.shape == (120, 8)
     assert len(labels) == 120
-    assert len(set(l[0] for l in labels.labels)) == 4
+    assert np.array_equal(np.unique(labels.single_array()), np.arange(4))
     assert (out / "features.csv.manifest.json").exists()
 
 
@@ -539,6 +539,21 @@ def test_eval_label_errors_name_the_file_and_the_row(tmp_path, capsys, rows, bad
         assert not (out / "report.json").exists()
 
 
+def test_eval_names_a_label_file_that_is_not_utf8(tmp_path, capsys):
+    cp = write_codes(tmp_path, "codes.eshb", np.eye(6) * 2 - 1)
+    good = tmp_path / "good.csv"
+    good.write_text("".join(f"{i % 3}\n" for i in range(6)))
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\xff\xfe0\n1\n2\n0\n1\n2\n")
+    out = tmp_path / "ev"
+    assert run("eval", "--query-codes", cp, "--db-codes", cp, "--query-labels", bad,
+               "--labels", good, "--out", out) == 1
+    err = one_line_error(capsys)
+    assert err["error"] == "FormatError"
+    assert err["message"].startswith(f"{bad}: not UTF-8 text")
+    assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("depths, bad", [("0,5", "0"), ("-3", "-3"), ("5,0", "0")])
 def test_eval_rejects_depths_below_one(tmp_path, capsys, depths, bad):
     cp = write_codes(tmp_path, "codes.eshb", np.eye(6) * 2 - 1)
@@ -689,6 +704,18 @@ def test_config_file_must_hold_a_json_object(tmp_path, capsys, doc):
     err = json.loads(line)
     assert err["error"] == "TypeError"
     assert "must hold a JSON object" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [b'{"bits": 4,', b'{"bits": 4}\xff'])
+def test_config_file_that_does_not_parse_is_named(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(text)
+    out = tmp_path / "run"
+    assert run("train", "--config", cfg, "--out", out) == 1
+    err = one_line_error(capsys)
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(f"config file {cfg}: ")
     assert not out.exists()
 
 

@@ -15,6 +15,7 @@ from esh.dataset import (
     save_labels,
     standardize,
 )
+from oracles import label_set
 
 
 def test_csv_parse_small(tmp_path):
@@ -200,7 +201,7 @@ def test_synthetic_deterministic():
     Xa, la = generate_synthetic(2, 1, 2, 0.5, seed=7)
     Xb, lb = generate_synthetic(2, 1, 2, 0.5, seed=7)
     assert np.array_equal(Xa, Xb)
-    assert la == lb
+    assert np.array_equal(la.single_array(), lb.single_array())
 
 
 def synthetic_by_repeat(clusters, per_cluster, dims, spread, seed):
@@ -277,19 +278,23 @@ def test_synthetic_validates_counts():
 
 
 def test_labels_round_trip(tmp_path):
-    labels = LabelSet("multi", ((1,), (2, 3), (4,)))
+    labels = label_set(((1,), (2, 3), (4,)))
     p = tmp_path / "labels.csv"
     save_labels(labels, p)
+    assert p.read_text() == "1\n2;3\n4\n"
     back = load_labels(p)
-    assert back.kind == "multi"
-    assert back.labels == labels.labels
+    assert np.array_equal(back.ids, [1, 2, 3, 4])
+    assert np.array_equal(back.starts, [0, 1, 3, 4])
+    assert back.row(1).tolist() == [2, 3]
+    with pytest.raises(ValueError, match="not a single-label set"):
+        back.single_array()
 
 
-def test_labels_single_kind_inferred(tmp_path):
+def test_labels_of_one_id_per_row_are_single(tmp_path):
     p = tmp_path / "labels.csv"
     p.write_text("3\n1\n3\n")
     labels = load_labels(p)
-    assert labels.kind == "single"
+    assert np.array_equal(labels.starts, [0, 1, 2, 3])
     assert np.array_equal(labels.single_array(), [3, 1, 3])
 
 
@@ -300,11 +305,30 @@ def test_labels_bad_token(tmp_path):
         load_labels(p)
 
 
-def test_labels_single_mode_rejects_multi():
-    with pytest.raises(ValueError):
-        LabelSet("single", ((1,), (2, 3)))
+@pytest.mark.parametrize("ids, why", [
+    ([1.7], "integer"),  # would be read as class 1
+    (np.array([2**63], np.uint64), "int64"),
+    (np.array([[1, 2]]), "1-D"),
+    ([2**64], "integer"),  # numpy holds it as an object
+    (np.array([True, False]), "integer"),
+])
+def test_label_ids_from_an_array_must_be_int64(ids, why):
+    with pytest.raises(ValueError, match=why):
+        LabelSet.from_array(ids)
 
 
 def test_labels_empty_row_rejected():
-    with pytest.raises(ValueError):
-        LabelSet("multi", ((1,), ()))
+    with pytest.raises(ValueError, match="sample 1 has no labels"):
+        label_set(((1,), ()))
+
+
+@pytest.mark.parametrize("ids, starts, why", [
+    (np.array([1.0]), np.array([0, 1]), "1-D int64 arrays"),
+    (np.array([1]), np.array([[0, 1]]), "run from 0"),
+    (np.array([1, 2]), np.array([0, 1]), "starts"),  # the last id in no row
+    (np.array([1, 2]), np.array([1, 2]), "starts"),  # the first id in no row
+    (np.array([1]), np.array([], dtype=np.int64), "starts"),
+])
+def test_label_rows_must_cover_the_ids(ids, starts, why):
+    with pytest.raises(ValueError, match=why):
+        LabelSet(ids, starts)

@@ -1,5 +1,6 @@
-"""Property tests of the feature block reader against whole-file loads; they
-need hypothesis (the test extra)."""
+"""Property tests of the feature block reader against whole-file loads, and
+of label files written and read back; they need hypothesis (the test
+extra)."""
 
 import tempfile
 from pathlib import Path
@@ -9,8 +10,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esh.dataset import FEATURE_HEAD, FeatureFile, load_features, save_features
+from esh.dataset import (
+    FEATURE_HEAD,
+    FeatureFile,
+    load_features,
+    load_labels,
+    save_features,
+    save_labels,
+)
 from esh.kernels import block_rows, row_blocks
+from oracles import label_set
 
 BLOCK = 64  # values per block while the tests run, so d > BLOCK gives one-row blocks
 
@@ -53,3 +62,27 @@ def test_blocks_equal_the_whole_file(d, extra, blocks, offset, fmt, blank_lines,
         assert np.concatenate(got).tobytes() == want.tobytes()
         loaded = load_features(path)
         assert loaded.dtype == want.dtype and loaded.tobytes() == want.tobytes()
+
+
+label_ids = st.one_of(st.integers(-3, 3), st.integers(2**63 - 3, 2**63 - 1),
+                      st.integers(-(2**63), -(2**63) + 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.lists(label_ids, min_size=1, max_size=4), min_size=1, max_size=20),
+       single=st.booleans())
+def test_labels_round_trip_through_a_file(rows, single):
+    # ids near 0 and both int64 limits, one id per row or several
+    if single:
+        rows = [row[:1] for row in rows]
+    labels = label_set(rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "labels.csv"
+        save_labels(labels, path)
+        # the bytes of the writer that formatted one row at a time
+        assert path.read_bytes() == "".join(";".join(map(str, row)) + "\n" for row in rows).encode()
+        back = load_labels(path)
+    assert np.array_equal(back.ids, labels.ids)
+    assert np.array_equal(back.starts, labels.starts)
+    if single:
+        assert back.single_array().tolist() == [row[0] for row in rows]

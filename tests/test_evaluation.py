@@ -16,7 +16,7 @@ from esh.evaluation import (
     hamming_distances,
     rank_database,
 )
-from oracles import hamming_distance, pr_curve, precision_at, precision_within_radius
+from oracles import hamming_distance, label_set, pr_curve, precision_at, precision_within_radius
 
 
 def random_bits(rng, n, k):
@@ -305,9 +305,7 @@ def test_ground_truth_single_label():
 
 
 def test_ground_truth_multi_label_shares_any():
-    q = LabelSet("multi", ((1, 2),))
-    db = LabelSet("multi", ((1,), (2, 5), (3,), (4, 1)))
-    gt = GroundTruth(q, db)
+    gt = GroundTruth(label_set(((1, 2),)), label_set(((1,), (2, 5), (3,), (4, 1))))
     assert np.array_equal(gt.positives_mask(0), [True, True, False, True])
 
 

@@ -12,7 +12,7 @@ from esh import evaluation
 from esh.dataset import LabelSet
 from esh.encoder import pack_codes
 from esh.evaluation import GroundTruth, _nearest, evaluate, hamming_distances, rank_database
-from oracles import eval_one
+from oracles import eval_one, label_set
 
 
 def random_bits(rng, n, k):
@@ -94,9 +94,8 @@ def test_evaluate_equals_the_oracle_per_query(k, n, distinct, n_classes, multi, 
     queries = db if exclude else pack_codes(pool[rng.integers(0, distinct, nq)])
     if multi:
         def labels(m):
-            return LabelSet("multi", tuple(
-                tuple(rng.choice(n_classes, int(rng.integers(1, n_classes + 1)), replace=False).tolist())
-                for _ in range(m)))
+            return label_set([rng.choice(n_classes, int(rng.integers(1, n_classes + 1)), replace=False)
+                              for _ in range(m)])
     else:
         def labels(m):
             return LabelSet.from_array(rng.integers(0, n_classes, m))
@@ -130,14 +129,17 @@ label_ids = st.one_of(st.integers(-3, 3), st.integers(2**63 - 3, 2**63 - 1),
 @settings(max_examples=200, deadline=None)
 @given(queries=st.lists(st.lists(label_ids, min_size=1, max_size=4), min_size=1, max_size=8),
        db=st.lists(st.lists(label_ids, min_size=1, max_size=4), min_size=1, max_size=30),
-       single_queries=st.booleans())
-def test_multi_label_positives_equal_a_set_intersection_loop(queries, db, single_queries):
+       single_queries=st.booleans(), single_db=st.booleans())
+def test_multi_label_positives_equal_a_set_intersection_loop(queries, db, single_queries,
+                                                             single_db):
     # ids from three narrow pools near 0 and the int64 limits: classes that
-    # only queries or only the database hold turn up often
+    # only queries or only the database hold turn up often. Single- and
+    # multi-label sets take the same path
     if single_queries:
         queries = [row[:1] for row in queries]
-    q_labels = LabelSet("single" if single_queries else "multi", tuple(map(tuple, queries)))
-    gt = GroundTruth(q_labels, LabelSet("multi", tuple(map(tuple, db))))
+    if single_db:
+        db = [row[:1] for row in db]
+    gt = GroundTruth(label_set(queries), label_set(db))
     for qi, q in enumerate(queries):
         want = [bool(set(q) & set(row)) for row in db]
         assert gt.positives_mask(qi).tolist() == want

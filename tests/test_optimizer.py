@@ -1,4 +1,5 @@
 import csv
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from esh.dataset import generate_synthetic, standardize
 from esh.kernels import BLOCK_VALUES, rows64
 from esh.optimizer import (
     TrainConfig,
+    TrainTrace,
     auto_alpha,
     bb_step,
     cayley_step,
@@ -18,7 +20,7 @@ from esh.optimizer import (
     tangent_gradient,
     train,
 )
-from esh.optimizer import _STEP_RULES, _Objective, _prepare, _TraceBuilder
+from esh.optimizer import _STEP_RULES, _Objective, _prepare
 from oracles import euclidean_gradient, loss_value, objective_terms, reference_objective, sgn
 
 
@@ -52,37 +54,41 @@ def blob_problem(n_per, clusters, d, seed):
 
 
 # The two training loops that `train` replaced, kept verbatim but for the
-# evaluator they share with it, as the reference that its step rules must
-# reproduce bit for bit.
+# evaluator they share with it and the trace columns they fill as it does,
+# as the reference that its step rules must reproduce bit for bit.
 def esh1_train(X, K, cfg: TrainConfig):
     """Projected gradient descent: Euclidean step, then SVD projection."""
     X, K, W, alpha = _prepare(X, K, cfg)
     objective = _Objective(X, K, alpha)
-    loss, G = objective(W)
-    tr = _TraceBuilder(alpha, loss)
-    for it in range(1, cfg.iters + 1):
+    initial_loss, G = objective(W)
+    t0 = time.perf_counter()
+    loss, res, step, ms = (np.empty(cfg.iters) for _ in range(4))
+    for i in range(cfg.iters):
         W = stiefel_project(W - cfg.eta * G)
-        loss, G = objective(W)
-        tr.add(it, loss, orth_residual(W), cfg.eta)
-    return W, tr.build()
+        loss[i], G = objective(W)
+        res[i], step[i] = orth_residual(W), cfg.eta
+        ms[i] = (time.perf_counter() - t0) * 1e3
+    return W, TrainTrace(np.arange(1, cfg.iters + 1), loss, res, step, ms, alpha, initial_loss)
 
 
 def esh2_train(X, K, cfg: TrainConfig):
     """Cayley curve search with Barzilai-Borwein steps."""
     X, K, W, alpha = _prepare(X, K, cfg)
     objective = _Objective(X, K, alpha)
-    loss, G = objective(W)
+    initial_loss, G = objective(W)
     T = tangent_gradient(W, G)
-    tr = _TraceBuilder(alpha, loss)
+    t0 = time.perf_counter()
+    loss, res, step, ms = (np.empty(cfg.iters) for _ in range(4))
     tau = cfg.tau0
-    for it in range(1, cfg.iters + 1):
+    for i in range(cfg.iters):
         W_new = cayley_step(W, G, tau)
-        loss, G_new = objective(W_new)
+        loss[i], G_new = objective(W_new)
         T_new = tangent_gradient(W_new, G_new)
-        tr.add(it, loss, orth_residual(W_new), tau)
+        res[i], step[i] = orth_residual(W_new), tau
+        ms[i] = (time.perf_counter() - t0) * 1e3
         tau = bb_step(W_new - W, T_new - T, fallback=tau)
         W, G, T = W_new, G_new, T_new
-    return W, tr.build()
+    return W, TrainTrace(np.arange(1, cfg.iters + 1), loss, res, step, ms, alpha, initial_loss)
 
 
 def test_sgn_zero_rules():

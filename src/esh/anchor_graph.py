@@ -55,9 +55,11 @@ def check_sigma2(sigma2):
         raise ValueError(f"sigma2 must be finite and positive, got {sigma2}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnchorSet:
-    """k-means anchor centers plus the kernel bandwidth and sparsity used."""
+    """k-means anchor centers plus the kernel bandwidth and sparsity used.
+
+    == is identity; compare the fields with np.array_equal."""
 
     centers: np.ndarray  # (m, d) float64
     sigma2: float
@@ -80,12 +82,13 @@ class AnchorSet:
         return sq_norms(np.asarray(self.centers, dtype=np.float64))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseAffinityRows:
     """Row-sparse Z: per sample, the indices and weights of its s anchors.
 
     indices is (n, s) int64 with distinct entries per row in [0, m);
     weights is (n, s) float64, nonnegative, each row summing to one.
+    == is identity; compare the fields with np.array_equal.
     """
 
     indices: np.ndarray
@@ -328,6 +331,8 @@ def prune_dead_anchors(X, anchors: AnchorSet, Z: SparseAffinityRows):
         if not keep.any():
             raise ValueError("all anchors have zero mass; kernel bandwidth too small")
         kept = int(keep.sum())
+        # stacklevel 3 is fit_anchor_graph's caller; under perfbench/tracing.py's
+        # wrapper it names anchor_graph.py instead
         warnings.warn(
             f"dropping {anchors.m - kept} anchor(s) with no affinity mass",
             stacklevel=3,

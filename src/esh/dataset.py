@@ -34,9 +34,11 @@ FEATURE_VERSION = 1
 FEATURE_HEAD = 21  # magic, version and the two uint64 dimensions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StandardizationStats:
-    """Per-column mean and (floored) population standard deviation."""
+    """Per-column mean and (floored) population standard deviation.
+
+    == is identity; compare the fields with np.array_equal."""
 
     mean: np.ndarray
     std: np.ndarray
@@ -48,11 +50,12 @@ class StandardizationStats:
             raise ValueError(f"std entries must be >= {STD_FLOOR}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabelSet:
     """Per-sample label ids in one int64 layout: sample i carries
     ids[starts[i]:starts[i + 1]], at least one id each. A set is
-    single-label when every sample carries exactly one id."""
+    single-label when every sample carries exactly one id. == is
+    identity; compare the fields with np.array_equal."""
 
     ids: np.ndarray
     starts: np.ndarray
@@ -195,10 +198,11 @@ def save_features(X, path):
 
 def load_labels(path):
     """Load a UTF-8 label file, one sample per line, its ids separated by
-    semicolons. The ids of every row parse in one stream; only a file that
-    fails it is read again row by row, to name the bad row."""
+    semicolons; a leading byte-order mark is skipped. The ids of every row
+    parse in one stream; only a file that fails it is read again row by
+    row, to name the bad row."""
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             text = f.read()
     except UnicodeDecodeError as e:
         raise FormatError(f"{path}: not UTF-8 text ({e.reason})") from None

@@ -6,23 +6,24 @@ Padding bits in the last word stay zero.
 
 A HashModel bundles everything needed to hash a new vector: the
 standardization stats, the projection W, and the anchor machinery for
-graph-based out-of-sample extension. Matrices are held as float32 (the
-on-disk precision) so a save/load round trip is bit-exact; training's
-W, centers and stats stay float64 up to the point the model is assembled.
+graph-based out-of-sample extension. Its matrices are float64 holding
+values that float32 represents exactly: build_hash_model rounds each
+through float32 once, the file stores them as float32, and load_model
+widens them again, so a save/load round trip is bit-exact and the
+encoders compute with the matrices the model holds.
 
 Linear encoding reads the rows at their stored precision. A block of
-rows is standardized at that precision (float32 rows with the float32
-stats, others in float64) and costs one float32 product with W.
-kernels.float32_signs bounds that product's rounding error by
+rows is standardized at that precision (float32 rows in float32, where
+the stats are exact, others in float64) and costs one float32 product
+with W. kernels.float32_signs bounds that product's rounding error by
 |xs| |w|; entries inside the bound are recomputed as
 ((x - mean) / std) . w in float64, so every sign is that of the float64
 projection, and zero still gives +1. (Where that projection is within
 float64 rounding of zero, its sign depends on the order of the sums.)
 Graph encoding also goes a block of rows at a time: each block is
-standardized in float64 from state cast once per model, takes its
-float64 distances to the anchors, whose squared norms are reused, and
-votes with its s nearest, chosen as anchor_graph.anchor_weights chooses
-them for Z.
+standardized in float64, takes its float64 distances to the anchors,
+whose squared norms are reused, and votes with its s nearest, chosen as
+anchor_graph.anchor_weights chooses them for Z.
 """
 
 from dataclasses import dataclass, replace
@@ -30,9 +31,9 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .anchor_graph import AnchorSet, SparseAffinityRows, anchor_weights, check_sigma2
+from .anchor_graph import AnchorSet, SparseAffinityRows, anchor_weights
 from .container import FormatError, Reader, Writer  # noqa: F401 - esh.encoder.FormatError
-from .dataset import STD_FLOOR, FeatureFile, StandardizationStats, apply_standardization
+from .dataset import STD_FLOOR, FeatureFile, apply_standardization
 from .kernels import block_rows, float32_signs, row_blocks, row_norm_bounds, segment_sums
 
 CODE_MAGIC = b"ESHB"
@@ -43,9 +44,11 @@ MODEL_VERSION = 1
 QUERY_MODES = ("graph", "linear")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PackedCodes:
-    """n binary codes of k bits each, packed into (n, ceil(k/64)) uint64."""
+    """n binary codes of k bits each, packed into (n, ceil(k/64)) uint64.
+
+    == is identity; compare the fields with np.array_equal."""
 
     n: int
     k: int
@@ -84,46 +87,49 @@ def unpack_codes(codes: PackedCodes):
     return on.view(np.int8) * 2 - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HashModel:
     """A trained hasher plus its out-of-sample machinery.
 
+    mean, std (d,), W (d, k) and vote_matrix (k, m) are float64 holding
+    values that float32 represents exactly, as the file stores them, and
+    so are the anchors' centers (m, d); other values are refused. lam (m,)
+    is float64 as it is.
     vote_matrix is B^T Z diag(lam)^{-1}, precomputed so a graph-mode query
     costs the kernel weights of its s nearest anchors and one (k, m) @ (m,)
-    product. Queries never need the training codes B or affinity rows Z, so
-    the model holds neither: save_model writes a flags byte of 0, and
-    load_model checks, then skips, the B and Z sections that older files
-    flag with bits 0 and 1.
-    query_mode is the default for queries ('graph' or 'linear').
+    product. Queries never need the training codes B or affinity rows Z,
+    so the model holds neither. query_mode is the default for queries
+    ('graph' or 'linear'). == is identity; compare the fields with
+    np.array_equal.
     """
 
-    mean: np.ndarray  # (d,) float32
-    std: np.ndarray  # (d,) float32
-    W: np.ndarray  # (d, k) float32
-    centers: np.ndarray  # (m, d) float32
-    sigma2: float
-    s: int
-    lam: np.ndarray  # (m,) float64
-    vote_matrix: np.ndarray  # (k, m) float32
+    mean: np.ndarray
+    std: np.ndarray
+    W: np.ndarray
+    anchors: AnchorSet
+    lam: np.ndarray
+    vote_matrix: np.ndarray
     query_mode: str = "graph"
 
     def __post_init__(self):
         d, k = self.W.shape
-        m = self.centers.shape[0]
+        m = self.anchors.m
         if self.mean.shape != (d,) or self.std.shape != (d,):
             raise ValueError("standardization stats do not match W")
-        if self.centers.shape != (m, d):
+        if self.anchors.centers.shape != (m, d):
             raise ValueError("anchor centers do not match W")
         if self.lam.shape != (m,) or self.vote_matrix.shape != (k, m):
             raise ValueError("anchor mass / vote matrix shapes inconsistent")
         if self.query_mode not in QUERY_MODES:
             raise ValueError(f"unknown query mode {self.query_mode!r}")
-        check_sigma2(self.sigma2)
-        if not 1 <= self.s <= m:
-            raise ValueError("s must be in [1, m]")
-        for name in ("mean", "std", "W", "centers", "lam", "vote_matrix"):
-            if not np.all(np.isfinite(getattr(self, name))):
+        for name, M in (("mean", self.mean), ("std", self.std), ("W", self.W),
+                        ("centers", self.anchors.centers), ("lam", self.lam),
+                        ("vote_matrix", self.vote_matrix)):
+            if not np.all(np.isfinite(M)):
                 raise ValueError(f"{name} has non-finite entries")
+            with np.errstate(over="ignore"):  # a value beyond float32 range is inexact too
+                if name != "lam" and not np.array_equal(M, M.astype(np.float32)):
+                    raise ValueError(f"{name} holds values that float32 cannot represent")
         if np.any(self.std <= 0):
             raise ValueError("std entries must be positive")
 
@@ -137,34 +143,19 @@ class HashModel:
 
     @property
     def m(self):
-        return self.centers.shape[0]
+        return self.anchors.m
 
-    # float64 encoding state, cast once per instance; replace() and
-    # load_model build new instances, so it never outlives its matrices
+    # derived once per instance; replace() and load_model build new
+    # instances, so neither outlives W
     @cached_property
-    def _stats64(self):
-        return StandardizationStats(
-            mean=self.mean.astype(np.float64), std=self.std.astype(np.float64)
-        )
-
-    @cached_property
-    def _W64(self):
-        return self.W.astype(np.float64)
-
-    @cached_property
-    def _anchors64(self):
-        return AnchorSet(
-            centers=self.centers.astype(np.float64), sigma2=self.sigma2, s=self.s
-        )
-
-    @cached_property
-    def _vote64(self):
-        return self.vote_matrix.astype(np.float64)
+    def _W32(self):
+        """W in float32, exactly, for float32_signs' product."""
+        return self.W.astype(np.float32)
 
     @cached_property
     def _w_norm(self):
         """The largest column norm of W, for the sign band."""
-        return float(np.sqrt(np.einsum("ij,ij->j", self._W64, self._W64).max()))
+        return float(np.sqrt(np.einsum("ij,ij->j", self.W, self.W).max()))
 
     def _rows(self, X_raw):
         """X_raw as rows; both encoders reject rows not d wide, even none."""
@@ -175,7 +166,7 @@ class HashModel:
 
     def _standardized(self, X_raw):
         """Standardized rows; both encoders reject what is not finite."""
-        Xs = apply_standardization(np.atleast_2d(X_raw), self._stats64)
+        Xs = apply_standardization(np.atleast_2d(X_raw), self)
         if not np.all(np.isfinite(Xs)):
             raise ValueError("query contains non-finite values after standardization")
         return Xs
@@ -186,7 +177,7 @@ class HashModel:
         hit = np.zeros(X.shape[0], dtype=bool)
         hit[rows] = True
         slot = np.cumsum(hit) - 1  # a row's place among the distinct ones
-        return (self._standardized(X[hit]) @ self._W64)[slot[rows], cols]
+        return (self._standardized(X[hit]) @ self.W)[slot[rows], cols]
 
     def encode_linear(self, X_raw):
         """sgn of the standardized projection; ties at zero become +1.
@@ -199,18 +190,17 @@ class HashModel:
         X = self._rows(X_raw)
         on = np.empty((X.shape[0], self.k), dtype=bool)
         for b in row_blocks(*X.shape):
-            block, stats = X[b], self
-            if block.dtype != np.float32:
-                block, stats = np.asarray(block, dtype=np.float64), self._stats64
+            block = X[b]
+            dtype = np.float32 if block.dtype == np.float32 else np.float64
             with np.errstate(over="ignore"):  # a row that overflows gets inf, checked below
-                xs = block - stats.mean
-                xs /= stats.std
+                xs = np.subtract(block, self.mean, dtype=dtype)
+                np.divide(xs, self.std, out=xs, dtype=dtype)
             x_norms = row_norm_bounds(xs)
             bad = ~np.isfinite(x_norms)
             if bad.any():
                 # raises on rows that are not finite; the rest are huge and rechecked whole
                 self._standardized(block[bad])
-            B = float32_signs(xs, self.W, x_norms, self._w_norm, partial(self._projected, block))
+            B = float32_signs(xs, self._W32, x_norms, self._w_norm, partial(self._projected, block))
             on[b] = B >= 0
         return pack_codes(on)
 
@@ -225,8 +215,8 @@ class HashModel:
         X = self._rows(X_raw)
         on = np.empty((X.shape[0], self.k), dtype=bool)
         for b in row_blocks(X.shape[0], self.d + self.m):
-            idx, w = anchor_weights(self._standardized(X[b]), self._anchors64)
-            on[b] = np.einsum("kqs,qs->qk", self._vote64[:, idx], w) >= 0
+            idx, w = anchor_weights(self._standardized(X[b]), self.anchors)
+            on[b] = np.einsum("kqs,qs->qk", self.vote_matrix[:, idx], w) >= 0
         return pack_codes(on)
 
     def encode(self, X_raw, mode=None):
@@ -253,35 +243,38 @@ def build_hash_model(stats, W, anchors: AnchorSet, Z: SparseAffinityRows, X_raw,
     """Assemble a HashModel from trained pieces; the anchors' mass lam is
     Z's (SparseAffinityRows.lam).
 
-    Database codes B are the model's own linear encoding of the training
-    set X_raw (an array, or a FeatureFile read a block at a time), computed
-    after the float32 cast so that what the model stores and what it would
-    re-encode agree exactly. The vote matrix is accumulated in float64,
-    per anchor over the rows in ascending order (kernels.segment_sums),
-    and cast last. The model keeps neither B nor Z, as a query
-    needs only the vote matrix; B is returned beside it.
+    The stats, W, the centers and the vote matrix are each rounded
+    through float32 once, as the file stores them. Database codes B are
+    the model's own linear encoding of the training set X_raw (an array,
+    or a FeatureFile read a block at a time), computed after that
+    rounding so that what the model stores and what it would re-encode
+    agree exactly. The vote matrix is accumulated in float64, per anchor
+    over the rows in ascending order (kernels.segment_sums), and rounded
+    last. The model keeps neither B nor Z, as a query needs only the vote
+    matrix; B is returned beside it.
 
     A column whose training std sits at STD_FLOOR is constant, so its
     standardized training values are (near) 0. It gets a zero row of W and
     a std of 1, and whatever a later row holds there leaves its codes as
     they are.
     """
+    def rounded(M):
+        return np.asarray(M, dtype=np.float32).astype(np.float64)
+
     flat = stats.std <= STD_FLOOR
     model = HashModel(
-        mean=stats.mean.astype(np.float32),
-        std=np.where(flat, 1.0, stats.std).astype(np.float32),
-        W=np.where(flat[:, None], 0.0, W).astype(np.float32),
-        centers=anchors.centers.astype(np.float32),
-        sigma2=float(anchors.sigma2),
-        s=int(anchors.s),
+        mean=rounded(stats.mean),
+        std=rounded(np.where(flat, 1.0, stats.std)),
+        W=rounded(np.where(flat[:, None], 0.0, W)),
+        anchors=AnchorSet(centers=rounded(anchors.centers), sigma2=anchors.sigma2, s=anchors.s),
         lam=Z.lam,
-        vote_matrix=np.zeros((W.shape[1], anchors.m), dtype=np.float32),
+        vote_matrix=np.zeros((W.shape[1], anchors.m)),
         query_mode=query_mode,
     )
     codes = model.encode(X_raw, mode="linear")
     B = unpack_codes(codes)  # (n, k) int8 of +-1
     vote = segment_sums(B, Z.indices, Z.m, Z.weights).T / Z.lam[None, :]
-    return replace(model, vote_matrix=vote.astype(np.float32)), codes
+    return replace(model, vote_matrix=rounded(vote)), codes
 
 
 def _pack_matrix(w, M, dtype):
@@ -289,52 +282,44 @@ def _pack_matrix(w, M, dtype):
 
 
 def _unpack_matrix(r, dtype):
-    return np.array(r.array(dtype, r.fields("QQ")))
+    return np.array(r.array(dtype, r.fields("QQ")), dtype=np.float64)
 
 
 def _unpack_words(r, n, k):
     return np.array(r.array("<u8", (n, (k + 63) >> 6)))
 
 
-# flag bits of the B and Z sections that older models may carry
-_FLAG_B, _FLAG_Z = 1, 2
 _MATRIX_DTYPES = ("<f4", "<f4", "<f4", "<f4", "<f8", "<f4")  # mean, std, W, centers, lam, vote
 
 
 def save_model(model: HashModel, path):
     """Serialize to the ESHM container: header with flags 0, six matrices, CRC32."""
+    a = model.anchors
     w = Writer(MODEL_MAGIC, MODEL_VERSION).fields(
         "BBQQQdQ", 0, QUERY_MODES.index(model.query_mode),
-        model.d, model.k, model.m, model.sigma2, model.s)
+        model.d, model.k, model.m, a.sigma2, a.s)
     matrices = (model.mean.reshape(1, -1), model.std.reshape(1, -1), model.W,
-                model.centers, model.lam.reshape(1, -1), model.vote_matrix)
+                a.centers, model.lam.reshape(1, -1), model.vote_matrix)
     for M, dtype in zip(matrices, _MATRIX_DTYPES):
         _pack_matrix(w, M, dtype)
     w.save(path, crc=True)
 
 
 def load_model(path):
-    """Read an .eshm; B and Z sections of older files are checked, then dropped."""
+    """Read an .eshm as save_model writes it: a nonzero flags byte is an error."""
     with Reader(path, MODEL_MAGIC, MODEL_VERSION, "model", crc=True) as r:
         flags, mode = r.fields("BB")
-        if flags & ~(_FLAG_B | _FLAG_Z):
+        if flags:
             raise r.error(f"unknown flag bits {flags:#04x}")
         if mode >= len(QUERY_MODES):
             raise r.error(f"unknown query mode byte {mode}")
         d, k, m = r.shape(3)
         sigma2, s = r.fields("dQ")
         mean, std, W, centers, lam, vote = [_unpack_matrix(r, dt) for dt in _MATRIX_DTYPES]
-        if flags & _FLAG_B:
-            n, bits = r.fields("QQ")
-            PackedCodes(n=n, k=bits, words=_unpack_words(r, n, bits))
-        if flags & _FLAG_Z:
-            n, snn = r.fields("QQ")
-            SparseAffinityRows(indices=r.array("<i8", (n, snn)),
-                               weights=r.array("<f8", (n, snn)), m=m)
         return HashModel(
             mean=mean.reshape(-1), std=std.reshape(-1), W=W.reshape(d, k),
-            centers=centers.reshape(m, d), sigma2=sigma2, s=s, lam=lam.reshape(-1),
-            vote_matrix=vote.reshape(k, m), query_mode=QUERY_MODES[mode],
+            anchors=AnchorSet(centers=centers.reshape(m, d), sigma2=sigma2, s=s),
+            lam=lam.reshape(-1), vote_matrix=vote.reshape(k, m), query_mode=QUERY_MODES[mode],
         )
 
 

@@ -44,11 +44,12 @@ def hamming_distances(query_words, db: PackedCodes):
     return dist
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ranking:
     """Database ids sorted by ascending distance, ties by ascending id.
 
-    A ranking cut at `top` holds the first `top` of them.
+    A ranking cut at `top` holds the first `top` of them. == is identity;
+    compare the fields with np.array_equal.
     """
 
     ids: np.ndarray
@@ -181,8 +182,11 @@ def _grid_precision(precision, n_pos):
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class EvalReport:
+    """What evaluate measured; to_json writes report.json. == is identity;
+    compare the fields with np.array_equal."""
+
     n_queries: int
     map: float
     macro_map: float

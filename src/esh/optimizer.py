@@ -271,13 +271,14 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
-@dataclass
+@dataclass(eq=False)
 class TrainTrace:
     """History with exactly one row per executed iteration (1-based).
 
     The loss at the starting point W0 is kept separately in initial_loss;
     it is not a trace row. elapsed_ms is the wall clock from that initial
-    evaluation to the end of each row's iteration.
+    evaluation to the end of each row's iteration. == is identity; compare
+    the fields with np.array_equal.
     """
 
     iteration: np.ndarray

@@ -4,15 +4,20 @@ factored form, and helpers that only tests use."""
 import numpy as np
 
 from esh.anchor_graph import SparseAffinityRows, pairwise_sq_dists
-from esh.dataset import STD_FLOOR, LabelSet, StandardizationStats, apply_standardization
+from esh.dataset import STD_FLOOR, LabelSet, apply_standardization
 from esh.encoder import PackedCodes, pack_codes, unpack_codes
 from esh.evaluation import _grid_precision, rank_database
 from esh.kernels import BAND_SLACK, BLOCK_VALUES, F64_UNIT, row_blocks
 from esh.optimizer import _Objective
 
 DENSE_ORACLE_MAX_N = 1000
-# the least float32 std that a model's float64 stats accept
+# the least float32 std at or above STD_FLOOR, the least std that standardize gives
 STD_FLOOR32 = np.nextafter(np.float32(STD_FLOOR), np.float32(1))
+
+
+def float32_exact(a):
+    """a rounded through float32 and widened again, as a HashModel holds its matrices."""
+    return np.asarray(a, dtype=np.float32).astype(np.float64)
 
 
 def sgn(M, zero_rule="zero"):
@@ -127,14 +132,11 @@ def float64_linear_projection(model, X_raw):
     rows in float64 and projecting them with W in float64, and for each
     entry the most another order of the sums could move it:
     2 gamma64_d |xs_i| |w_j| plus underflow."""
-    X = np.atleast_2d(X_raw)
-    stats = StandardizationStats(mean=model.mean.astype(np.float64),
-                                 std=model.std.astype(np.float64))
-    W = model.W.astype(np.float64)
+    X, W = np.atleast_2d(X_raw), model.W
     rows = max(1, BLOCK_VALUES // model.d)
     Z, xs_norms = np.empty((X.shape[0], model.k)), np.empty(X.shape[0])
     for i in range(0, X.shape[0], rows):
-        Xs = apply_standardization(X[i : i + rows], stats)
+        Xs = apply_standardization(X[i : i + rows], model)
         if not np.all(np.isfinite(Xs)):
             raise ValueError("query contains non-finite values after standardization")
         Z[i : i + rows] = Xs @ W

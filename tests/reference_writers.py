@@ -1,10 +1,11 @@
 """The byte layout of .eshf, .eshb and .eshm as hand-written writers.
 
 These are the writers the three file formats were first defined by, kept
-verbatim (only the imports are new, and save_model takes the optional
-B and Z sections as arguments, since models no longer hold them) so tests
-can check that the writers built on esh.container still emit the same
-bytes, and that models with the legacy sections still load.
+verbatim (only the imports are new, save_model reads sigma2, s and the
+centers from the model's anchors, and it takes the optional B and Z
+sections as arguments, since models no longer hold them) so tests can
+check that the writers built on esh.container still emit the same bytes,
+and that models with the legacy sections are refused.
 """
 
 import struct
@@ -58,12 +59,12 @@ def save_model(model: HashModel, path, B=None, Z=None):
     body += struct.pack("<B", flags)
     body += struct.pack("<B", _QUERY_MODES.index(model.query_mode))
     body += struct.pack("<QQQ", model.d, model.k, model.m)
-    body += struct.pack("<d", model.sigma2)
-    body += struct.pack("<Q", model.s)
+    body += struct.pack("<d", model.anchors.sigma2)
+    body += struct.pack("<Q", model.anchors.s)
     body += _pack_matrix(model.mean.reshape(1, -1), "<f4")
     body += _pack_matrix(model.std.reshape(1, -1), "<f4")
     body += _pack_matrix(model.W, "<f4")
-    body += _pack_matrix(model.centers, "<f4")
+    body += _pack_matrix(model.anchors.centers, "<f4")
     body += _pack_matrix(model.lam.reshape(1, -1), "<f8")
     body += _pack_matrix(model.vote_matrix, "<f4")
     if B is not None:

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from esh.anchor_graph import AnchorSet, anchor_weights, fit_anchor_graph, similarity_factor
+from esh.anchor_graph import anchor_weights, fit_anchor_graph, similarity_factor
 from esh.cli import main
 from esh.dataset import LabelSet, generate_synthetic, standardize
 from esh.encoder import build_hash_model, pack_codes, unpack_codes
@@ -325,11 +325,9 @@ def test_criterion_9_graph_encoding_is_exhaustive_argmax():
     queries = rng.standard_normal((20, d)) * 2.0 + stats.mean
     got = unpack_codes(model.encode(queries, mode="graph")).astype(np.float64)
 
-    V = model.vote_matrix.astype(np.float64)
-    oracle_anchors = AnchorSet(centers=model.centers.astype(np.float64),
-                               sigma2=model.sigma2, s=model.s)
-    q_std = (queries - model.mean.astype(np.float64)) / model.std.astype(np.float64)
-    idx, wgt = anchor_weights(q_std, oracle_anchors)
+    V = model.vote_matrix
+    q_std = (queries - model.mean) / model.std
+    idx, wgt = anchor_weights(q_std, model.anchors)
     all_codes = (((np.arange(1 << k)[:, None] >> np.arange(k)) & 1) * 2 - 1).astype(np.float64)
     bad = 0
     min_vote = np.inf

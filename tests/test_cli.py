@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import esh.cli as esh_cli
+import reference_writers as ref
 from esh.cli import QUERY_BLOCK_ROWS, main
 from esh.dataset import LabelSet, generate_synthetic, load_features, load_labels, save_features
 from esh.encoder import build_hash_model, load_codes, load_model, unpack_codes
@@ -816,6 +817,23 @@ def test_encode_with_a_model_of_unknown_query_mode_byte_is_a_json_error(tmp_path
         assert one_line_error(capsys) == {
             "error": "FormatError", "message": f"{bad}: unknown query mode byte {mode}"}
         assert not (out / "codes.eshb").exists()
+
+
+def test_encode_with_a_model_holding_legacy_train_codes_is_a_json_error(tmp_path, capsys):
+    # a model written with the training codes B that older versions kept (flag bit 0)
+    data = synth_small(tmp_path)
+    run_dir = tmp_path / "run"
+    assert run("train", "--features", data / "features.csv", "--bits", 4, "--iters", 3,
+               "--anchors", 10, "--seed", 1, "--out", run_dir) == 0
+    model, legacy = load_model(run_dir / "model.eshm"), tmp_path / "legacy.eshm"
+    X = load_features(data / "features.csv")
+    ref.save_model(model, legacy, B=model.encode(X, mode="linear"))
+    out = tmp_path / "enc"
+    assert run("encode", "--model", legacy, "--features", data / "features.csv",
+               "--out", out) == 1
+    assert one_line_error(capsys) == {
+        "error": "FormatError", "message": f"{legacy}: unknown flag bits 0x01"}
+    assert not (out / "codes.eshb").exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

@@ -3,7 +3,6 @@
 Every malformed or truncated file must raise FormatError naming the file,
 never another exception and never a silently wrong object.
 """
-import dataclasses
 import struct
 import zlib
 
@@ -14,8 +13,7 @@ import reference_writers as ref
 from esh.anchor_graph import fit_anchor_graph, similarity_factor
 from esh.container import FormatError, Reader, Writer
 from esh.dataset import generate_synthetic, load_features, save_features, standardize
-from esh.encoder import (HashModel, build_hash_model, load_codes, load_model, pack_codes,
-                         save_codes, save_model)
+from esh.encoder import build_hash_model, load_codes, load_model, pack_codes, save_codes, save_model
 from esh.optimizer import TrainConfig, train
 
 
@@ -37,14 +35,12 @@ LOADERS = {"f.eshf": load_features, "c.eshb": load_codes, "m.eshm": load_model}
 
 
 def tiny_files(tmp_path):
-    """A small file of each format, written by the reference writers; the
-    model carries the legacy B and Z sections."""
+    """A small file of each format, written by the reference writers."""
     rng = np.random.default_rng(3)
     paths = {name: tmp_path / name for name in LOADERS}
     ref.save_features(rng.standard_normal((3, 2)), paths["f.eshf"])
     ref.save_codes(pack_codes(rng.standard_normal((3, 70))), paths["c.eshb"])
-    model, B, Z = tiny_model_with_train()
-    ref.save_model(model, paths["m.eshm"], B, Z)
+    ref.save_model(tiny_model(), paths["m.eshm"])
     return paths
 
 
@@ -79,26 +75,25 @@ def test_reference_files_load_to_equal_objects(tmp_path):
     back = load_codes(tmp_path / "x.eshb")
     assert (back.n, back.k) == (codes.n, codes.k)
     assert np.array_equal(back.words, codes.words) and back.words.flags.writeable
-    model, B, Z = tiny_model_with_train()
-    ref.save_model(model, tmp_path / "x.eshm", B, Z)
+    model = tiny_model()
+    ref.save_model(model, tmp_path / "x.eshm")
     back = load_model(tmp_path / "x.eshm")
-    for name in ("mean", "std", "W", "centers", "lam", "vote_matrix"):
-        assert np.array_equal(getattr(back, name), getattr(model, name)), name
-        assert getattr(back, name).dtype == getattr(model, name).dtype, name
-    assert (back.sigma2, back.s, back.query_mode) == (model.sigma2, model.s, model.query_mode)
+    for name, _ in MODEL_MATRICES:
+        a, b = model_matrix(back, name), model_matrix(model, name)
+        assert a.dtype == b.dtype == np.float64 and np.array_equal(a, b), name
+    assert (back.anchors.sigma2, back.anchors.s, back.query_mode) == (
+        model.anchors.sigma2, model.anchors.s, model.query_mode)
 
 
-def test_model_with_legacy_train_sections_loads_like_one_without(tmp_path):
+@pytest.mark.parametrize("keep_B, keep_Z", [(True, False), (False, True), (True, True)])
+def test_model_with_legacy_train_sections_is_refused(tmp_path, keep_B, keep_Z):
+    # models written before the B and Z sections were dropped set flag bit 0, 1 or both
     model, B, Z = tiny_model_with_train()
-    ref.save_model(model, tmp_path / "legacy.eshm", B, Z)
-    save_model(model, tmp_path / "m.eshm")
-    assert (tmp_path / "legacy.eshm").read_bytes()[5] == 3  # flags: B and Z
-    assert (tmp_path / "m.eshm").read_bytes()[5] == 0
-    legacy, plain = load_model(tmp_path / "legacy.eshm"), load_model(tmp_path / "m.eshm")
-    for field in dataclasses.fields(HashModel):
-        a, b = getattr(legacy, field.name), getattr(plain, field.name)
-        assert type(a) is type(b) and np.asarray(a).dtype == np.asarray(b).dtype, field.name
-        assert np.array_equal(a, b), field.name
+    path = tmp_path / "legacy.eshm"
+    ref.save_model(model, path, B if keep_B else None, Z if keep_Z else None)
+    flags = path.read_bytes()[5]
+    assert flags == keep_B + 2 * keep_Z
+    assert_format_error(load_model, path, match=f": unknown flag bits {flags:#04x}$")
 
 
 def test_every_prefix_raises_format_error(tmp_path):
@@ -155,32 +150,6 @@ def test_non_finite_features_name_the_file(tmp_path):
         assert_format_error(load_features, tmp_path / name, match="row 1, column 1")
 
 
-def _retained_sections(tmp_path):
-    """Legacy model body and the offsets of its retained code words and anchor indices."""
-    model, B, Z = tiny_model_with_train()
-    ref.save_model(model, tmp_path / "m.eshm", B, Z)
-    body = bytearray((tmp_path / "m.eshm").read_bytes()[:-4])
-    z_bytes = Z.n * Z.s * 8  # indices, then weights, end the body
-    idx_off = len(body) - 2 * z_bytes
-    words_off = idx_off - 16 - B.words.nbytes
-    return model, body, words_off, idx_off
-
-
-def test_model_with_bad_retained_anchor_index_rejected(tmp_path):
-    model, body, _, idx_off = _retained_sections(tmp_path)
-    body[idx_off : idx_off + 8] = struct.pack("<q", model.m)
-    (tmp_path / "bad.eshm").write_bytes(recrc(body))
-    assert_format_error(load_model, tmp_path / "bad.eshm", match="anchor index out of range")
-
-
-def test_model_with_bad_retained_code_padding_rejected(tmp_path):
-    model, body, words_off, _ = _retained_sections(tmp_path)
-    assert model.k & 63  # the last word has padding bits
-    body[words_off + 7] |= 0x80  # top bit of sample 0's only word
-    (tmp_path / "bad.eshm").write_bytes(recrc(body))
-    assert_format_error(load_model, tmp_path / "bad.eshm", match="padding")
-
-
 def test_model_with_unknown_query_mode_byte_rejected(tmp_path):
     save_model(tiny_model(), tmp_path / "m.eshm")
     body = bytearray((tmp_path / "m.eshm").read_bytes()[:-4])
@@ -204,13 +173,17 @@ MODEL_MATRICES = [("mean", "<f4"), ("std", "<f4"), ("W", "<f4"), ("centers", "<f
                   ("lam", "<f8"), ("vote_matrix", "<f4")]
 
 
+def model_matrix(model, name):
+    return model.anchors.centers if name == "centers" else getattr(model, name)
+
+
 @pytest.mark.parametrize("name, dtype", MODEL_MATRICES)
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_model_with_non_finite_matrix_rejected(tmp_path, name, dtype, value):
     model = tiny_model()
     save_model(model, tmp_path / "m.eshm")
     body = bytearray((tmp_path / "m.eshm").read_bytes()[:-4])
-    data = np.ascontiguousarray(getattr(model, name), dtype=dtype).tobytes()
+    data = np.ascontiguousarray(model_matrix(model, name), dtype=dtype).tobytes()
     off = bytes(body).find(data)
     assert off > 0
     body[off : off + np.dtype(dtype).itemsize] = np.array([value], dtype).tobytes()
@@ -223,7 +196,7 @@ def test_model_with_non_finite_sigma2_rejected(tmp_path, value):
     model = tiny_model()
     save_model(model, tmp_path / "m.eshm")
     body = bytearray((tmp_path / "m.eshm").read_bytes()[:-4])
-    off = bytes(body).find(struct.pack("<d", model.sigma2))
+    off = bytes(body).find(struct.pack("<d", model.anchors.sigma2))
     assert off > 0
     body[off : off + 8] = struct.pack("<d", value)
     (tmp_path / "bad.eshm").write_bytes(recrc(body))

@@ -256,13 +256,13 @@ def test_synthetic_nearest_neighbor_accuracy():
     # separated blobs must be almost perfectly 1-NN classifiable
     X, labels = generate_synthetic(10, 500, 32, 1.0, seed=2)
     ids = labels.single_array()
+    sq = (X * X).sum(axis=1)
     hits = 0
     for lo in range(0, X.shape[0], 500):
-        chunk = X[lo : lo + 500]
-        d2 = ((chunk[:, None, :] - X[None, :, :]) ** 2).sum(-1)
-        for r in range(chunk.shape[0]):
-            d2[r, lo + r] = np.inf  # leave-one-out
-        hits += (ids[d2.argmin(axis=1)] == ids[lo : lo + 500]).sum()
+        rows = np.arange(lo, min(lo + 500, X.shape[0]))
+        d2 = sq[rows, None] + sq[None, :] - 2.0 * (X[rows] @ X.T)  # |x|^2 + |y|^2 - 2 x.y
+        d2[np.arange(rows.size), rows] = np.inf  # leave-one-out
+        hits += (ids[d2.argmin(axis=1)] == ids[rows]).sum()
     assert hits / X.shape[0] > 0.99
 
 
@@ -296,6 +296,13 @@ def test_labels_of_one_id_per_row_are_single(tmp_path):
     labels = load_labels(p)
     assert np.array_equal(labels.starts, [0, 1, 2, 3])
     assert np.array_equal(labels.single_array(), [3, 1, 3])
+
+
+def test_labels_after_a_byte_order_mark(tmp_path):
+    p = tmp_path / "bom.csv"
+    p.write_bytes(b"\xef\xbb\xbf1\n2\n")  # as some editors save UTF-8
+    labels = load_labels(p)
+    assert np.array_equal(labels.ids, [1, 2]) and np.array_equal(labels.starts, [0, 1, 2])
 
 
 def test_labels_bad_token(tmp_path):

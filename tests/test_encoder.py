@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 from dataclasses import replace
 
@@ -6,11 +7,15 @@ import pytest
 
 from esh import dataset
 from esh.anchor_graph import (
+    AnchorSet,
+    SparseAffinityRows,
+    anchor_weights,
     fit_anchor_graph,
     pairwise_sq_dists,
     similarity_factor,
 )
 from esh.dataset import (
+    LabelSet,
     StandardizationStats,
     apply_standardization,
     generate_synthetic,
@@ -28,9 +33,18 @@ from esh.encoder import (
     save_model,
     unpack_codes,
 )
+from esh.evaluation import GroundTruth, Ranking, evaluate
 from esh.kernels import BLOCK_VALUES
-from esh.optimizer import TrainConfig, init_projection, train
-from oracles import codes_to_csv, encode_train, float64_linear_codes, sgn, to_dense, vote_loop
+from esh.optimizer import TrainConfig, TrainTrace, init_projection, train
+from oracles import (
+    codes_to_csv,
+    encode_train,
+    float32_exact,
+    float64_linear_codes,
+    sgn,
+    to_dense,
+    vote_loop,
+)
 
 
 def random_bits(rng, n, k):
@@ -132,7 +146,7 @@ def test_model_linear_rows_consistent():
 
 def test_model_linear_zero_query_all_plus_one():
     model, _, _, _ = small_model(seed=8)
-    q = model.mean.astype(np.float64)  # standardizes to the zero vector
+    q = model.mean  # standardizes to the zero vector
     B = unpack_codes(model.encode_linear(q))
     assert np.all(B == 1)
 
@@ -151,11 +165,11 @@ def random_model(d, k, m=5, seed=0):
     """A HashModel of the given shape from random matrices; no training."""
     rng = np.random.default_rng(seed)
     return HashModel(
-        mean=rng.standard_normal(d).astype(np.float32),
-        std=(0.5 + rng.random(d)).astype(np.float32),
-        W=init_projection(d, k, seed=seed).astype(np.float32),
-        centers=rng.standard_normal((m, d)).astype(np.float32),
-        sigma2=1.0, s=2, lam=np.ones(m), vote_matrix=np.zeros((k, m), np.float32),
+        mean=float32_exact(rng.standard_normal(d)),
+        std=float32_exact(0.5 + rng.random(d)),
+        W=float32_exact(init_projection(d, k, seed=seed)),
+        anchors=AnchorSet(centers=float32_exact(rng.standard_normal((m, d))), sigma2=1.0, s=2),
+        lam=np.ones(m), vote_matrix=np.zeros((k, m)),
     )
 
 
@@ -174,7 +188,7 @@ def test_vote_matrix_bit_identical_to_the_loop(monkeypatch):
     # blocks of 64 values: the vote sums go in pieces of 10 entries
     monkeypatch.setattr("esh.kernels.BLOCK_VALUES", 64)
     model, codes, _, _, Z = small_pipeline(seed=3, n_per=30)
-    want = vote_loop(unpack_codes(codes), Z).astype(np.float32)
+    want = float32_exact(vote_loop(unpack_codes(codes), Z))
     assert model.vote_matrix.tobytes() == want.tobytes()
 
 
@@ -189,13 +203,34 @@ def test_build_hash_model_rejects_non_finite_projection(bad):
         build_hash_model(stats, W, anchors, Z, X_raw)
 
 
+def test_a_std_just_above_the_floor_that_rounds_below_it_in_float32():
+    # 1.00000001e-12 is above STD_FLOOR and its float32 rounding below it;
+    # the model holds that rounding and encodes with it
+    rng = np.random.default_rng(24)
+    X = rng.standard_normal((40, 4))
+    X[:, 1] = np.where(np.arange(40) % 2, 1.00000001e-12, -1.00000001e-12)
+    Xs, stats = standardize(X)
+    assert stats.std[1] > dataset.STD_FLOOR > float(np.float32(stats.std[1]))
+    anchors, Z = fit_anchor_graph(Xs, m=6, iters=5, seed=25, s=2)
+    W, _ = train(Xs, similarity_factor(Xs, Z), TrainConfig(bits=3, iters=3, seed=26))
+    model, codes = build_hash_model(stats, W, anchors, Z, X)
+    assert model.std[1] == float(np.float32(stats.std[1]))
+    for rows in (X, X.astype(np.float32)):
+        assert np.array_equal(model.encode(rows, mode="linear").words, codes.words)
+    assert model.encode(X).n == 40
+
+
 def test_hash_model_rejects_non_finite_or_non_positive_matrices():
     model = random_model(d=6, k=4, seed=12)
-    for name in ("mean", "std", "W", "centers", "lam", "vote_matrix"):
+    for name in ("mean", "std", "W", "lam", "vote_matrix"):
         bad = getattr(model, name).copy()
         bad.flat[0] = np.nan
         with pytest.raises(ValueError, match=f"{name} has non-finite"):
             replace(model, **{name: bad})
+    centers = model.anchors.centers.copy()
+    centers[1, 2] = np.inf
+    with pytest.raises(ValueError, match="centers has non-finite"):
+        replace(model, anchors=replace(model.anchors, centers=centers))
     for value in (0.0, -1.0):
         std = model.std.copy()
         std[1] = value
@@ -203,12 +238,59 @@ def test_hash_model_rejects_non_finite_or_non_positive_matrices():
             replace(model, std=std)
 
 
+def test_hash_model_refuses_matrices_that_float32_cannot_hold():
+    # linear encoding standardizes float32 rows in float32, which is exact
+    # only for stats that float32 holds; the file stores them in float32 too
+    model = random_model(d=6, k=4, seed=13)
+    for name in ("mean", "std", "W", "vote_matrix"):
+        for value in (0.1, 1e39):
+            M = getattr(model, name).copy()
+            M.flat[1] = value
+            with pytest.raises(ValueError, match=f"{name} holds values that float32 cannot"):
+                replace(model, **{name: M})
+    centers = model.anchors.centers.copy()
+    centers[0, 0] = 0.1
+    with pytest.raises(ValueError, match="centers holds values that float32 cannot"):
+        replace(model, anchors=replace(model.anchors, centers=centers))
+    replace(model, lam=model.lam + 0.1)  # lam is stored in float64
+
+
+def labelled_report():
+    labels = LabelSet.from_array([0, 1, 1])
+    codes = pack_codes(np.eye(3))
+    return evaluate(codes, codes, GroundTruth(labels, labels))
+
+
+# each makes an instance whose fields include arrays of more than one value
+ARRAY_HOLDERS = {
+    "LabelSet": lambda: LabelSet.from_array([0, 1, 1]),
+    "StandardizationStats": lambda: StandardizationStats(mean=np.zeros(3), std=np.ones(3)),
+    "AnchorSet": lambda: AnchorSet(centers=np.zeros((2, 3)), sigma2=1.0, s=1),
+    "SparseAffinityRows": lambda: SparseAffinityRows(
+        indices=np.array([[0], [1]]), weights=np.ones((2, 1)), m=2),
+    "PackedCodes": lambda: pack_codes(np.eye(3)),
+    "HashModel": lambda: random_model(d=6, k=4),
+    "Ranking": lambda: Ranking(ids=np.arange(3), distances=np.zeros(3, np.int64)),
+    "EvalReport": labelled_report,
+    "TrainTrace": lambda: TrainTrace(
+        iteration=np.arange(1, 3), loss=np.zeros(2), orth_residual=np.zeros(2),
+        step_size=np.zeros(2), elapsed_ms=np.zeros(2), alpha=1.0, initial_loss=0.0),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_HOLDERS)
+def test_equality_of_a_dataclass_holding_arrays_is_identity(name):
+    # a field-wise == would ask an array of booleans for one truth value
+    a = ARRAY_HOLDERS[name]()
+    twin = copy.deepcopy(a)  # equal fields, other arrays
+    assert type(a).__name__ == name
+    assert a == a and a != twin and not a == twin
+
+
 def linear_oracle(model, X):
     """sgn(apply_standardization(X) @ W) on the whole input at once."""
-    stats = StandardizationStats(mean=model.mean.astype(np.float64),
-                                 std=model.std.astype(np.float64))
-    Xs = apply_standardization(np.atleast_2d(X), stats)
-    return sgn(Xs @ model.W.astype(np.float64), zero_rule="one").astype(np.int8)
+    Xs = apply_standardization(np.atleast_2d(X), model)
+    return sgn(Xs @ model.W, zero_rule="one").astype(np.int8)
 
 
 def blocks_of(model):
@@ -230,22 +312,21 @@ def test_linear_encoding_across_blocks_matches_the_oracle():
 def graph_oracle(model, X):
     """Graph codes from one standardization, one distance product and one
     stable sort over all rows at once."""
-    stats = StandardizationStats(mean=model.mean.astype(np.float64),
-                                 std=model.std.astype(np.float64))
-    d2 = pairwise_sq_dists(apply_standardization(np.atleast_2d(X), stats),
-                           model.centers.astype(np.float64))
-    idx = np.argsort(d2, axis=1, kind="stable")[:, : model.s]
+    anchors = model.anchors
+    d2 = pairwise_sq_dists(apply_standardization(np.atleast_2d(X), model), anchors.centers)
+    idx = np.argsort(d2, axis=1, kind="stable")[:, : anchors.s]
     near = np.take_along_axis(d2, idx, axis=1)
-    w = np.exp(-(near - near[:, :1]) / model.sigma2)
+    w = np.exp(-(near - near[:, :1]) / anchors.sigma2)
     w /= w.sum(axis=1, keepdims=True)
-    scores = np.einsum("kqs,qs->qk", model.vote_matrix.astype(np.float64)[:, idx], w)
+    scores = np.einsum("kqs,qs->qk", model.vote_matrix[:, idx], w)
     return np.where(scores >= 0, 1, -1).astype(np.int8)
 
 
 def test_graph_encoding_across_blocks_matches_the_whole_array_oracle():
     rng = np.random.default_rng(21)
-    model = replace(random_model(d=512, k=70, m=40, seed=20), s=3, sigma2=50.0,
-                    vote_matrix=rng.standard_normal((70, 40)).astype(np.float32))
+    model = random_model(d=512, k=70, m=40, seed=20)
+    model = replace(model, anchors=replace(model.anchors, s=3, sigma2=50.0),
+                    vote_matrix=float32_exact(rng.standard_normal((70, 40))))
     rows = BLOCK_VALUES // (model.d + model.m)
     X = rng.standard_normal((3 * rows + 77, model.d))  # three whole blocks and a remainder
     X[2 * rows + 5] = X[2 * rows + 4]  # equal rows in different blocks
@@ -279,8 +360,8 @@ def test_linear_encoding_beyond_float32_range_matches_the_oracle():
     assert np.array_equal(model.encode_linear(X).words, float64_linear_codes(model, X).words)
     # 4e38 x 1e-40 adds 0.04 to a bit the second entry sets to -1; in float32
     # the first entry is inf and would outvote it
-    tiny = replace(random_model(d=2, k=1, seed=15), mean=np.zeros(2, np.float32),
-                   std=np.ones(2, np.float32), W=np.array([[1e-40], [-1.0]], np.float32))
+    tiny = replace(random_model(d=2, k=1, seed=15), mean=np.zeros(2), std=np.ones(2),
+                   W=float32_exact([[1e-40], [-1.0]]))
     assert unpack_codes(tiny.encode_linear(np.array([4e38, 1.0])))[0, 0] == -1
 
 
@@ -316,29 +397,19 @@ def test_graph_one_hot_vote_column():
     model, _, _, _ = small_model(seed=10, s=1)
     # a query sitting on an anchor with s=1 gets exactly that anchor's column
     for j in (0, 3, 7):
-        center = model.centers[j].astype(np.float64)
-        raw = center * model.std.astype(np.float64) + model.mean.astype(np.float64)
+        raw = model.anchors.centers[j] * model.std + model.mean
         got = unpack_codes(model.encode_graph(raw))[0]
-        col = model.vote_matrix.astype(np.float64)[:, j]
+        col = model.vote_matrix[:, j]
         want = np.where(col > 0, 1, np.where(col < 0, -1, 1))
         assert np.array_equal(got, want)
 
 
 def test_graph_unanimous_neighborhood_bit():
     model, _, X_raw, _ = small_model(seed=11)
-    from esh.anchor_graph import AnchorSet, anchor_weights
-    from esh.dataset import StandardizationStats, apply_standardization
-
-    stats = StandardizationStats(
-        mean=model.mean.astype(np.float64), std=model.std.astype(np.float64)
-    )
-    anchors = AnchorSet(
-        centers=model.centers.astype(np.float64), sigma2=model.sigma2, s=model.s
-    )
-    V = model.vote_matrix.astype(np.float64)
+    V = model.vote_matrix
     checked = 0
     for i in range(X_raw.shape[0]):
-        idx, _ = anchor_weights(apply_standardization(X_raw[i], stats), anchors)
+        idx, _ = anchor_weights(apply_standardization(X_raw[i], model), model.anchors)
         cols = V[:, idx[0]]  # (k, s)
         code = unpack_codes(model.encode_graph(X_raw[i]))[0]
         for t in range(model.k):
@@ -359,10 +430,8 @@ def test_graph_matches_exhaustive_argmax():
 
     B = unpack_codes(codes).astype(np.float64)  # (n, k)
     Zd = to_dense(Z)  # (n, m)
-    lam = model.lam
-    mean = model.mean.astype(np.float64)
-    std = model.std.astype(np.float64)
-    centers = model.centers.astype(np.float64)
+    lam, mean, std = model.lam, model.mean, model.std
+    centers, s, sigma2 = model.anchors.centers, model.anchors.s, model.anchors.sigma2
 
     all_codes = np.array(
         [[1 if (c >> t) & 1 else -1 for t in range(model.k)] for c in range(2**model.k)],
@@ -371,8 +440,8 @@ def test_graph_matches_exhaustive_argmax():
     for q in queries:
         xs = (q - mean) / std
         d2 = ((centers - xs) ** 2).sum(axis=1)
-        order = np.argsort(d2, kind="stable")[: model.s]
-        w = np.exp(-(d2[order] - d2[order].min()) / model.sigma2)
+        order = np.argsort(d2, kind="stable")[:s]
+        w = np.exp(-(d2[order] - d2[order].min()) / sigma2)
         w /= w.sum()
         z = np.zeros(centers.shape[0])
         z[order] = w
@@ -388,14 +457,13 @@ def test_model_round_trip_bit_exact(tmp_path):
     p = tmp_path / "m.eshm"
     save_model(model, p)
     back = load_model(p)
-    assert np.array_equal(back.mean, model.mean)
-    assert np.array_equal(back.std, model.std)
-    assert np.array_equal(back.W, model.W)
-    assert np.array_equal(back.centers, model.centers)
-    assert np.array_equal(back.lam, model.lam)
-    assert np.array_equal(back.vote_matrix, model.vote_matrix)
-    assert back.sigma2 == model.sigma2
-    assert back.s == model.s
+    for name in ("mean", "std", "W", "lam", "vote_matrix"):
+        a, b = getattr(back, name), getattr(model, name)
+        assert a.dtype == b.dtype == np.float64 and np.array_equal(a, b), name
+    assert back.anchors.centers.dtype == np.float64
+    assert np.array_equal(back.anchors.centers, model.anchors.centers)
+    assert back.anchors.sigma2 == model.anchors.sigma2
+    assert back.anchors.s == model.anchors.s
     assert back.query_mode == model.query_mode
 
 

@@ -5,8 +5,9 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from esh.anchor_graph import AnchorSet
 from esh.encoder import HashModel, pack_codes, unpack_codes
-from oracles import STD_FLOOR32, float64_linear_projection, shift_and_sum_pack
+from oracles import STD_FLOOR32, float32_exact, float64_linear_projection, shift_and_sum_pack
 
 # every width up to 200 bits, with the word boundaries drawn on purpose
 WIDTHS = st.one_of(st.sampled_from([63, 64, 65, 127, 128, 129]), st.integers(1, 200))
@@ -40,9 +41,9 @@ def linear_model(mean, std, W):
     """A HashModel for linear encoding; its anchor parts are placeholders."""
     d, k = W.shape
     return HashModel(
-        mean=mean.astype(np.float32), std=std.astype(np.float32), W=W.astype(np.float32),
-        centers=np.zeros((2, d), np.float32), sigma2=1.0, s=1, lam=np.ones(2),
-        vote_matrix=np.zeros((k, 2), np.float32),
+        mean=float32_exact(mean), std=float32_exact(std), W=float32_exact(W),
+        anchors=AnchorSet(centers=np.zeros((2, d)), sigma2=1.0, s=1), lam=np.ones(2),
+        vote_matrix=np.zeros((k, 2)),
     )
 
 
@@ -58,7 +59,7 @@ def test_encode_linear_matches_the_float64_encoder(d, k, stats, float32, n, seed
     if stats == "large offset":  # |x| is 1e4 times |(x - mean) / std|
         mean = 1e4 * (1.0 + rng.random(d))
     model = linear_model(mean, std, rng.standard_normal((d, k)) / np.sqrt(d))
-    mean, std, W = (a.astype(np.float64) for a in (model.mean, model.std, model.W))
+    mean, std, W = model.mean, model.std, model.W
     S = rng.standard_normal((n, d))  # the standardized rows
     kind = rng.integers(0, 3, n)  # 0 random, 1 the mean itself, 2 near hyperplanes
     S[kind == 1] = 0.0
